@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import L1Ball, Norm
+from .geometry import NNZ_THRESHOLD, L1Ball, Norm
 from .optimizer import BatchSchedule, OptimizerConfig, RunResult, TraceRecord, run
 from .problems import make_quadratic
 from .sparse_net import (
@@ -659,7 +659,7 @@ def _train_quadratic(config: ExperimentConfig) -> TrainOutcome:
         ("final_objective_exact", final_objective),
     ]
     for i, x in enumerate(out.x_blocks):
-        metrics.append((f"nnz_block_{i}", int(np.count_nonzero(np.abs(x) >= 1e-3))))
+        metrics.append((f"nnz_block_{i}", int(np.count_nonzero(np.abs(x) >= NNZ_THRESHOLD))))
     nnz_names, nnz_rows = _block_nnz_columns(len(blocks), result.trace)
     return TrainOutcome(
         result=result,

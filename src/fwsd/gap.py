@@ -21,7 +21,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import L1Ball, Norm, lmo
+from .geometry import (
+    L1Ball,
+    Norm,
+    _fail_rows,
+    ball_groups,
+    blame_blocks,
+    frank_wolfe_rows,
+    outside_rows,
+    stack_rows,
+)
 
 #: negative Frank-Wolfe gap values smaller than this are treated as
 #: floating-point cancellation and clamped to zero
@@ -29,7 +38,14 @@ G_TILDE_SLACK = 1e-12
 
 
 class InternalConsistencyError(RuntimeError):
-    """A quantity that is nonnegative by construction came out negative."""
+    """A quantity that is nonnegative by construction came out negative.
+
+    ``row`` is the offending row when the quantity was computed row-wise.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 def dual_norm(v: np.ndarray, norm: Norm) -> float:
@@ -100,14 +116,21 @@ class GapEstimate:
     value: float
 
 
-def _clamp_g_tilde(value: float) -> float:
-    # the per-block Frank-Wolfe gap is nonnegative for feasible points;
-    # tiny negatives are cancellation noise, anything worse is a bug
-    if value < -G_TILDE_SLACK:
+def _clamp_g_tilde(values):
+    # per-block Frank-Wolfe gaps are nonnegative for feasible points; tiny
+    # negatives are cancellation noise, anything worse is a bug. Works on a
+    # scalar or row-wise; -0.0 clamps to +0.0, which the step sizes and the
+    # trace depend on bit for bit.
+    values = np.asarray(values, dtype=np.float64)
+    bad = values < -G_TILDE_SLACK
+    if bad.any():
+        row = int(np.argmax(bad))
         raise InternalConsistencyError(
-            f"per-block Frank-Wolfe gap came out {value}, beyond cancellation slack"
+            f"per-block Frank-Wolfe gap came out {float(values.flat[row])}, "
+            "beyond cancellation slack",
+            row,
         )
-    return max(0.0, value)
+    return np.where(values > 0.0, values, 0.0)
 
 
 def gap_estimate(
@@ -121,17 +144,20 @@ def gap_estimate(
     """Plug-in gap at feasible ``x_blocks`` from (possibly sampled) gradients.
 
     Per block, ``g_tilde_i = g_hat_i @ (x_i - v_i)`` with ``v_i`` the linear
-    minimization oracle vertex for ``g_hat_i``. The total gap is
+    minimization oracle vertex for ``g_hat_i``, computed row-wise for each
+    group of blocks sharing a ball. The total gap is
     ``sum_i g_tilde_i * scale + dual_norm(h_hat)``.
     """
     if not (len(x_blocks) == len(g_hat_blocks) == len(balls)):
         raise ValueError("x_blocks, g_hat_blocks and balls must align")
-    g_tilde_blocks = []
-    for x, g, ball in zip(x_blocks, g_hat_blocks, balls):
-        if not ball.contains(np.asarray(x, dtype=np.float64)):
-            raise ValueError("x block is infeasible")
-        v = lmo(ball, g)
-        g_tilde_blocks.append(_clamp_g_tilde(float(np.asarray(g) @ (x - v.value))))
+    g_tilde_blocks = np.empty(len(balls))
+    for ball, idx in ball_groups(balls):
+        with blame_blocks("gap_estimate", idx):
+            x = stack_rows(x_blocks, idx, ball.dim, "x")
+            _fail_rows(outside_rows(ball, x), "x block is infeasible")
+            g = stack_rows(g_hat_blocks, idx, ball.dim, "g")
+            g_tilde_blocks[idx] = _clamp_g_tilde(frank_wolfe_rows(ball, x, g)[1])
+    g_tilde_blocks = g_tilde_blocks.tolist()
     g_tilde = float(sum(g_tilde_blocks))
     h_dual = dual_norm(h_hat, norm_y)
     return GapEstimate(

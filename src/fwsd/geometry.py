@@ -6,14 +6,38 @@ the linear minimization oracle picks a signed vertex, the minimal face of a
 boundary point is read off the signed support, and line searches against the
 constraint reduce to scanning the breakpoints of a piecewise linear function.
 No numerical solver is involved anywhere in this module.
+
+Every oracle is written once, row-wise, for an ``(n_rows, dim)`` matrix whose
+rows are blocks sharing one ball (same ``dim``, ``radius`` and ``norm_x``);
+`ball_groups` and `stack_rows` build such matrices from a list of blocks. The
+1-D functions (`lmo`, `minimal_face`, `in_face_lmo`, `away_direction`,
+`in_face_step_cap`, `max_feasible_step`) are the one-row case. Each row of a
+row-wise result is bit for bit what the per-block formula gives, so grouping
+blocks never moves an iterate digest. That rests on four rules:
+
+- row dots are ``np.matmul(a[:, None, :], b[:, :, None])``, which rounds like
+  the 1-D ``a @ b``; ``(a * b).sum(1)`` and ``einsum`` differ in the last bits;
+- l1 norms are ``np.abs(m).sum(axis=1)``, the same pairwise sum per row as the
+  1-D ``np.sum(np.abs(x))``;
+- the signed sum of the in-face cap is a sequential fold,
+  ``np.cumsum(..., axis=1)[:, -1]``;
+- argmax and argmin along axis 1 break ties to the lowest index, as the 1-D
+  oracles do.
+
+A failed row check raises `RowError`, which carries the offending row so a
+caller that stacked the rows can name the block (see `blame_blocks`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
+
+#: magnitude below which a coordinate counts as zero in NNZ counts
+NNZ_THRESHOLD = 1e-3
 
 
 class Norm(enum.Enum):
@@ -52,13 +76,17 @@ class L1Ball:
     def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
         """Feasibility check with an absolute slack of ``tol`` on the norm."""
         x = _check_vector(x, self.dim, "x")
-        return float(np.sum(np.abs(x))) <= self.radius + tol
+        return not outside_rows(self, x[None, :], tol)[0]
 
     def norm(self, v: np.ndarray) -> float:
         """Length of ``v`` measured in this block's ``norm_x``."""
+        return float(self.norm_rows(np.asarray(v, dtype=np.float64).reshape(1, -1))[0])
+
+    def norm_rows(self, m: np.ndarray) -> np.ndarray:
+        """Length of every row of ``m`` in ``norm_x``."""
         if self.norm_x is Norm.L1:
-            return float(np.sum(np.abs(v)))
-        return float(np.linalg.norm(v))
+            return l1_rows(m)
+        return np.sqrt(row_dot(m, m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +126,43 @@ class Face:
         return 0
 
 
+class RowError(ValueError):
+    """A row-wise check failed; ``row`` is the first offending row, if known."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def _fail_rows(bad: np.ndarray, message) -> None:
+    # raise RowError at the first flagged row; ``message`` may be a callable
+    # of that row
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise RowError(message(r) if callable(message) else message, r)
+
+
+class blame_blocks:
+    """Context manager that re-raises a failed row check naming the block and step.
+
+    ``blocks[r]`` is the block index of row ``r`` of the stacked matrix.
+    Exceptions that carry no ``row`` pass through unchanged.
+    """
+
+    def __init__(self, step: str, blocks: Sequence[int]) -> None:
+        self.step = step
+        self.blocks = blocks
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        row = getattr(exc, "row", None)
+        if row is None or not isinstance(exc, (ValueError, RuntimeError)):
+            return False
+        raise type(exc)(f"{exc} (block {self.blocks[row]}, in {self.step})") from exc
+
+
 def _check_vector(v: np.ndarray, dim: int, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (dim,):
@@ -105,6 +170,193 @@ def _check_vector(v: np.ndarray, dim: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def ball_groups(balls: Sequence[L1Ball]) -> list[tuple[L1Ball, np.ndarray]]:
+    """Block indices grouped by equal ball, in order of first appearance."""
+    groups: dict[tuple, tuple[L1Ball, list[int]]] = {}
+    for i, ball in enumerate(balls):
+        # the key spells out the fields: hashing a Norm member runs Python code
+        key = (ball.dim, ball.radius, ball.norm_x is Norm.L1)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = group = (ball, [])
+        group[1].append(i)
+    return [(ball, np.array(idx)) for ball, idx in groups.values()]
+
+
+def stack_rows(blocks: Sequence[np.ndarray], idx: np.ndarray, dim: int, name: str) -> np.ndarray:
+    """Stack ``blocks[i]`` for ``i`` in ``idx`` into a float64 ``(len(idx), dim)`` matrix.
+
+    Raises `RowError` at the first block of the wrong shape or with a
+    non-finite entry.
+    """
+    rows = [blocks[i] for i in idx.tolist()]
+    try:
+        m = np.array(rows, dtype=np.float64)
+    except ValueError:  # blocks of different shapes
+        m = None
+    if m is None or m.shape[1:] != (dim,):
+        r = next(r for r, b in enumerate(rows) if np.shape(b) != (dim,))
+        raise RowError(f"{name} has shape {np.shape(rows[r])}, expected ({dim},)", r)
+    if not np.isfinite(m).all():
+        _fail_rows(~np.isfinite(m).all(axis=1), f"{name} contains non-finite entries")
+    return m
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[r] @ b[r]`` for every row, rounded exactly like the 1-D product."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def l1_rows(m: np.ndarray) -> np.ndarray:
+    """l1 norm of every row, summed exactly like the 1-D ``np.sum(np.abs(x))``."""
+    return np.abs(m).sum(axis=1)
+
+
+def nnz_rows(m: np.ndarray, threshold: float = NNZ_THRESHOLD) -> np.ndarray:
+    """Count of entries with magnitude at least ``threshold`` in every row."""
+    return np.count_nonzero(np.abs(m) >= threshold, axis=1)
+
+
+def outside_rows(ball: L1Ball, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Rows lying outside the ball by more than ``tol`` in the l1 norm."""
+    return l1_rows(x) > ball.radius + tol
+
+
+def _vertex_rows(ball: L1Ball, rows: np.ndarray, index: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    value = np.zeros((len(rows), ball.dim))
+    value[rows, index] = sign * ball.radius
+    return value
+
+
+def lmo_rows(ball: L1Ball, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise `lmo`: the index, sign and vertex matrix minimizing each ``g[r] @ x``."""
+    rows = np.arange(len(g))
+    index = np.abs(g).argmax(axis=1)
+    sign = np.where(g[rows, index] <= 0.0, 1, -1)
+    return index, sign, _vertex_rows(ball, rows, index, sign)
+
+
+def frank_wolfe_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle vertices ``v`` and Frank-Wolfe gaps ``g[r] @ (x[r] - v[r])``."""
+    v = lmo_rows(ball, g)[2]
+    return v, row_dot(g, x - v)
+
+
+def face_rows(ball: L1Ball, x: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise `minimal_face`: sign masks in {-1, 0, 1} and the boundary flags."""
+    norm1 = l1_rows(x)
+    _fail_rows(norm1 > ball.radius + max(tol, 1e-9),
+               lambda r: f"point is infeasible: ||x||_1 = {float(norm1[r])} > {ball.radius}")
+    sign = (x > tol).astype(np.float64) - (x < -tol)
+    return sign, np.abs(norm1 - ball.radius) <= tol
+
+
+def in_face_lmo_rows(ball: L1Ball, sign: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise `in_face_lmo` over the faces given by ``sign``; every support must be nonempty."""
+    rows = np.arange(len(sign))
+    index = np.where(sign != 0.0, sign * c, np.inf).argmin(axis=1)
+    s = sign[rows, index]
+    return index, s, _vertex_rows(ball, rows, index, s)
+
+
+def away_rows(
+    ball: L1Ball, x: np.ndarray, g: np.ndarray, tol: float = 1e-12
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise `away_direction`: directions ``d``, acceptance and ``g[r] @ d[r]``."""
+    sign, on_boundary = face_rows(ball, x, tol)
+    in_face = on_boundary & sign.any(axis=1)
+    c = -g
+    v = lmo_rows(ball, c)[2]
+    if in_face.any():
+        v[in_face] = in_face_lmo_rows(ball, sign[in_face], c[in_face])[2]
+    d = x - v
+    gd = row_dot(g, d)
+    return d, (gd < -tol) & (ball.norm_rows(d) <= ball.diameter()), gd
+
+
+def ball_cap_rows(ball: L1Ball, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Largest ``a`` with ``||x[r] + a d[r]||_1 <= radius``, per row.
+
+    The norm along the ray is piecewise linear with kinks where coordinates
+    cross zero. It is evaluated at every kink of every row at once, and the
+    cap is interpolated exactly on the segment that crosses the radius;
+    past the last kink every term grows with slope ``||d||_1``. Rows must be
+    feasible within tolerance and ``d`` nonzero.
+    """
+    delta = ball.radius
+    # the start of the ray, feasible within tol by precondition
+    start = np.minimum(l1_rows(x), delta)
+    slope = l1_rows(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -x / d
+    valid = (t > 0.0) & np.isfinite(t)
+    count = valid.sum(axis=1)
+    width = int(count.max())
+    if width == 0:  # no coordinate crosses zero on any ray
+        return 0.0 + (delta - start) / slope
+    kinks = np.sort(np.where(valid, t, np.inf), axis=1)[:, :width]
+    real = np.arange(width) < count[:, None]
+    kinks = np.where(real, kinks, 0.0)
+    phi = l1_rows((x[:, None, :] + kinks[:, :, None] * d[:, None, :]).reshape(-1, ball.dim))
+    over = (phi.reshape(kinks.shape) > delta) & real
+    # column 0 of the padded arrays is the start of the ray
+    kinks = np.concatenate([np.zeros((len(x), 1)), kinks], axis=1)
+    phi = np.concatenate([start[:, None], phi.reshape(-1, width)], axis=1)
+    crosses = over.any(axis=1)
+    last = np.where(crosses, over.argmax(axis=1), count)
+    rows = np.arange(len(x))
+    nxt = np.minimum(last + 1, width)
+    prev, phi_prev = kinks[rows, last], phi[rows, last]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = prev + (delta - phi_prev) * (kinks[rows, nxt] - prev) / (phi[rows, nxt] - phi_prev)
+    return np.where(crosses, inside, prev + (delta - phi_prev) / slope)
+
+
+def sign_cap_rows(x: np.ndarray, d: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First step at which a supported coordinate moving against its sign reaches zero.
+
+    Returns the step per row (``inf`` when nothing moves against its sign)
+    and the mask of every coordinate binding there.
+    """
+    toward = (sign != 0.0) & (((x > 0.0) & (d < 0.0)) | ((x < 0.0) & (d > 0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        caps = np.where(toward, -x / d, np.inf)
+    alpha = caps.min(axis=1)
+    return alpha, toward & (caps == alpha[:, None])
+
+
+def points_out_rows(sign: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
+    """Rows whose in-face direction leaves the ball at once.
+
+    The signed sum ``sum_j sign_j d_j`` is a sequential fold in index order.
+    """
+    signed = np.cumsum(sign * d, axis=1)[:, -1]
+    return signed > tol * np.maximum(1.0, l1_rows(d))
+
+
+def in_face_step_cap_rows(
+    ball: L1Ball, x: np.ndarray, d: np.ndarray, tol: float = 1e-9
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise `in_face_step_cap`: the cap per row and the binding mask."""
+    _fail_rows(~d.any(axis=1), "direction is identically zero")
+    _fail_rows(outside_rows(ball, x, max(tol, 1e-10)), "x_bar is infeasible")
+    sign, on_boundary = face_rows(ball, x, tol=min(tol, 1e-12))
+    _fail_rows(on_boundary & ((np.abs(d) > tol) & (sign == 0.0)).any(axis=1),
+               "in-face direction must vanish on the zero set of x_bar")
+    alpha = np.empty(len(x))
+    binding = np.zeros(x.shape, dtype=bool)
+    interior = ~on_boundary
+    if interior.any():
+        alpha[interior] = ball_cap_rows(ball, x[interior], d[interior])
+    if on_boundary.any():
+        xb, db, sb = x[on_boundary], d[on_boundary], sign[on_boundary]
+        out = points_out_rows(sb, db, tol)
+        cap, bind = sign_cap_rows(xb, db, sb)
+        alpha[on_boundary] = np.where(out, 0.0, cap)
+        binding[on_boundary] = bind & ~out[:, None]
+    return alpha, binding
 
 
 def lmo(ball: L1Ball, g: np.ndarray) -> Vertex:
@@ -115,11 +367,8 @@ def lmo(ball: L1Ball, g: np.ndarray) -> Vertex:
     sign tie (``g[j] == 0``) resolves to the positive vertex.
     """
     g = _check_vector(g, ball.dim, "g")
-    j = int(np.argmax(np.abs(g)))
-    sign = 1 if g[j] <= 0.0 else -1
-    value = np.zeros(ball.dim)
-    value[j] = sign * ball.radius
-    return Vertex(index=j, sign=sign, value=value)
+    index, sign, value = lmo_rows(ball, g[None, :])
+    return Vertex(index=int(index[0]), sign=int(sign[0]), value=value[0])
 
 
 def minimal_face(ball: L1Ball, x: np.ndarray, tol: float = 1e-12) -> Face:
@@ -129,15 +378,13 @@ def minimal_face(ball: L1Ball, x: np.ndarray, tol: float = 1e-12) -> Face:
     counts as a boundary point when ``| ||x||_1 - radius | <= tol``.
     """
     x = _check_vector(x, ball.dim, "x")
-    norm1 = float(np.sum(np.abs(x)))
-    if norm1 > ball.radius + max(tol, 1e-9):
-        raise ValueError(f"point is infeasible: ||x||_1 = {norm1} > {ball.radius}")
-    j_plus = tuple(int(j) for j in np.flatnonzero(x > tol))
-    j_minus = tuple(int(j) for j in np.flatnonzero(x < -tol))
-    on_support = set(j_plus) | set(j_minus)
-    j_zero = tuple(j for j in range(ball.dim) if j not in on_support)
-    on_boundary = abs(norm1 - ball.radius) <= tol
-    return Face(j_plus=j_plus, j_minus=j_minus, j_zero=j_zero, on_boundary=on_boundary)
+    sign, on_boundary = face_rows(ball, x[None, :], tol)
+    return Face(
+        j_plus=tuple(np.flatnonzero(sign[0] > 0.0).tolist()),
+        j_minus=tuple(np.flatnonzero(sign[0] < 0.0).tolist()),
+        j_zero=tuple(np.flatnonzero(sign[0] == 0.0).tolist()),
+        on_boundary=bool(on_boundary[0]),
+    )
 
 
 def in_face_lmo(ball: L1Ball, face: Face, c: np.ndarray) -> Vertex:
@@ -151,20 +398,14 @@ def in_face_lmo(ball: L1Ball, face: Face, c: np.ndarray) -> Vertex:
     if not face.on_boundary:
         raise ValueError("in_face_lmo requires a boundary face; the face of an "
                          "interior point is the whole ball, use lmo instead")
-    support = face.support
-    if not support:
+    if not face.support:
         raise ValueError("boundary face has empty support")
     c = _check_vector(c, ball.dim, "c")
-    best_j = support[0]
-    best_val = face.sign_of(best_j) * c[best_j]
-    for j in support[1:]:
-        val = face.sign_of(j) * c[j]
-        if val < best_val:
-            best_j, best_val = j, val
-    sign = face.sign_of(best_j)
-    value = np.zeros(ball.dim)
-    value[best_j] = sign * ball.radius
-    return Vertex(index=best_j, sign=sign, value=value)
+    sign = np.zeros((1, ball.dim))
+    sign[0, list(face.j_plus)] = 1.0
+    sign[0, list(face.j_minus)] = -1.0
+    index, s, value = in_face_lmo_rows(ball, sign, c[None, :])
+    return Vertex(index=int(index[0]), sign=int(s[0]), value=value[0])
 
 
 def away_direction(
@@ -180,54 +421,8 @@ def away_direction(
     """
     x_bar = _check_vector(x_bar, ball.dim, "x_bar")
     g_check = _check_vector(g_check, ball.dim, "g_check")
-    face = minimal_face(ball, x_bar, tol)
-    if face.on_boundary and face.support:
-        x_check = in_face_lmo(ball, face, -g_check).value
-    else:
-        x_check = lmo(ball, -g_check).value
-    d = x_bar - x_check
-    descent = float(g_check @ d) < -tol
-    accepted = descent and ball.norm(d) <= ball.diameter()
-    return d, accepted
-
-
-def _ball_cap(ball: L1Ball, x: np.ndarray, d: np.ndarray) -> float:
-    # Largest a >= 0 with ||x + a d||_1 <= radius. The norm along the ray is
-    # piecewise linear with kinks where coordinates cross zero, so evaluate
-    # it at each kink and interpolate exactly on the segment that crosses
-    # the radius.
-    delta = ball.radius
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(d != 0.0, -x / d, np.inf)
-    kinks = np.unique(t[(t > 0.0) & np.isfinite(t)])
-    prev = 0.0
-    phi_prev = float(np.sum(np.abs(x)))
-    if phi_prev > delta:
-        phi_prev = delta  # feasible within tol by precondition
-    for tk in kinks:
-        phi_k = float(np.sum(np.abs(x + tk * d)))
-        if phi_k <= delta:
-            prev, phi_prev = float(tk), phi_k
-            continue
-        return prev + (delta - phi_prev) * (float(tk) - prev) / (phi_k - phi_prev)
-    slope = float(np.sum(np.abs(d)))  # past the last kink every term grows
-    return prev + (delta - phi_prev) / slope
-
-
-def _sign_cap(x: np.ndarray, d: np.ndarray, support: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
-    # First step length at which a supported coordinate moving against its
-    # sign reaches zero, together with every index binding there.
-    caps: list[tuple[float, int]] = []
-    for j in support:
-        if x[j] > 0.0 and d[j] < 0.0:
-            caps.append((x[j] / -d[j], j))
-        elif x[j] < 0.0 and d[j] > 0.0:
-            caps.append((-x[j] / d[j], j))
-    if not caps:
-        return np.inf, ()
-    alpha = min(c for c, _ in caps)
-    binding = tuple(j for c, j in caps if c == alpha)
-    return alpha, binding
+    d, accepted, _ = away_rows(ball, x_bar[None, :], g_check[None, :], tol)
+    return d[0], bool(accepted[0])
 
 
 def in_face_step_cap(
@@ -243,20 +438,8 @@ def in_face_step_cap(
     """
     x_bar = _check_vector(x_bar, ball.dim, "x_bar")
     d = _check_vector(d, ball.dim, "d")
-    if not np.any(d != 0.0):
-        raise ValueError("direction is identically zero")
-    if not ball.contains(x_bar, tol=max(tol, 1e-10)):
-        raise ValueError("x_bar is infeasible")
-    face = minimal_face(ball, x_bar, tol=min(tol, 1e-12))
-    if not face.on_boundary:
-        return _ball_cap(ball, x_bar, d), ()
-    if any(abs(d[j]) > tol for j in face.j_zero):
-        raise ValueError("in-face direction must vanish on the zero set of x_bar")
-    signed = sum(face.sign_of(j) * d[j] for j in face.support)
-    if signed > tol * max(1.0, float(np.sum(np.abs(d)))):
-        return 0.0, ()  # direction points out of the ball immediately
-    alpha, binding = _sign_cap(x_bar, d, face.support)
-    return alpha, binding
+    alpha, binding = in_face_step_cap_rows(ball, x_bar[None, :], d[None, :], tol)
+    return float(alpha[0]), tuple(np.flatnonzero(binding[0]).tolist())
 
 
 def max_feasible_step(
@@ -277,4 +460,4 @@ def max_feasible_step(
         raise ValueError("direction is identically zero")
     if not ball.contains(x_bar, tol=max(tol, 1e-10)):
         raise ValueError("x_bar is infeasible")
-    return max(0.0, _ball_cap(ball, x_bar, d))
+    return max(0.0, float(ball_cap_rows(ball, x_bar[None, :], d[None, :])[0]))

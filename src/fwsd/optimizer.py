@@ -27,10 +27,21 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .gap import GapConstants, _clamp_g_tilde, dual_norm
-from .geometry import L1Ball, Norm, away_direction, in_face_step_cap, lmo
+from .geometry import (
+    L1Ball,
+    Norm,
+    away_rows,
+    ball_groups,
+    blame_blocks,
+    frank_wolfe_rows,
+    in_face_step_cap_rows,
+    nnz_rows,
+    stack_rows,
+)
 
-#: magnitude below which a coordinate counts as zero in trace NNZ columns
-NNZ_THRESHOLD = 1e-3
+# The 1-D oracles stay importable from here because perfbench/tracer.py
+# patches these names; the steps below call the row-wise kernels instead.
+from .geometry import away_direction, in_face_step_cap, lmo  # noqa: F401,E402
 
 
 @dataclass(frozen=True)
@@ -198,18 +209,27 @@ def fw_step(
     Returns ``(x_bar_blocks, g_tilde_blocks, alpha_bar_blocks)`` where
     ``x_bar_i = x_i + alpha_i * (v_i - x_i)`` for the oracle vertex ``v_i``
     and ``alpha_i = g_tilde_i / c_bar_i`` (clamped at 1 when configured).
+    Blocks sharing a ball are stacked and stepped together, row-wise.
     """
-    x_bar, g_tildes, alphas = [], [], []
-    for x, g, ball, c_bar in zip(x_blocks, g_hat_blocks, balls, config.c_bar_per_block):
-        v = lmo(ball, g)
-        g_tilde = _clamp_g_tilde(float(np.asarray(g) @ (x - v.value)))
-        alpha = g_tilde / c_bar
-        if config.alpha_clamp and alpha > 1.0:
-            alpha = 1.0
-        x_bar.append(x + alpha * (v.value - x))
-        g_tildes.append(g_tilde)
-        alphas.append(alpha)
-    return tuple(x_bar), tuple(g_tildes), tuple(alphas)
+    c_bar = np.asarray(config.c_bar_per_block, dtype=np.float64)
+    x_bar = [None] * len(balls)
+    g_tildes = np.empty(len(balls))
+    alphas = np.empty(len(balls))
+    for ball, idx in ball_groups(balls):
+        with blame_blocks("fw_step", idx):
+            x = stack_rows(x_blocks, idx, ball.dim, "x")
+            g = stack_rows(g_hat_blocks, idx, ball.dim, "g")
+            v, gap = frank_wolfe_rows(ball, x, g)
+            g_tilde = _clamp_g_tilde(gap)
+        alpha = g_tilde / c_bar[idx]
+        if config.alpha_clamp:
+            alpha = np.where(alpha > 1.0, 1.0, alpha)
+        stepped = x + alpha[:, None] * (v - x)
+        for i, row in zip(idx.tolist(), stepped):
+            x_bar[i] = row
+        g_tildes[idx] = g_tilde
+        alphas[idx] = alpha
+    return tuple(x_bar), tuple(g_tildes.tolist()), tuple(alphas.tolist())
 
 
 def sd_step(y: np.ndarray, h_hat: np.ndarray, config: OptimizerConfig):
@@ -246,25 +266,40 @@ def alt_step(
     a strict descent direction step ``beta = min(a / c_bar, alpha_stop)``
     along it, where ``a = -g_check @ d`` and ``alpha_stop`` is the in-face
     cap. When the cap binds, the binding coordinates are set to exactly
-    zero, so supports shrink exactly rather than to rounding dust.
+    zero, so supports shrink exactly rather than to rounding dust. Blocks
+    sharing a ball are stacked and stepped together, row-wise.
     """
-    x_next, infos = [], []
-    for x_bar, g, ball, c_bar in zip(x_bar_blocks, g_check_blocks, balls, config.c_bar_per_block):
-        d, ok = away_direction(ball, x_bar, g, tol=config.away_tol)
-        if not ok:
-            x_next.append(np.array(x_bar, dtype=np.float64))
-            infos.append(AltStepInfo(taken=False, a_value=0.0, alpha_stop=0.0, beta_bar=0.0))
-            continue
-        a_value = -float(np.asarray(g) @ d)
-        alpha_stop, binding = in_face_step_cap(ball, x_bar, d)
-        beta = min(a_value / c_bar, alpha_stop)
-        stepped = x_bar + beta * d
-        if beta == alpha_stop:
-            for j in binding:
-                stepped[j] = 0.0
-        x_next.append(stepped)
-        infos.append(AltStepInfo(taken=True, a_value=a_value, alpha_stop=alpha_stop, beta_bar=beta))
-    return tuple(x_next), tuple(infos)
+    c_bar = np.asarray(config.c_bar_per_block, dtype=np.float64)
+    n = len(balls)
+    x_next = [None] * n
+    taken = np.zeros(n, dtype=bool)
+    a_values, alpha_stops, betas = np.zeros(n), np.zeros(n), np.zeros(n)
+    for ball, idx in ball_groups(balls):
+        with blame_blocks("alt_step", idx):
+            x = stack_rows(x_bar_blocks, idx, ball.dim, "x_bar")
+            g = stack_rows(g_check_blocks, idx, ball.dim, "g_check")
+            d, ok, gd = away_rows(ball, x, g, tol=config.away_tol)
+        stepped = x.copy()
+        if ok.any():
+            moved = idx[ok]
+            with blame_blocks("alt_step", moved):
+                alpha_stop, binding = in_face_step_cap_rows(ball, x[ok], d[ok])
+            a_value = -gd[ok]
+            quotient = a_value / c_bar[moved]
+            beta = np.where(alpha_stop < quotient, alpha_stop, quotient)
+            rows = x[ok] + beta[:, None] * d[ok]
+            rows[binding & (beta == alpha_stop)[:, None]] = 0.0
+            stepped[ok] = rows
+            taken[moved] = True
+            a_values[moved], alpha_stops[moved], betas[moved] = a_value, alpha_stop, beta
+        for i, row in zip(idx.tolist(), stepped):
+            x_next[i] = row
+    infos = tuple(
+        AltStepInfo(taken=t, a_value=a, alpha_stop=s, beta_bar=b)
+        for t, a, s, b in zip(taken.tolist(), a_values.tolist(), alpha_stops.tolist(),
+                              betas.tolist())
+    )
+    return tuple(x_next), infos
 
 
 def _mean_gradient(problem, x_blocks, y, batch) -> GradientEstimate:
@@ -335,6 +370,7 @@ def run(
             raise ValueError("x0 block is infeasible")
     # validates c_bar_i >= 2 * l_nabla * diam^2 per block
     constants = GapConstants.from_blocks(config.l_nabla, config.c_bar_per_block, balls)
+    groups = ball_groups(balls)
 
     streams = derive_rng_streams(config.seed)
     k_total = config.iterations
@@ -369,7 +405,9 @@ def run(
         x = [np.asarray(b) for b in x_new]
         y = y_next
         _digest_update(digest, x, y)
-        nnz = tuple(int(np.count_nonzero(np.abs(b) >= NNZ_THRESHOLD)) for b in x)
+        nnz = np.empty(n_blocks, dtype=np.int64)
+        for ball, idx in groups:
+            nnz[idx] = nnz_rows(stack_rows(x, idx, ball.dim, "x"))
         trace.append(TraceRecord(
             k=k,
             objective_estimate=objective,
@@ -378,7 +416,7 @@ def run(
             alpha_sd=alpha_sd,
             beta_bar_blocks=betas,
             alt_taken_blocks=taken,
-            nnz_blocks=nnz,
+            nnz_blocks=tuple(nnz.tolist()),
         ))
         if k + 1 == output_index:
             output = Iterate(tuple(np.array(b) for b in x), y.copy(), k + 1)

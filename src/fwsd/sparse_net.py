@@ -22,10 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import L1Ball, Norm
-
-#: |weight| below this counts as zero in sparsity metrics
-NNZ_THRESHOLD = 1e-3
+from .geometry import NNZ_THRESHOLD, L1Ball, Norm, nnz_rows
 
 _DATASET_MAGIC = b"FWSDDATA"
 _DATASET_VERSION = 1
@@ -374,7 +371,7 @@ def nnz_metrics(params, layout: ParamLayout, threshold: float = NNZ_THRESHOLD) -
     out: dict[int, float] = {}
     for l in layout.spec.fw_layers:
         w = params[l].w
-        counts = np.count_nonzero(np.abs(w) >= threshold, axis=1)
+        counts = nnz_rows(w, threshold)
         out[l] = float(np.mean(counts / w.shape[1])) * 100.0
     return out
 
