@@ -21,7 +21,6 @@ codes: 0 success, 1 config error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import struct
@@ -37,6 +36,7 @@ from .optimizer import BatchSchedule, OptimizerConfig, RunResult, TraceRecord, r
 from .problems import make_quadratic
 from .sparse_net import (
     Activation,
+    BinaryReader,
     Dataset,
     LayerParams,
     Loss,
@@ -113,36 +113,21 @@ class ExperimentConfig:
     quad_sigma: float = 0.0
     grid_l_nabla: tuple[float, ...] = ()
     grid_delta: tuple[float, ...] = ()
-    grid_workers: int = 1
     out_prefix: str = "run"
 
 
 _CHOICES = {
     "problem": ("quadratic", "synthetic-net", "dataset"),
     "method": ("sfw", "sfw-if", "sgd"),
-    "batch_schedule": ("constant", "linear-in-total", "linear-in-iter"),
-    "norm_y": ("l2", "l1"),
-    "activation": ("sigmoid", "relu"),
-    "loss": ("mse", "softmax-ce"),
+    "batch_schedule": BatchSchedule.KINDS,
+    "norm_y": tuple(n.value for n in Norm),
+    "activation": tuple(a.value for a in Activation),
+    "loss": tuple(loss.value for loss in Loss),
     "dataset_format": ("bin", "csv"),
 }
 
-_KINDS = {
-    "problem": "str", "method": "str", "seed": "int", "iterations": "int",
-    "epochs": "int", "batch_schedule": "str", "batch_size": "int",
-    "l_nabla": "float", "c_bar_scale": "float", "norm_y": "str",
-    "alpha_clamp": "bool", "away_tol": "float", "smoothing_window": "int",
-    "epoch_sampling": "bool", "layer_sizes": "ints", "activation": "str",
-    "loss": "str", "fw_layers": "ints", "deltas": "floats", "bias": "bool",
-    "dataset": "str", "val_dataset": "str", "test_dataset": "str",
-    "dataset_format": "str", "synth_m": "int", "snr": "float",
-    "train_size": "int", "val_size": "int", "test_size": "int",
-    "quad_blocks": "ints", "quad_y": "int", "quad_sigma": "float",
-    "grid_l_nabla": "floats", "grid_delta": "floats", "grid_workers": "int",
-    "out_prefix": "str",
-}
-
-assert set(_KINDS) == {f.name for f in fields(ExperimentConfig)}
+#: config key -> annotation string, on which ``_coerce`` dispatches
+_KINDS = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _fmt(value) -> str:
@@ -168,10 +153,10 @@ def _coerce(key: str, raw: str):
             if raw not in ("true", "false"):
                 raise ValueError("expected true or false")
             return raw == "true"
-        if kind == "ints":
-            return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-        if kind == "floats":
-            return tuple(float(p.strip()) for p in raw.split(",") if p.strip())
+        if kind == "tuple[int, ...]":
+            return tuple(int(p) for p in raw.split(",") if p.strip())
+        if kind == "tuple[float, ...]":
+            return tuple(float(p) for p in raw.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"config key '{key}': {exc}") from None
     if key in _CHOICES and raw not in _CHOICES[key]:
@@ -242,8 +227,6 @@ def _validate_config(c: ExperimentConfig) -> None:
         raise ConfigError("quadratic dimensions must be positive")
     if c.quad_sigma < 0.0:
         raise ConfigError("quad_sigma must be nonnegative")
-    if c.grid_workers < 1:
-        raise ConfigError("grid_workers must be at least 1")
 
 
 def config_echo_lines(config: ExperimentConfig) -> list[str]:
@@ -285,23 +268,15 @@ def load_checkpoint(path):
     A stored in-degree (teacher networks) is re-validated against the
     arrays so corrupted or mislabeled files fail loudly.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"not a checkpoint file (bad magic {magic!r})")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (length,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(length).decode("utf-8"))
-        arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-            if data.size != count:
-                raise ValueError("checkpoint payload truncated")
-            arrays[entry["name"]] = data.reshape(shape).copy()
+    reader = BinaryReader(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
+    (length,) = reader.unpack("<I", "header length")
+    try:
+        header = json.loads(bytes(reader.read(length, "header")).decode("utf-8"))
+        entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
+        raise ValueError(f"{path}: malformed checkpoint header") from None
+    arrays = {name: reader.floats(shape, name) for name, shape in entries}
+    reader.finish()
     m = header.get("meta", {}).get("m")
     if header["kind"] == "net" and m is not None:
         sizes = header["spec"]["layer_sizes"]
@@ -334,12 +309,13 @@ def _spec_from_meta(meta: dict) -> MLPSpec:
     )
 
 
+def _net_arrays(params) -> list[tuple[str, np.ndarray]]:
+    return [(f"layer{l}_{part}", getattr(layer, part))
+            for l, layer in enumerate(params) for part in ("w", "b")]
+
+
 def save_net_checkpoint(path, spec: MLPSpec, params, meta: dict) -> None:
-    arrays = []
-    for l, layer in enumerate(params):
-        arrays.append((f"layer{l}_w", layer.w))
-        arrays.append((f"layer{l}_b", layer.b))
-    save_checkpoint(path, "net", _net_spec_meta(spec), meta, arrays)
+    save_checkpoint(path, "net", _net_spec_meta(spec), meta, _net_arrays(params))
 
 
 def load_net_checkpoint(path):
@@ -372,21 +348,14 @@ def smoothed_series(values: Sequence[float], window: int) -> list[float]:
     return out
 
 
-def trace_header(n_blocks: int, nnz_names: Sequence[str]) -> list[str]:
-    names = ["k", "objective_estimate", "gap_hat", "gap_hat_smoothed"]
-    names += [f"alpha_bar_{i}" for i in range(n_blocks)]
-    names.append("alpha_sd")
-    names += list(nnz_names)
-    return names
-
-
 def write_trace_csv(path, trace: Sequence[TraceRecord], window: int,
                     nnz_names: Sequence[str], nnz_rows: Sequence[Sequence[float]]) -> None:
     n_blocks = len(trace[0].alpha_bar_blocks) if trace else 0
     smoothed = smoothed_series([r.gap_hat for r in trace], window)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(trace_header(n_blocks, nnz_names))
+        writer.writerow(["k", "objective_estimate", "gap_hat", "gap_hat_smoothed",
+                         *(f"alpha_bar_{i}" for i in range(n_blocks)), "alpha_sd", *nnz_names])
         for record, smooth, nnz in zip(trace, smoothed, nnz_rows):
             row = [str(record.k),
                    f"{record.objective_estimate:.17g}",
@@ -428,28 +397,30 @@ class EpochSampling:
 
     Off the i.i.d. model the optimizer assumes: instead of drawing with
     replacement, walk a random permutation and reshuffle when exhausted.
-    Everything except ``draw`` delegates to the wrapped problem.
+    Each generator walks its own permutation with its own cursor, so
+    drawing from one stream never shifts another. Everything except
+    ``draw`` delegates to the wrapped problem.
     """
 
     def __init__(self, problem):
         self._problem = problem
-        self._order: np.ndarray | None = None
-        self._at = 0
+        self._cursors: dict[np.random.Generator, tuple[np.ndarray, int]] = {}
 
     def __getattr__(self, name):
         return getattr(self._problem, name)
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        order, at = self._cursors.get(rng, (np.empty(0, dtype=np.int64), 0))
         out = np.empty(n, dtype=np.int64)
         filled = 0
         while filled < n:
-            if self._order is None or self._at >= self._order.size:
-                self._order = rng.permutation(self._problem.n_samples)
-                self._at = 0
-            take = min(n - filled, self._order.size - self._at)
-            out[filled:filled + take] = self._order[self._at:self._at + take]
-            self._at += take
+            if at >= order.size:
+                order, at = rng.permutation(self._problem.n_samples), 0
+            take = min(n - filled, order.size - at)
+            out[filled:filled + take] = order[at:at + take]
+            at += take
             filled += take
+        self._cursors[rng] = (order, at)
         return out
 
 
@@ -495,26 +466,47 @@ def _budget_iterations(config: ExperimentConfig, n_samples: int | None) -> int:
     return budget
 
 
-def _batch_schedule(config: ExperimentConfig) -> BatchSchedule:
-    if config.batch_schedule == "constant":
-        return BatchSchedule.constant(config.batch_size)
-    if config.batch_schedule == "linear-in-total":
-        return BatchSchedule.linear_in_total()
-    return BatchSchedule.linear_in_iter()
-
-
 @dataclass(frozen=True, eq=False)
 class TrainOutcome:
-    """Everything a caller needs after one training run."""
+    """Everything a caller needs after one training run.
+
+    ``checkpoint`` is the ``(kind, spec_meta, arrays)`` to save.
+    """
 
     result: RunResult
     metrics: list[tuple[str, object]]
-    nnz_names: tuple[str, ...]
-    nnz_rows: tuple[tuple[float, ...], ...]
-    spec: MLPSpec | None
-    metrics_layout: ParamLayout | None
-    params: list | None
+    nnz_names: list[str]
+    nnz_rows: list[list[float]]
+    checkpoint: tuple[str, dict, list[tuple[str, np.ndarray]]]
     val_loss: float
+
+
+def _run_budgeted(config: ExperimentConfig, problem, balls, y0, x0_blocks,
+                  n_samples: int | None) -> tuple[RunResult, list[tuple[str, object]]]:
+    """Run the configured method; returns the result and the metrics every run reports."""
+    iterations = _budget_iterations(config, n_samples)
+    opt = OptimizerConfig(
+        l_nabla=config.l_nabla,
+        c_bar_per_block=tuple(config.c_bar_scale * 2.0 * config.l_nabla * b.diameter() ** 2
+                              for b in balls),
+        iterations=iterations,
+        seed=config.seed,
+        batch_schedule=BatchSchedule(config.batch_schedule, config.batch_size),
+        alternative_directions=config.method == "sfw-if",
+        norm_y=Norm(config.norm_y),
+        alpha_clamp=config.alpha_clamp,
+        away_tol=config.away_tol,
+    )
+    result = run(problem, balls, y0, x0_blocks, opt)
+    metrics: list[tuple[str, object]] = [
+        ("iterations_run", iterations),
+        ("gradient_batches", iterations * (2 if config.method == "sfw-if" else 1)),
+        ("output_index", result.output_index),
+        ("iterates_digest", result.iterates_digest),
+        ("final_objective_estimate", result.trace[-1].objective_estimate),
+        ("final_gap_hat", result.trace[-1].gap_hat),
+    ]
+    return result, metrics
 
 
 def _train_net(config: ExperimentConfig) -> TrainOutcome:
@@ -554,33 +546,12 @@ def _train_net(config: ExperimentConfig) -> TrainOutcome:
 
     params0 = init_params(train_spec, config.seed)
     x0_blocks, y0 = layout.pack(params0)
-    iterations = _budget_iterations(config, train.features.shape[0])
-    opt = OptimizerConfig(
-        l_nabla=config.l_nabla,
-        c_bar_per_block=tuple(config.c_bar_scale * 2.0 * config.l_nabla * b.diameter() ** 2
-                              for b in balls),
-        iterations=iterations,
-        seed=config.seed,
-        batch_schedule=_batch_schedule(config),
-        alternative_directions=config.method == "sfw-if",
-        norm_y=Norm(config.norm_y),
-        alpha_clamp=config.alpha_clamp,
-        away_tol=config.away_tol,
-    )
-    result = run(problem, balls, y0, x0_blocks, opt)
+    result, metrics = _run_budgeted(config, problem, balls, y0, x0_blocks,
+                                    train.features.shape[0])
 
     out = result.output_iterate
     params = layout.unpack(list(out.x_blocks), out.y)
     nnz = nnz_metrics(params, metrics_layout)
-
-    metrics: list[tuple[str, object]] = [
-        ("iterations_run", iterations),
-        ("gradient_batches", iterations * (2 if config.method == "sfw-if" else 1)),
-        ("output_index", result.output_index),
-        ("iterates_digest", result.iterates_digest),
-        ("final_objective_estimate", result.trace[-1].objective_estimate),
-        ("final_gap_hat", result.trace[-1].gap_hat),
-    ]
     for l in spec_full.fw_layers:
         metrics.append((f"nnz_layer_{l}", nnz[l]))
 
@@ -604,19 +575,14 @@ def _train_net(config: ExperimentConfig) -> TrainOutcome:
             metrics.append((f"threshold_{tag}_accuracy", cut_scores["accuracy"]))
 
     val_scores = evaluate(eval_spec, params, val) if val is not None else scores
-    if config.method == "sgd":
-        # the trace tracks constrained blocks only, and sgd has none
-        nnz_names, nnz_rows = (), ()
-    else:
-        nnz_names, nnz_rows = _net_nnz_columns(metrics_layout, result.trace)
+    # the trace counts the trained blocks only, and sgd trains none
+    nnz_names, nnz_rows = _net_nnz_columns(layout, result.trace)
     return TrainOutcome(
         result=result,
         metrics=metrics,
-        nnz_names=tuple(nnz_names),
-        nnz_rows=tuple(tuple(r) for r in nnz_rows),
-        spec=spec_full,
-        metrics_layout=metrics_layout,
-        params=params,
+        nnz_names=nnz_names,
+        nnz_rows=nnz_rows,
+        checkpoint=("net", _net_spec_meta(spec_full), _net_arrays(params)),
         val_loss=float(val_scores["loss"]),
     )
 
@@ -632,43 +598,20 @@ def _train_quadratic(config: ExperimentConfig) -> TrainOutcome:
     balls = tuple(L1Ball(dim=d, radius=r, norm_x=Norm.L1)
                   for d, r in zip(blocks, config.deltas))
     x0_blocks = [np.zeros(d) for d in blocks]
-    y0 = np.zeros(y_dim)
-    iterations = _budget_iterations(config, None)
-    opt = OptimizerConfig(
-        l_nabla=config.l_nabla,
-        c_bar_per_block=tuple(config.c_bar_scale * 2.0 * config.l_nabla * b.diameter() ** 2
-                              for b in balls),
-        iterations=iterations,
-        seed=config.seed,
-        batch_schedule=_batch_schedule(config),
-        alternative_directions=config.method == "sfw-if",
-        norm_y=Norm(config.norm_y),
-        alpha_clamp=config.alpha_clamp,
-        away_tol=config.away_tol,
-    )
-    result = run(problem, balls, y0, x0_blocks, opt)
+    result, metrics = _run_budgeted(config, problem, balls, np.zeros(y_dim), x0_blocks, None)
     out = result.output_iterate
     final_objective = problem.exact_objective(list(out.x_blocks), out.y)
-    metrics: list[tuple[str, object]] = [
-        ("iterations_run", iterations),
-        ("gradient_batches", iterations * (2 if config.method == "sfw-if" else 1)),
-        ("output_index", result.output_index),
-        ("iterates_digest", result.iterates_digest),
-        ("final_objective_estimate", result.trace[-1].objective_estimate),
-        ("final_gap_hat", result.trace[-1].gap_hat),
-        ("final_objective_exact", final_objective),
-    ]
+    metrics.append(("final_objective_exact", final_objective))
     for i, x in enumerate(out.x_blocks):
         metrics.append((f"nnz_block_{i}", int(np.count_nonzero(np.abs(x) >= NNZ_THRESHOLD))))
     nnz_names, nnz_rows = _block_nnz_columns(len(blocks), result.trace)
+    arrays = [(f"x{i}", x) for i, x in enumerate(out.x_blocks)] + [("y", out.y)]
     return TrainOutcome(
         result=result,
         metrics=metrics,
-        nnz_names=tuple(nnz_names),
-        nnz_rows=tuple(tuple(r) for r in nnz_rows),
-        spec=None,
-        metrics_layout=None,
-        params=None,
+        nnz_names=nnz_names,
+        nnz_rows=nnz_rows,
+        checkpoint=("quadratic", {"block_dims": list(blocks), "y_dim": y_dim}, arrays),
         val_loss=float(final_objective),
     )
 
@@ -698,9 +641,13 @@ def report_lines(command: str, config: ExperimentConfig,
     return lines
 
 
-def _write_lines(path, lines: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _emit(path, lines: Sequence[str]) -> None:
+    """Write ``lines`` to ``path`` when one is given, then print them."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    for line in lines:
+        print(line)
 
 
 # --------------------------------------------------------------------------
@@ -716,31 +663,21 @@ def cmd_train(config: ExperimentConfig) -> int:
     ckpt_path = f"{config.out_prefix}.ckpt"
     report_path = f"{config.out_prefix}.report.txt"
     write_trace_csv(trace_path, outcome.result.trace, config.smoothing_window,
-                    outcome.nnz_names, outcome.nnz_rows or
-                    [[] for _ in outcome.result.trace])
+                    outcome.nnz_names, outcome.nnz_rows)
 
-    out = outcome.result.output_iterate
     meta = {
         "method": config.method,
         "seed": config.seed,
         "output_index": outcome.result.output_index,
         "iterations": len(outcome.result.trace),
     }
-    if outcome.spec is not None:
-        save_net_checkpoint(ckpt_path, outcome.metrics_layout.spec, outcome.params, meta)
-    else:
-        arrays = [(f"x{i}", np.asarray(x)) for i, x in enumerate(out.x_blocks)]
-        arrays.append(("y", np.asarray(out.y)))
-        spec_meta = {"block_dims": [int(x.size) for x in out.x_blocks],
-                     "y_dim": int(out.y.size)}
-        save_checkpoint(ckpt_path, "quadratic", spec_meta, meta, arrays)
+    kind, spec_meta, arrays = outcome.checkpoint
+    save_checkpoint(ckpt_path, kind, spec_meta, meta, arrays)
 
     paths = [("trace_csv", trace_path), ("checkpoint", ckpt_path)]
     lines = report_lines("train", config, outcome.metrics, paths)
     # the report file stays byte-reproducible; timing goes to stdout only
-    _write_lines(report_path, lines)
-    for line in lines:
-        print(line)
+    _emit(report_path, lines)
     print(f"wall_clock_seconds = {wall:.17g}")
     print(f"report = {report_path}")
     return 0
@@ -765,10 +702,7 @@ def cmd_threshold_eval(ckpt_path: str, dataset_path: str,
         rows.append(row)
     header = ["theta", "loss"] + (["accuracy"] if with_accuracy else [])
     lines = [",".join(header)] + [",".join(r) for r in rows]
-    if out_path:
-        _write_lines(out_path, lines)
-    for line in lines:
-        print(line)
+    _emit(out_path, lines)
     return 0
 
 
@@ -808,10 +742,7 @@ def cmd_gap_trace(trace_path: str, window: int, out_path: str | None) -> int:
     smoothed = smoothed_series([g for _, g in body], window)
     lines = ["k,gap_hat,gap_hat_smoothed"]
     lines += [f"{k},{g:.17g},{s:.17g}" for (k, g), s in zip(body, smoothed)]
-    if out_path:
-        _write_lines(out_path, lines)
-    for line in lines:
-        print(line)
+    _emit(out_path, lines)
     return 0
 
 
@@ -830,27 +761,14 @@ def cmd_grid(config: ExperimentConfig) -> int:
     if config.problem == "dataset" and not config.val_dataset:
         raise ConfigError("grid selection on datasets needs val_dataset")
 
-    cells = [(i, j, ln, dl)
-             for i, ln in enumerate(config.grid_l_nabla)
-             for j, dl in enumerate(config.grid_delta)]
-
-    def run_cell(cell):
-        i, j, ln, dl = cell
-        sub = replace(config, l_nabla=ln, deltas=(dl,) * n_deltas,
-                      seed=_grid_cell_seed(config.seed, i, j))
-        return (ln, dl), train_once(sub).val_loss
-
     results: dict[tuple[float, float], float] = {}
-    if config.grid_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.grid_workers) as pool:
-            for key, loss in pool.map(run_cell, cells):
-                results[key] = loss
-    else:
-        for cell in cells:
-            key, loss = run_cell(cell)
-            results[key] = loss
+    for i, ln in enumerate(config.grid_l_nabla):
+        for j, dl in enumerate(config.grid_delta):
+            sub = replace(config, l_nabla=ln, deltas=(dl,) * n_deltas,
+                          seed=_grid_cell_seed(config.seed, i, j))
+            results[(ln, dl)] = train_once(sub).val_loss
 
-    ordered = sorted(results.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+    ordered = sorted(results.items())
     best_key = min(ordered, key=lambda kv: (kv[1], kv[0]))[0]
     metrics: list[tuple[str, object]] = []
     for (ln, dl), loss in ordered:
@@ -861,9 +779,7 @@ def cmd_grid(config: ExperimentConfig) -> int:
 
     report_path = f"{config.out_prefix}.grid.txt"
     lines = report_lines("grid", config, metrics, [])
-    _write_lines(report_path, lines)
-    for line in lines:
-        print(line)
+    _emit(report_path, lines)
     print(f"report = {report_path}")
     return 0
 

@@ -39,6 +39,9 @@ import numpy as np
 #: magnitude below which a coordinate counts as zero in NNZ counts
 NNZ_THRESHOLD = 1e-3
 
+#: absolute slack on the l1 norm within which a point counts as feasible
+FEASIBILITY_TOL = 1e-10
+
 
 class Norm(enum.Enum):
     """Norm choice attached to a variable block."""
@@ -73,7 +76,7 @@ class L1Ball:
         """
         return 2.0 * self.radius
 
-    def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
+    def contains(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
         """Feasibility check with an absolute slack of ``tol`` on the norm."""
         x = _check_vector(x, self.dim, "x")
         return not outside_rows(self, x[None, :], tol)[0]
@@ -219,7 +222,7 @@ def nnz_rows(m: np.ndarray, threshold: float = NNZ_THRESHOLD) -> np.ndarray:
     return np.count_nonzero(np.abs(m) >= threshold, axis=1)
 
 
-def outside_rows(ball: L1Ball, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def outside_rows(ball: L1Ball, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:
     """Rows lying outside the ball by more than ``tol`` in the l1 norm."""
     return l1_rows(x) > ball.radius + tol
 
@@ -341,7 +344,7 @@ def in_face_step_cap_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise `in_face_step_cap`: the cap per row and the binding mask."""
     _fail_rows(~d.any(axis=1), "direction is identically zero")
-    _fail_rows(outside_rows(ball, x, max(tol, 1e-10)), "x_bar is infeasible")
+    _fail_rows(outside_rows(ball, x, max(tol, FEASIBILITY_TOL)), "x_bar is infeasible")
     sign, on_boundary = face_rows(ball, x, tol=min(tol, 1e-12))
     _fail_rows(on_boundary & ((np.abs(d) > tol) & (sign == 0.0)).any(axis=1),
                "in-face direction must vanish on the zero set of x_bar")
@@ -458,6 +461,6 @@ def max_feasible_step(
     d = _check_vector(d, ball.dim, "d")
     if not np.any(d != 0.0):
         raise ValueError("direction is identically zero")
-    if not ball.contains(x_bar, tol=max(tol, 1e-10)):
+    if not ball.contains(x_bar, tol=max(tol, FEASIBILITY_TOL)):
         raise ValueError("x_bar is infeasible")
     return max(0.0, float(ball_cap_rows(ball, x_bar[None, :], d[None, :])[0]))

@@ -13,9 +13,9 @@ One iteration, starting from ``(x_k, y_k)``:
 
 The returned iterate is drawn uniformly from all ``K + 1`` iterates, which
 is what the sublinear guarantee on the squared gap applies to. All
-randomness flows from a single root seed through four independent
+randomness flows from a single root seed through three independent
 counter-based streams (data batches, fresh away-step batches, the output
-index draw, initialization), so runs are reproducible bit for bit.
+index draw), so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ class BatchSchedule:
     kind: str
     size: int = 1
 
-    _KINDS = ("constant", "linear-in-total", "linear-in-iter")
+    KINDS = ("constant", "linear-in-total", "linear-in-iter")
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown batch schedule kind {self.kind!r}")
         if self.kind == "constant" and self.size < 1:
             raise ValueError("constant batch size must be at least 1")
@@ -161,18 +161,17 @@ class RngStreams:
     data: np.random.Generator
     alt_batches: np.random.Generator
     output_draw: np.random.Generator
-    init: np.random.Generator
 
 
 def derive_rng_streams(seed: int) -> RngStreams:
-    """Spawn the four per-purpose streams from a root seed.
+    """Spawn the three per-purpose streams from a root seed.
 
     Uses counter-based Philox generators behind independently spawned seed
     sequences, so consuming one stream never shifts another.
     """
-    children = np.random.SeedSequence(seed).spawn(4)
+    children = np.random.SeedSequence(seed).spawn(3)
     gens = [np.random.Generator(np.random.Philox(c)) for c in children]
-    return RngStreams(data=gens[0], alt_batches=gens[1], output_draw=gens[2], init=gens[3])
+    return RngStreams(data=gens[0], alt_batches=gens[1], output_draw=gens[2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +219,7 @@ def fw_step(
             x = stack_rows(x_blocks, idx, ball.dim, "x")
             g = stack_rows(g_hat_blocks, idx, ball.dim, "g")
             v, gap = frank_wolfe_rows(ball, x, g)
-            g_tilde = _clamp_g_tilde(gap)
+            g_tilde = _clamp_g_tilde(gap, g)
         alpha = g_tilde / c_bar[idx]
         if config.alpha_clamp:
             alpha = np.where(alpha > 1.0, 1.0, alpha)

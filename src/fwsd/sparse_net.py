@@ -16,6 +16,7 @@ generator used for sparsity experiments.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -559,17 +560,52 @@ def save_dataset_bin(path, dataset: Dataset) -> None:
         fh.write(t.tobytes())
 
 
+class BinaryReader:
+    """Reads a file laid out as magic, version byte, fixed fields, float64 payloads.
+
+    Every read is checked against the bytes left: a cut file or an inflated
+    count raises a ``ValueError`` naming the file and field, allocating nothing.
+    """
+
+    def __init__(self, path, magic: bytes, version: int, what: str) -> None:
+        with open(path, "rb") as fh:
+            self._data = memoryview(fh.read())
+        self._path, self._at = path, 0
+        found = bytes(self.read(len(magic), "magic"))
+        if found != magic:
+            raise ValueError(f"{path}: not a {what} file (bad magic {found!r})")
+        (found,) = self.unpack("<B", "version")
+        if found != version:
+            raise ValueError(f"{path}: unsupported {what} version {found}")
+
+    def read(self, n: int, field: str) -> memoryview:
+        left = len(self._data) - self._at
+        if n > left:
+            raise ValueError(f"{self._path}: truncated at {field} (needs {n} bytes, {left} left)")
+        self._at += n
+        return self._data[self._at - n:self._at]
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), field))
+
+    def floats(self, shape, field: str) -> np.ndarray:
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise ValueError(f"{self._path}: {field} has invalid shape {shape}")
+        data = self.read(8 * math.prod(shape), field)
+        return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+
+    def finish(self) -> None:
+        left = len(self._data) - self._at
+        if left:
+            raise ValueError(f"{self._path}: {left} bytes after the last field")
+
+
 def load_dataset_bin(path) -> Dataset:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _DATASET_MAGIC:
-            raise ValueError(f"not a dataset file (bad magic {magic!r})")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != _DATASET_VERSION:
-            raise ValueError(f"unsupported dataset format version {version}")
-        n, d, t = struct.unpack("<QQQ", fh.read(24))
-        x = np.frombuffer(fh.read(n * d * 8), dtype="<f8").reshape(n, d).copy()
-        y = np.frombuffer(fh.read(n * t * 8), dtype="<f8").reshape(n, t).copy()
+    reader = BinaryReader(path, _DATASET_MAGIC, _DATASET_VERSION, "dataset")
+    n, d, t = reader.unpack("<QQQ", "row and column counts")
+    x = reader.floats((n, d), "features")
+    y = reader.floats((n, t), "targets")
+    reader.finish()
     return Dataset(features=x, targets=y)
 
 

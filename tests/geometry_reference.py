@@ -13,9 +13,10 @@ from fwsd.geometry import Face, L1Ball, Norm, Vertex
 from fwsd.optimizer import AltStepInfo
 
 G_TILDE_SLACK = 1e-12
+FEASIBILITY_TOL = 1e-10
 
 
-def _contains(ball: L1Ball, x, tol: float = 1e-10) -> bool:
+def _contains(ball: L1Ball, x, tol: float = FEASIBILITY_TOL) -> bool:
     x = _check_vector(x, ball.dim, "x")
     return float(np.sum(np.abs(x))) <= ball.radius + tol
 
@@ -26,8 +27,10 @@ def _norm(ball: L1Ball, v) -> float:
     return float(np.linalg.norm(v))
 
 
-def _clamp_g_tilde(value: float) -> float:
-    if value < -G_TILDE_SLACK:
+def _clamp_g_tilde(value: float, g) -> float:
+    # a point up to FEASIBILITY_TOL outside the ball can make g_tilde as low
+    # as -FEASIBILITY_TOL * max|g|
+    if value < -(G_TILDE_SLACK + FEASIBILITY_TOL * float(np.max(np.abs(g)))):
         raise RuntimeError(f"per-block Frank-Wolfe gap came out {value}")
     return max(0.0, value)
 
@@ -218,7 +221,7 @@ def fw_step(x_blocks, g_hat_blocks, balls, config):
     x_bar, g_tildes, alphas = [], [], []
     for x, g, ball, c_bar in zip(x_blocks, g_hat_blocks, balls, config.c_bar_per_block):
         v = lmo(ball, g)
-        g_tilde = _clamp_g_tilde(float(np.asarray(g) @ (x - v.value)))
+        g_tilde = _clamp_g_tilde(float(np.asarray(g) @ (x - v.value)), g)
         alpha = g_tilde / c_bar
         if config.alpha_clamp and alpha > 1.0:
             alpha = 1.0
@@ -254,5 +257,5 @@ def gap_g_tildes(x_blocks, g_hat_blocks, balls):
         if not _contains(ball, np.asarray(x, dtype=np.float64)):
             raise ValueError("x block is infeasible")
         v = lmo(ball, g)
-        out.append(_clamp_g_tilde(float(np.asarray(g) @ (x - v.value))))
+        out.append(_clamp_g_tilde(float(np.asarray(g) @ (x - v.value)), g))
     return tuple(out)

@@ -114,6 +114,16 @@ class TestGapEstimate:
         with pytest.raises(InternalConsistencyError):
             _clamp_g_tilde(-1e-11)
 
+    def test_point_just_outside_the_ball_clamps_to_zero(self):
+        # ||x||_1 = 37 + 9.3e-13 is inside the 1e-10 feasibility slack, and
+        # g_tilde = -2 * 9.3e-13 = -1.86e-12 is below the fixed slack alone
+        x, g = np.array([37.0 + 9.3e-13, 0.0]), np.array([-2.0, 0.0])
+        est = gap_estimate([x], [g], np.zeros(0), [L1Ball(2, 37.0)], GapConstants(1.0, 1e4))
+        assert est.g_tilde_blocks == (0.0,)
+        assert _clamp_g_tilde(-1.86e-12, g) == 0.0
+        with pytest.raises(InternalConsistencyError):
+            _clamp_g_tilde(-2.1e-10, g)
+
 
 def _signed_vertices(ball):
     for j in range(ball.dim):

@@ -46,19 +46,19 @@ NET_GOLDEN = {
         "528e97f2e3ac6f58e55fe45b51156a050b66e7df179b005c812a31c8fb34d2c7",
         "d8ce640dd8505175613ec25cf4dafa3cb589bab118caf19f5918421881f9cdda",
         "af5c6d49aa50a263baab940c2ec1f2fa04b555dd118b67145448bc5d6277f0dd",
-        "5f3c193aaa382bb1607fec8335332823e01237b429f319e612b43c1aba2db1e0",
+        "1c7b318ee2341a483a1d3e2fc5215ef45eeedcc0f674056b5a5e1c506b639936",
     ),
     "sfw-if": (
         "35ad1d517d0642deeaab187719e09d4c7be77d68d93dab95e36bfb10dd3f0a69",
         "1ef97d8012a637d4166e8be8cb00b89f52a8b82e6114e70dac8b0ea256fa3275",
         "9889e33ed550dd730a7734910459752aebc8839e950a41b4bae9fc81a8db2ae3",
-        "7d5c8344a936bac859708bedad921b123c4e2aeb7efb6f8dbb0d373e13181d6f",
+        "e8605cbdbdf85656f271031caa874268e1ececb0459fb89ce474023ab696749f",
     ),
     "sgd": (
         "de0de9c3e35caa03cea473bd2809047ff4cfa6a698f89a8893e99b4502a4c4d6",
         "6c45ac825e443a1237887b665825bc73404ea583b33d8f66ab5c57424284757f",
         "84a8df0fe343aba7d49d0fb6f4056f69418ea0d9aba802002aacb1efaa1ed19f",
-        "86f24d3fda68bb5a00a311c2767dac440eccb69a40ac0027a0ecf6679f39d8c4",
+        "cfaa5835136a4caae5c31f368eb2221f6e87fdfe349d90eaf5020116b5921e7f",
     ),
 }
 
@@ -92,7 +92,7 @@ def test_cli_quadratic_run_matches_golden(tmp_path, capsys):
         "4cc3c94f95f62076f020f9c37e3a726b694fa7b88471e367e7f3a5afca5d7bea",
         "3f5dbeeb4debf66a25fcf8ba18b19aa3b98e9a5c59ea4ff83ef480f42319957d",
         "ca0a0905b16b06561c0efc3a1beaf59aedaaee7bfc738817904a68886746665e",
-        "880f1f1184a677610cf257f05f90a0e17f48b3795d8bc57a656e84de07051b81",
+        "54e6c295da5f6defb91a405843875415309398ef8b424ccaed81cc3ab69a123c",
     )
 
 

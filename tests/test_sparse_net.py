@@ -1,6 +1,8 @@
 """Network forward/backward math, layouts, sparsity tooling, dataset IO."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -569,6 +571,32 @@ def test_dataset_binary_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTADATA" + b"\x00" * 32)
     with pytest.raises(ValueError):
+        load_dataset_bin(path)
+
+
+def test_dataset_binary_rejects_every_truncation(tmp_path):
+    path = tmp_path / "data.bin"
+    save_dataset_bin(path, Dataset(features=np.ones((3, 2)), targets=np.zeros((3, 1))))
+    full = path.read_bytes()
+    for length in range(len(full)):
+        path.write_bytes(full[:length])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated at "):
+            load_dataset_bin(path)
+
+
+@pytest.mark.parametrize("field", [0, 1, 2])
+@pytest.mark.parametrize("delta", [1, 2**40, -1])
+def test_dataset_binary_rejects_wrong_header_counts(tmp_path, field, delta):
+    # the three uint64 counts (rows, features, targets) follow magic and version
+    message = "truncated at (features|targets)" if delta > 0 else r"\d+ bytes after the last field"
+    path = tmp_path / "data.bin"
+    save_dataset_bin(path, Dataset(features=np.ones((3, 2)), targets=np.zeros((3, 1))))
+    blob = bytearray(path.read_bytes())
+    at = 9 + 8 * field
+    count = struct.unpack_from("<Q", blob, at)[0]
+    struct.pack_into("<Q", blob, at, count + delta)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         load_dataset_bin(path)
 
 
