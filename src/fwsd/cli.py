@@ -227,6 +227,9 @@ def _validate_config(c: ExperimentConfig) -> None:
         raise ConfigError("quadratic dimensions must be positive")
     if c.quad_sigma < 0.0:
         raise ConfigError("quad_sigma must be nonnegative")
+    for key in ("grid_l_nabla", "grid_delta"):
+        if not all(0.0 < v < float("inf") for v in getattr(c, key)):
+            raise ConfigError(f"{key} values must be positive and finite")
 
 
 def config_echo_lines(config: ExperimentConfig) -> list[str]:
@@ -279,11 +282,14 @@ def load_checkpoint(path):
     reader.finish()
     m = header.get("meta", {}).get("m")
     if header["kind"] == "net" and m is not None:
-        sizes = header["spec"]["layer_sizes"]
-        for l in range(len(sizes) - 2):
-            w = arrays[f"layer{l}_w"]
+        try:
+            sizes = header["spec"]["layer_sizes"]
+            weights = [arrays[f"layer{l}_w"] for l in range(len(sizes) - 2)]
+        except KeyError as exc:
+            raise ValueError(f"{path}: checkpoint lacks {exc.args[0]!r}") from None
+        for l, w in enumerate(weights):
             if not np.all(np.count_nonzero(w, axis=1) == m):
-                raise ValueError(f"layer {l} does not have in-degree {m} per node")
+                raise ValueError(f"{path}: layer {l} does not have in-degree {m} per node")
     return header, arrays
 
 
@@ -321,13 +327,16 @@ def save_net_checkpoint(path, spec: MLPSpec, params, meta: dict) -> None:
 def load_net_checkpoint(path):
     header, arrays = load_checkpoint(path)
     if header["kind"] != "net":
-        raise ValueError(f"expected a network checkpoint, found kind {header['kind']!r}")
-    spec = _spec_from_meta(header["spec"])
-    params = [
-        LayerParams(w=arrays[f"layer{l}_w"], b=arrays[f"layer{l}_b"])
-        for l in range(spec.n_layers)
-    ]
-    return spec, params, header["meta"]
+        raise ValueError(f"{path}: expected a network checkpoint, found kind {header['kind']!r}")
+    try:
+        spec = _spec_from_meta(header["spec"])
+        params = [
+            LayerParams(w=arrays[f"layer{l}_w"], b=arrays[f"layer{l}_b"])
+            for l in range(spec.n_layers)
+        ]
+        return spec, params, header["meta"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint lacks {exc.args[0]!r}") from None
 
 
 # --------------------------------------------------------------------------

@@ -5,8 +5,8 @@ arrays, one ``(fan_out, fan_in)`` weight matrix and one bias vector per
 layer. A `ParamLayout` maps those arrays onto optimizer coordinates: each
 node of a constrained layer contributes its incoming-weight row as one
 l1-ball block, everything else (dense layers, biases) is flattened into
-the single free block. Backpropagation is hand-rolled so per-sample
-gradients are available exactly as the optimizer defines them.
+the single free block. Backpropagation runs over a batch of samples at
+once; a single sample is a batch of one.
 
 Dataset containers and their on-disk formats (columnar CSV and a compact
 binary layout) live here too, next to the synthetic teacher-network
@@ -27,6 +27,7 @@ from .geometry import NNZ_THRESHOLD, L1Ball, Norm, nnz_rows
 
 _DATASET_MAGIC = b"FWSDDATA"
 _DATASET_VERSION = 1
+_CHUNK_ROWS = 256  # rows per batched backprop pass; bounds its memory
 
 
 class Activation(enum.Enum):
@@ -224,17 +225,13 @@ def _activation_slope(activation: Activation, z: np.ndarray, a: np.ndarray) -> n
     return (z > 0.0).astype(np.float64)  # subgradient 0 at the kink
 
 
-def _loss_and_output_grad(loss: Loss, pred: np.ndarray, target: np.ndarray):
-    # per-sample loss and its gradient in the network output
+def _output_grad(loss: Loss, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    # per-row gradient of each sample's loss in the network output
     if loss is Loss.MSE:
-        diff = pred - target
-        return float(np.mean(diff ** 2)), (2.0 / pred.size) * diff
-    shifted = pred - np.max(pred)
-    log_z = np.log(np.sum(np.exp(shifted)))
-    softmax = np.exp(shifted - log_z)
-    mass = float(np.sum(target))
-    value = float((log_z + np.max(pred)) * mass - target @ pred)
-    return value, softmax * mass - target
+        return (2.0 / pred.shape[1]) * (pred - target)
+    shifted = pred - np.max(pred, axis=1, keepdims=True)
+    log_z = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    return np.exp(shifted - log_z) * np.sum(target, axis=1, keepdims=True) - target
 
 
 def loss_value(spec: MLPSpec, pred: np.ndarray, target: np.ndarray) -> float:
@@ -249,24 +246,38 @@ def loss_value(spec: MLPSpec, pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(per_sample))
 
 
-def _backprop(spec: MLPSpec, params: Sequence[LayerParams], x: np.ndarray, target: np.ndarray):
-    # single-sample forward/backward; returns per-layer (grad_w, grad_b)
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = [np.asarray(x, dtype=np.float64)]
-    a = post[0]
-    for l, (w, b) in enumerate(params):
-        z = w @ a + b
-        pre.append(z)
-        a = z if l == spec.n_layers - 1 else _activate(spec.activation, z)
-        post.append(a)
-    _, delta = _loss_and_output_grad(spec.loss, post[-1], np.asarray(target, dtype=np.float64))
-    grads: list[LayerParams] = [None] * spec.n_layers  # type: ignore[list-item]
-    for l in range(spec.n_layers - 1, -1, -1):
-        grads[l] = LayerParams(w=np.outer(delta, post[l]), b=delta.copy())
-        if l > 0:
-            back = params[l].w.T @ delta
-            delta = back * _activation_slope(spec.activation, pre[l - 1], post[l])
-    return grads
+def _backprop(spec: MLPSpec, params: Sequence[LayerParams], X: np.ndarray, T: np.ndarray):
+    """Mean over the rows of ``X``/``T`` of each sample's per-layer ``(grad_w, grad_b)``.
+
+    Every product is a per-row matrix-vector product and the batch sum is a
+    sequential fold in row order, so the result equals, bit for bit, adding
+    the single-sample gradients one at a time and dividing by the count.
+    Rows go through in chunks of ``_CHUNK_ROWS`` to bound memory.
+    """
+    n = X.shape[0]
+    if n == 0:
+        raise ValueError("empty batch")
+    sums: list[LayerParams] = []
+    for start in range(0, n, _CHUNK_ROWS):
+        pre: list[np.ndarray] = []
+        post = [X[start:start + _CHUNK_ROWS]]
+        for l, (w, b) in enumerate(params):
+            z = np.matmul(w[None], post[-1][:, :, None])[:, :, 0] + b
+            pre.append(z)
+            post.append(z if l == spec.n_layers - 1 else _activate(spec.activation, z))
+        delta = _output_grad(spec.loss, post[-1], T[start:start + _CHUNK_ROWS])
+        grads: list[LayerParams] = []
+        for l in range(spec.n_layers - 1, -1, -1):
+            grads.insert(0, LayerParams(w=delta[:, :, None] * post[l][:, None, :], b=delta))
+            if l > 0:
+                back = np.matmul(params[l].w.T[None], delta[:, :, None])[:, :, 0]
+                delta = back * _activation_slope(spec.activation, pre[l - 1], post[l])
+        for s, g in zip(sums, grads):  # carry the running sum into this chunk's fold
+            g.w[0] += s.w
+            g.b[0] += s.b
+        sums = [LayerParams(w=np.cumsum(g.w, axis=0)[-1], b=np.cumsum(g.b, axis=0)[-1])
+                for g in grads]
+    return [LayerParams(w=s.w / n, b=s.b / n) for s in sums]
 
 
 def per_sample_gradient(spec: MLPSpec, params, sample, layout: ParamLayout | None = None):
@@ -278,7 +289,8 @@ def per_sample_gradient(spec: MLPSpec, params, sample, layout: ParamLayout | Non
     if layout is None:
         layout = ParamLayout(spec)
     x, target = sample
-    return layout.pack(_backprop(spec, params, x, target))
+    return layout.pack(_backprop(spec, params, np.atleast_2d(np.asarray(x, dtype=np.float64)),
+                                 np.atleast_2d(np.asarray(target, dtype=np.float64))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,29 +335,14 @@ class MLPProblem:
         return per_sample_gradient(self.spec, params, sample, self.layout)
 
     def gradient_mean(self, x_blocks, y, batch):
-        """Fixed-order mean of per-sample gradients, unpacking only once."""
+        """Mean of the batch's per-sample gradients from one batched pass."""
         from .optimizer import GradientEstimate
 
+        idx = np.asarray(batch, dtype=np.int64)
         params = self.layout.unpack(x_blocks, y)
-        acc_w: list[np.ndarray] | None = None
-        acc_b: list[np.ndarray] | None = None
-        count = 0
-        for i in batch:
-            i = int(i)
-            grads = _backprop(self.spec, params, self.data.features[i], self.data.targets[i])
-            if acc_w is None:
-                acc_w = [g.w.copy() for g in grads]
-                acc_b = [g.b.copy() for g in grads]
-            else:
-                for aw, ab, g in zip(acc_w, acc_b, grads):
-                    aw += g.w
-                    ab += g.b
-            count += 1
-        if count == 0:
-            raise ValueError("empty batch")
-        mean = [LayerParams(w=w / count, b=b / count) for w, b in zip(acc_w, acc_b)]
+        mean = _backprop(self.spec, params, self.data.features[idx], self.data.targets[idx])
         g_blocks, g_y = self.layout.pack(mean)
-        return GradientEstimate(g_blocks=tuple(g_blocks), h=g_y, batch_size=count)
+        return GradientEstimate(g_blocks=tuple(g_blocks), h=g_y, batch_size=idx.size)
 
     def objective_estimate(self, x_blocks, y, batch) -> float:
         idx = np.asarray(batch, dtype=np.int64)

@@ -1,0 +1,64 @@
+"""The single-sample backprop the batched pass replaced, kept as the reference.
+
+`backprop` is one sample's forward and backward pass with matrix-vector
+products, and `mean_gradient` adds the per-sample gradients one at a time in
+batch order and divides by the count. `fwsd.sparse_net._backprop` has to
+match it bit for bit, which `test_backprop.py` checks.
+"""
+
+import numpy as np
+
+from fwsd.sparse_net import LayerParams, Loss, _activate, _activation_slope
+
+
+def loss_and_output_grad(loss: Loss, pred: np.ndarray, target: np.ndarray):
+    """One sample's loss and its gradient in the network output."""
+    if loss is Loss.MSE:
+        diff = pred - target
+        return float(np.mean(diff ** 2)), (2.0 / pred.size) * diff
+    shifted = pred - np.max(pred)
+    log_z = np.log(np.sum(np.exp(shifted)))
+    softmax = np.exp(shifted - log_z)
+    mass = float(np.sum(target))
+    value = float((log_z + np.max(pred)) * mass - target @ pred)
+    return value, softmax * mass - target
+
+
+def backprop(spec, params, x, target):
+    """Per-layer ``(grad_w, grad_b)`` of one sample's loss."""
+    pre = []
+    post = [np.asarray(x, dtype=np.float64)]
+    a = post[0]
+    for l, (w, b) in enumerate(params):
+        z = w @ a + b
+        pre.append(z)
+        a = z if l == spec.n_layers - 1 else _activate(spec.activation, z)
+        post.append(a)
+    _, delta = loss_and_output_grad(spec.loss, post[-1], np.asarray(target, dtype=np.float64))
+    grads = [None] * spec.n_layers
+    for l in range(spec.n_layers - 1, -1, -1):
+        grads[l] = LayerParams(w=np.outer(delta, post[l]), b=delta.copy())
+        if l > 0:
+            back = params[l].w.T @ delta
+            delta = back * _activation_slope(spec.activation, pre[l - 1], post[l])
+    return grads
+
+
+def mean_gradient(spec, params, features, targets, batch):
+    """In-order sum of the per-sample gradients of ``batch``, over the count."""
+    acc_w = acc_b = None
+    count = 0
+    for i in batch:
+        i = int(i)
+        grads = backprop(spec, params, features[i], targets[i])
+        if acc_w is None:
+            acc_w = [g.w.copy() for g in grads]
+            acc_b = [g.b.copy() for g in grads]
+        else:
+            for aw, ab, g in zip(acc_w, acc_b, grads):
+                aw += g.w
+                ab += g.b
+        count += 1
+    if count == 0:
+        raise ValueError("empty batch")
+    return [LayerParams(w=w / count, b=b / count) for w, b in zip(acc_w, acc_b)]

@@ -217,6 +217,31 @@ def test_checkpoint_validates_stored_in_degree(tmp_path):
         load_net_checkpoint(path)
 
 
+def test_checkpoint_names_missing_spec_field_and_array(tmp_path, capsys):
+    full = {"layer_sizes": [4, 3, 1], "activation": "sigmoid", "loss": "mse",
+            "fw_layers": [], "deltas": [], "bias": False}
+    arrays = [("layer0_b", np.zeros(3)), ("layer1_w", np.ones((1, 3))),
+              ("layer1_b", np.zeros(1))]
+    path = tmp_path / "n.ckpt"
+    save_checkpoint(path, "net", {}, {"m": 1}, [("layer0_w", np.eye(3, 4))] + arrays)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'layer_sizes'"):
+        load_checkpoint(path)
+    assert run_cli("threshold-eval", "--checkpoint", str(path),
+                   "--dataset", str(tmp_path / "unread.bin")) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "layer_sizes" in err
+    for meta in ({"m": 1}, {}):
+        save_checkpoint(path, "net", full, meta, arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'layer0_w'"):
+            load_net_checkpoint(path)
+    save_checkpoint(path, "net", {}, {}, arrays)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'layer_sizes'"):
+        load_net_checkpoint(path)
+    save_checkpoint(path, "net", full, {"m": 2}, [("layer0_w", np.eye(3, 4))] + arrays)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: layer 0 does not have"):
+        load_net_checkpoint(path)
+
+
 def test_smoothed_series():
     assert smoothed_series([0.0, 2.0], 2) == [0.0, 1.0]
     values = [3.0, 1.0, 4.0, 1.0]
@@ -516,6 +541,17 @@ def test_grid_requires_grids(tmp_path, capsys):
                    "--deltas", "1", "--iterations", "4",
                    "--out-prefix", str(tmp_path / "g")) == 1
     capsys.readouterr()
+
+
+def test_grid_rejects_bad_grid_values_as_config_errors(tmp_path, capsys):
+    base = ["grid", "--problem", "quadratic", "--quad-blocks", "2", "--deltas", "1",
+            "--iterations", "4", "--out-prefix", str(tmp_path / "g")]
+    for bad in ("-1", "0", "1,0", "nan", "inf"):
+        assert run_cli(*base, "--grid-l-nabla", bad, "--grid-delta", "1") == 1
+        assert "grid_l_nabla" in capsys.readouterr().err
+        assert run_cli(*base, "--grid-l-nabla", "1", "--grid-delta", bad) == 1
+        assert "grid_delta" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir()), "no cell ran"
 
 
 # ---------------------------------------------------------------- exit codes
