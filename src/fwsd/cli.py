@@ -31,11 +31,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import NNZ_THRESHOLD, L1Ball, Norm
+from .geometry import L1Ball, Norm, nnz_rows
 from .optimizer import BatchSchedule, OptimizerConfig, RunResult, TraceRecord, run
 from .problems import make_quadratic
 from .sparse_net import (
     Activation,
+    _DATASET_MAGIC,
     BinaryReader,
     Dataset,
     LayerParams,
@@ -201,6 +202,15 @@ def load_config(path: str | None, overrides: dict[str, str]) -> ExperimentConfig
 
 
 def _validate_config(c: ExperimentConfig) -> None:
+    for key, kind in _KINDS.items():
+        if kind in ("float", "tuple[float, ...]") and np.isnan(getattr(c, key)).any():
+            raise ConfigError(f"{key} must not be NaN")
+    # snr = inf is legal: noiseless targets
+    for key in ("l_nabla", "c_bar_scale", "away_tol", "deltas", "quad_sigma"):
+        if np.isinf(getattr(c, key)).any():
+            raise ConfigError(f"{key} must be finite")
+    if c.away_tol < 0.0:
+        raise ConfigError("away_tol must be nonnegative")
     if c.iterations < 0 or c.epochs < 0:
         raise ConfigError("iterations and epochs must be nonnegative")
     if c.iterations > 0 and c.epochs > 0:
@@ -436,10 +446,10 @@ class EpochSampling:
 def _load_dataset_any(path: str) -> Dataset:
     try:
         with open(path, "rb") as fh:
-            magic = fh.read(8)
+            magic = fh.read(len(_DATASET_MAGIC))
     except OSError as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from None
-    if magic == b"FWSDDATA":
+    if magic == _DATASET_MAGIC:
         return load_dataset_bin(path)
     return load_dataset_csv(path)
 
@@ -612,14 +622,14 @@ def _train_quadratic(config: ExperimentConfig) -> TrainOutcome:
     final_objective = problem.exact_objective(list(out.x_blocks), out.y)
     metrics.append(("final_objective_exact", final_objective))
     for i, x in enumerate(out.x_blocks):
-        metrics.append((f"nnz_block_{i}", int(np.count_nonzero(np.abs(x) >= NNZ_THRESHOLD))))
-    nnz_names, nnz_rows = _block_nnz_columns(len(blocks), result.trace)
+        metrics.append((f"nnz_block_{i}", int(nnz_rows(x[None, :])[0])))
+    nnz_names, nnz_trace = _block_nnz_columns(len(blocks), result.trace)
     arrays = [(f"x{i}", x) for i, x in enumerate(out.x_blocks)] + [("y", out.y)]
     return TrainOutcome(
         result=result,
         metrics=metrics,
         nnz_names=nnz_names,
-        nnz_rows=nnz_rows,
+        nnz_rows=nnz_trace,
         checkpoint=("quadratic", {"block_dims": list(blocks), "y_dim": y_dim}, arrays),
         val_loss=float(final_objective),
     )

@@ -42,6 +42,9 @@ NNZ_THRESHOLD = 1e-3
 #: absolute slack on the l1 norm within which a point counts as feasible
 FEASIBILITY_TOL = 1e-10
 
+#: zero and boundary tolerance of minimal faces (coordinates and ||x||_1 - radius)
+FACE_TOL = 1e-12
+
 
 class Norm(enum.Enum):
     """Norm choice attached to a variable block."""
@@ -247,7 +250,7 @@ def frank_wolfe_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray) -> tuple[np.nda
     return v, row_dot(g, x - v)
 
 
-def face_rows(ball: L1Ball, x: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def face_rows(ball: L1Ball, x: np.ndarray, tol: float = FACE_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise `minimal_face`: sign masks in {-1, 0, 1} and the boundary flags."""
     norm1 = l1_rows(x)
     _fail_rows(norm1 > ball.radius + max(tol, 1e-9),
@@ -265,10 +268,10 @@ def in_face_lmo_rows(ball: L1Ball, sign: np.ndarray, c: np.ndarray) -> tuple[np.
 
 
 def away_rows(
-    ball: L1Ball, x: np.ndarray, g: np.ndarray, tol: float = 1e-12
+    ball: L1Ball, x: np.ndarray, g: np.ndarray, sign: np.ndarray, on_boundary: np.ndarray,
+    tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise `away_direction`: directions ``d``, acceptance and ``g[r] @ d[r]``."""
-    sign, on_boundary = face_rows(ball, x, tol)
+    """Row-wise `away_direction` over the faces of `face_rows`: ``d``, acceptance and ``g @ d``."""
     in_face = on_boundary & sign.any(axis=1)
     c = -g
     v = lmo_rows(ball, c)[2]
@@ -340,12 +343,12 @@ def points_out_rows(sign: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
 
 
 def in_face_step_cap_rows(
-    ball: L1Ball, x: np.ndarray, d: np.ndarray, tol: float = 1e-9
+    ball: L1Ball, x: np.ndarray, d: np.ndarray, sign: np.ndarray, on_boundary: np.ndarray,
+    tol: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise `in_face_step_cap`: the cap per row and the binding mask."""
+    """Row-wise `in_face_step_cap` over the faces `face_rows` gave: cap and binding mask per row."""
     _fail_rows(~d.any(axis=1), "direction is identically zero")
     _fail_rows(outside_rows(ball, x, max(tol, FEASIBILITY_TOL)), "x_bar is infeasible")
-    sign, on_boundary = face_rows(ball, x, tol=min(tol, 1e-12))
     _fail_rows(on_boundary & ((np.abs(d) > tol) & (sign == 0.0)).any(axis=1),
                "in-face direction must vanish on the zero set of x_bar")
     alpha = np.empty(len(x))
@@ -374,7 +377,7 @@ def lmo(ball: L1Ball, g: np.ndarray) -> Vertex:
     return Vertex(index=int(index[0]), sign=int(sign[0]), value=value[0])
 
 
-def minimal_face(ball: L1Ball, x: np.ndarray, tol: float = 1e-12) -> Face:
+def minimal_face(ball: L1Ball, x: np.ndarray, tol: float = FACE_TOL) -> Face:
     """Classify the signed support of a feasible point.
 
     Coordinates within ``tol`` of zero are treated as zero, and the point
@@ -417,14 +420,14 @@ def away_direction(
     """Away direction ``d = x_bar - x_check`` over the minimal face of ``x_bar``.
 
     ``x_check`` maximizes ``g_check @ x`` over the face (over the whole ball
-    when ``x_bar`` is interior). The direction is accepted only when it is a
-    strict descent direction, ``g_check @ d < -tol``, and no longer than the
-    set diameter in the block norm. Rejected directions are returned anyway
-    so the caller can log them.
+    when ``x_bar`` is interior); the face is classified at ``FACE_TOL``. The
+    direction is accepted only when it is a strict descent direction,
+    ``g_check @ d < -tol``, and no longer than the set diameter in the block
+    norm. Rejected directions are returned anyway so the caller can log them.
     """
-    x_bar = _check_vector(x_bar, ball.dim, "x_bar")
-    g_check = _check_vector(g_check, ball.dim, "g_check")
-    d, accepted, _ = away_rows(ball, x_bar[None, :], g_check[None, :], tol)
+    x_bar = _check_vector(x_bar, ball.dim, "x_bar")[None, :]
+    g_check = _check_vector(g_check, ball.dim, "g_check")[None, :]
+    d, accepted, _ = away_rows(ball, x_bar, g_check, *face_rows(ball, x_bar), tol)
     return d[0], bool(accepted[0])
 
 
@@ -439,9 +442,10 @@ def in_face_step_cap(
     point the minimal face is the whole ball and the cap is the plain
     feasibility cap (no binding indices).
     """
-    x_bar = _check_vector(x_bar, ball.dim, "x_bar")
-    d = _check_vector(d, ball.dim, "d")
-    alpha, binding = in_face_step_cap_rows(ball, x_bar[None, :], d[None, :], tol)
+    x_bar = _check_vector(x_bar, ball.dim, "x_bar")[None, :]
+    d = _check_vector(d, ball.dim, "d")[None, :]
+    face = face_rows(ball, x_bar, min(tol, FACE_TOL))
+    alpha, binding = in_face_step_cap_rows(ball, x_bar, d, *face, tol)
     return float(alpha[0]), tuple(np.flatnonzero(binding[0]).tolist())
 
 

@@ -33,11 +33,13 @@ from .geometry import (
     away_rows,
     ball_groups,
     blame_blocks,
+    face_rows,
     frank_wolfe_rows,
     in_face_step_cap_rows,
     nnz_rows,
     stack_rows,
 )
+from .problems import GradientEstimate
 
 # The 1-D oracles stay importable from here because perfbench/tracer.py
 # patches these names; the steps below call the row-wise kernels instead.
@@ -110,8 +112,10 @@ class OptimizerConfig:
             raise ValueError("l_nabla must be positive")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
-        if any(c <= 0.0 for c in self.c_bar_per_block):
-            raise ValueError("all c_bar entries must be positive")
+        if not all(0.0 < c < np.inf for c in self.c_bar_per_block):
+            raise ValueError("all c_bar entries must be positive and finite")
+        if not 0.0 <= self.away_tol < np.inf:
+            raise ValueError("away_tol must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +125,6 @@ class Iterate:
     x_blocks: tuple[np.ndarray, ...]
     y: np.ndarray
     k: int
-
-
-@dataclass(frozen=True, eq=False)
-class GradientEstimate:
-    g_blocks: tuple[np.ndarray, ...]
-    h: np.ndarray
-    batch_size: int
 
 
 @dataclass(frozen=True)
@@ -261,8 +258,9 @@ def alt_step(
 ):
     """Away step inside the minimal face of each block.
 
-    Per block: build the away direction from a fresh gradient, and if it is
-    a strict descent direction step ``beta = min(a / c_bar, alpha_stop)``
+    Per block: classify the minimal face at ``FACE_TOL``, build the away
+    direction from a fresh gradient, and if it is a strict descent direction
+    (``g_check @ d < -away_tol``) step ``beta = min(a / c_bar, alpha_stop)``
     along it, where ``a = -g_check @ d`` and ``alpha_stop`` is the in-face
     cap. When the cap binds, the binding coordinates are set to exactly
     zero, so supports shrink exactly rather than to rounding dust. Blocks
@@ -277,12 +275,14 @@ def alt_step(
         with blame_blocks("alt_step", idx):
             x = stack_rows(x_bar_blocks, idx, ball.dim, "x_bar")
             g = stack_rows(g_check_blocks, idx, ball.dim, "g_check")
-            d, ok, gd = away_rows(ball, x, g, tol=config.away_tol)
+            sign, on_boundary = face_rows(ball, x)
+            d, ok, gd = away_rows(ball, x, g, sign, on_boundary, config.away_tol)
         stepped = x.copy()
         if ok.any():
             moved = idx[ok]
             with blame_blocks("alt_step", moved):
-                alpha_stop, binding = in_face_step_cap_rows(ball, x[ok], d[ok])
+                alpha_stop, binding = in_face_step_cap_rows(ball, x[ok], d[ok], sign[ok],
+                                                            on_boundary[ok])
             a_value = -gd[ok]
             quotient = a_value / c_bar[moved]
             beta = np.where(alpha_stop < quotient, alpha_stop, quotient)
@@ -302,30 +302,8 @@ def alt_step(
 
 
 def _mean_gradient(problem, x_blocks, y, batch) -> GradientEstimate:
-    # arithmetic mean of per-scenario gradients, accumulated in batch order;
-    # problems may provide an equivalent fused implementation
-    if hasattr(problem, "gradient_mean"):
-        return problem.gradient_mean(x_blocks, y, batch)
-    acc_g = None
-    acc_h = None
-    count = 0
-    for z in batch:
-        g_blocks, h = problem.gradient_at(x_blocks, y, z)
-        if acc_g is None:
-            acc_g = [np.array(g, dtype=np.float64) for g in g_blocks]
-            acc_h = np.array(h, dtype=np.float64)
-        else:
-            for a, g in zip(acc_g, g_blocks):
-                a += g
-            acc_h += h
-        count += 1
-    if count == 0:
-        raise ValueError("empty batch")
-    return GradientEstimate(
-        g_blocks=tuple(g / count for g in acc_g),
-        h=acc_h / count,
-        batch_size=count,
-    )
+    # a function of its own so that perfbench/tracer.py can time the gradient phase
+    return problem.gradient_mean(x_blocks, y, batch)
 
 
 def sample_gradient_batch(problem, x_blocks, y, b: int, rng: np.random.Generator) -> GradientEstimate:

@@ -1,10 +1,10 @@
 """Stochastic problem interface and synthetic quadratic instances.
 
 A problem couples constrained blocks ``x = (x_1, ..., x_N)`` with a free
-block ``y`` and exposes per-scenario gradients of a random objective
+block ``y`` and exposes batch means of the gradients of a random objective
 ``f(x, y, z)`` whose expectation is the target ``F``. The optimizer only
 ever touches problems through this interface; anything that can draw
-scenarios and differentiate itself per scenario can be trained.
+scenarios and average its gradients over a batch of them can be trained.
 """
 
 from __future__ import annotations
@@ -15,16 +15,25 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 
+@dataclass(frozen=True, eq=False)
+class GradientEstimate:
+    """Mean gradient of a batch: one array per constrained block, then the free block."""
+
+    g_blocks: tuple[np.ndarray, ...]
+    h: np.ndarray
+    batch_size: int
+
+
 @runtime_checkable
 class StochasticProblem(Protocol):
     """Duck interface the optimizer consumes.
 
     ``draw`` produces ``n`` i.i.d. scenarios from the problem's own
     distribution (an empirical one samples indices with replacement).
-    ``gradient_at`` returns the partial gradients of the per-scenario
-    objective, one array per constrained block plus one for the free block.
-    ``objective_estimate`` averages the per-scenario objective over a batch
-    previously produced by ``draw``.
+    ``gradient_mean`` averages the per-scenario partial gradients over a
+    batch from ``draw``, one array per constrained block plus one for the
+    free block. ``objective_estimate`` averages the per-scenario objective
+    over such a batch.
 
     Problems that know their expectation may additionally provide
     ``exact_gradient(x_blocks, y)`` and ``exact_objective(x_blocks, y)``;
@@ -39,7 +48,7 @@ class StochasticProblem(Protocol):
 
     def draw(self, rng: np.random.Generator, n: int): ...
 
-    def gradient_at(self, x_blocks, y, z): ...
+    def gradient_mean(self, x_blocks, y, batch) -> GradientEstimate: ...
 
     def objective_estimate(self, x_blocks, y, batch) -> float: ...
 
@@ -102,9 +111,19 @@ class QuadraticInstance:
         scale = self.noise_sigma / np.sqrt(self.dim)
         return rng.standard_normal((n, self.dim)) * scale
 
-    def gradient_at(self, x_blocks, y, z):
+    def gradient_mean(self, x_blocks, y, batch) -> GradientEstimate:
+        """Mean of ``Q r + z`` over the batch's rows, folded in row order."""
+        n = len(batch)
+        if n == 0:
+            raise ValueError("empty batch")
         r = _concat(x_blocks, y) - self.minimizer
-        return self._split(self.q_matrix @ r + z)
+        g_blocks, h = self._split(np.cumsum((self.q_matrix @ r)[None, :] + batch, axis=0)[-1])
+        return GradientEstimate(g_blocks=tuple(g / n for g in g_blocks), h=h / n, batch_size=n)
+
+    def gradient_at(self, x_blocks, y, z):
+        """Per-scenario gradient ``(g_blocks, h)``: the mean over a batch of one."""
+        est = self.gradient_mean(x_blocks, y, np.reshape(z, (1, -1)))
+        return list(est.g_blocks), est.h
 
     def objective_estimate(self, x_blocks, y, batch) -> float:
         v = _concat(x_blocks, y)

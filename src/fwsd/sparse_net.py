@@ -24,6 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import NNZ_THRESHOLD, L1Ball, Norm, nnz_rows
+from .problems import GradientEstimate
 
 _DATASET_MAGIC = b"FWSDDATA"
 _DATASET_VERSION = 1
@@ -336,8 +337,6 @@ class MLPProblem:
 
     def gradient_mean(self, x_blocks, y, batch):
         """Mean of the batch's per-sample gradients from one batched pass."""
-        from .optimizer import GradientEstimate
-
         idx = np.asarray(batch, dtype=np.int64)
         params = self.layout.unpack(x_blocks, y)
         mean = _backprop(self.spec, params, self.data.features[idx], self.data.targets[idx])

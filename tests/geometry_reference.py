@@ -14,6 +14,7 @@ from fwsd.optimizer import AltStepInfo
 
 G_TILDE_SLACK = 1e-12
 FEASIBILITY_TOL = 1e-10
+FACE_TOL = 1e-12
 
 
 def _contains(ball: L1Ball, x, tol: float = FEASIBILITY_TOL) -> bool:
@@ -59,7 +60,7 @@ def lmo(ball: L1Ball, g: np.ndarray) -> Vertex:
     return Vertex(index=j, sign=sign, value=value)
 
 
-def minimal_face(ball: L1Ball, x: np.ndarray, tol: float = 1e-12) -> Face:
+def minimal_face(ball: L1Ball, x: np.ndarray, tol: float = FACE_TOL) -> Face:
     """Classify the signed support of a feasible point.
 
     Coordinates within ``tol`` of zero are treated as zero, and the point
@@ -110,14 +111,14 @@ def away_direction(
     """Away direction ``d = x_bar - x_check`` over the minimal face of ``x_bar``.
 
     ``x_check`` maximizes ``g_check @ x`` over the face (over the whole ball
-    when ``x_bar`` is interior). The direction is accepted only when it is a
-    strict descent direction, ``g_check @ d < -tol``, and no longer than the
-    set diameter in the block norm. Rejected directions are returned anyway
-    so the caller can log them.
+    when ``x_bar`` is interior); the face is classified at ``FACE_TOL``. The
+    direction is accepted only when it is a strict descent direction,
+    ``g_check @ d < -tol``, and no longer than the set diameter in the block
+    norm. Rejected directions are returned anyway so the caller can log them.
     """
     x_bar = _check_vector(x_bar, ball.dim, "x_bar")
     g_check = _check_vector(g_check, ball.dim, "g_check")
-    face = minimal_face(ball, x_bar, tol)
+    face = minimal_face(ball, x_bar, FACE_TOL)
     if face.on_boundary and face.support:
         x_check = in_face_lmo(ball, face, -g_check).value
     else:
@@ -184,7 +185,7 @@ def in_face_step_cap(
         raise ValueError("direction is identically zero")
     if not _contains(ball, x_bar, tol=max(tol, 1e-10)):
         raise ValueError("x_bar is infeasible")
-    face = minimal_face(ball, x_bar, tol=min(tol, 1e-12))
+    face = minimal_face(ball, x_bar, tol=min(tol, FACE_TOL))
     if not face.on_boundary:
         return _ball_cap(ball, x_bar, d), ()
     if any(abs(d[j]) > tol for j in face.j_zero):

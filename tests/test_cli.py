@@ -554,6 +554,24 @@ def test_grid_rejects_bad_grid_values_as_config_errors(tmp_path, capsys):
     assert not list(tmp_path.iterdir()), "no cell ran"
 
 
+def test_non_finite_values_are_config_errors(tmp_path, capsys):
+    base = ["train", "--problem", "quadratic", "--quad-blocks", "2,2", "--deltas", "1,1",
+            "--iterations", "4", "--out-prefix", str(tmp_path / "q")]
+    cases = [("--away-tol", "nan"), ("--away-tol", "inf"), ("--away-tol", "-1e-12"),
+             ("--c-bar-scale", "nan"), ("--c-bar-scale", "inf"), ("--l-nabla", "nan"),
+             ("--l-nabla", "inf"), ("--deltas", "nan,1"), ("--deltas", "1,inf"),
+             ("--snr", "nan"), ("--quad-sigma", "nan"), ("--quad-sigma", "inf")]
+    for flag, bad in cases:
+        assert run_cli(*base, f"{flag}={bad}") == 1, (flag, bad)
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not list(tmp_path.iterdir()), "nothing ran"
+    # an infinite snr means noiseless targets
+    assert run_cli("train", "--snr", "inf", "--iterations", "2", "--train-size", "20",
+                   "--val-size", "5", "--test-size", "5",
+                   "--out-prefix", str(tmp_path / "n")) == 0
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------- exit codes
 
 

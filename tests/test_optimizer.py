@@ -64,6 +64,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(l_nabla=1.0, c_bar_per_block=(8.0,), iterations=-1, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_c_bar(self, bad):
+        with pytest.raises(ValueError, match="c_bar"):
+            OptimizerConfig(l_nabla=1.0, c_bar_per_block=(8.0, bad), iterations=5, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-12])
+    def test_rejects_bad_away_tol(self, bad):
+        with pytest.raises(ValueError, match="away_tol"):
+            OptimizerConfig(l_nabla=1.0, c_bar_per_block=(8.0,), iterations=5, seed=0,
+                            away_tol=bad)
+
 
 class TestRngStreams:
     def test_same_seed_same_streams(self):
@@ -183,6 +194,24 @@ class TestAltStep:
         assert info.beta_bar == info.alpha_stop == 1.0
         assert x_next[0][0] == 0.0  # exactly, not rounding dust
         np.testing.assert_array_equal(x_next[0], [0.0, -1.0])
+
+    @pytest.mark.parametrize("away_tol", [1e-12, 1e-13, 0.0])
+    def test_face_is_classified_at_face_tol_whatever_away_tol(self, away_tol):
+        # 5e-13 lies inside FACE_TOL, so the face is {0, 1}: the away vertex
+        # is e_0 and the step is rejected; 5e-12 lies outside it, so the
+        # away vertex is e_2 and the cap drops that coordinate to exactly 0
+        balls = [L1Ball(3, 1.0)]
+        cfg = config_for(balls, away_tol=away_tol)
+        g = np.array([0.0, 0.0, 1.0])
+        x = np.array([0.6, 0.4 - 5e-13, 5e-13])
+        x_next, infos = alt_step([x], [g], balls, cfg)
+        assert not infos[0].taken
+        np.testing.assert_array_equal(x_next[0], x)
+        x = np.array([0.6, 0.4 - 5e-12, 5e-12])
+        x_next, infos = alt_step([x], [g], balls, cfg)
+        assert infos[0].taken and infos[0].beta_bar == infos[0].alpha_stop
+        assert x_next[0][2] == 0.0
+        assert balls[0].contains(x_next[0])
 
     def test_blocks_are_independent(self):
         balls = [L1Ball(2, 1.0), L1Ball(2, 1.0)]

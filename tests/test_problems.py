@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import quadratic_reference as ref
 from fwsd.problems import StochasticProblem, finite_difference_check, make_quadratic
 
 
@@ -104,6 +107,49 @@ class TestGradients:
         estimates = np.asarray(estimates)
         se = estimates.std() / np.sqrt(len(estimates))
         assert abs(estimates.mean() - exact) <= 4.0 * se
+
+
+@st.composite
+def quadratic_batches(draw):
+    """An instance, a point and a drawn batch of 1-40 scenarios."""
+    p = draw(st.one_of(st.just(0), st.integers(1, 30),
+                       st.lists(st.integers(1, 30), min_size=2, max_size=5)))
+    q = draw(st.integers(0 if p else 1, 12))
+    sigma = draw(st.sampled_from([0.0, 1.5]))
+    inst = make_quadratic(seed=draw(st.integers(0, 2**16)), p=p, q=q, l_nabla=2.0,
+                          noise_sigma=sigma)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = [rng.uniform(-1.0, 1.0, d) for d in inst.block_dims]
+    y = rng.uniform(-1.0, 1.0, q)
+    return inst, x, y, inst.draw(rng, draw(st.integers(1, 40)))
+
+
+def _bytes(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestGradientMean:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(quadratic_batches())
+    def test_matches_per_scenario_fold_bit_for_bit(self, case):
+        inst, x, y, batch = case
+        est = inst.gradient_mean(x, y, batch)
+        want_g, want_h = ref.mean_gradient(inst, x, y, batch)
+        assert _bytes(est.g_blocks) == _bytes(want_g)
+        assert _bytes([est.h]) == _bytes([want_h])
+        assert est.batch_size == len(batch)
+        for z in batch[:3]:
+            g, h = inst.gradient_at(x, y, z)
+            one = inst.gradient_mean(x, y, z[None, :])
+            assert _bytes(g + [h]) == _bytes(list(one.g_blocks) + [one.h])
+            want_g, want_h = ref.gradient_at(inst, x, y, z)
+            assert _bytes(g + [h]) == _bytes(want_g + [want_h])
+
+    def test_rejects_empty_batch(self):
+        inst = make_quadratic(seed=0, p=2, q=1, l_nabla=1.0)
+        with pytest.raises(ValueError, match="empty batch"):
+            inst.gradient_mean([np.zeros(2)], np.zeros(1), np.zeros((0, 3)))
 
 
 class TestFiniteDifferenceCheck:
