@@ -17,16 +17,10 @@ from .gap import (
     gap_estimate,
 )
 from .geometry import (
-    Face,
     L1Ball,
     Norm,
     Vertex,
-    away_direction,
-    in_face_lmo,
-    in_face_step_cap,
     lmo,
-    max_feasible_step,
-    minimal_face,
 )
 from .optimizer import (
     AltStepInfo,
@@ -41,7 +35,6 @@ from .optimizer import (
     fw_step,
     iterates_digest,
     run,
-    sample_gradient_batch,
     sd_step,
 )
 from .problems import (
@@ -69,7 +62,6 @@ from .sparse_net import (
     load_dataset_csv,
     loss_value,
     nnz_metrics,
-    per_sample_gradient,
     save_dataset_bin,
     save_dataset_csv,
 )
@@ -81,7 +73,6 @@ __all__ = [
     "AltStepInfo",
     "BatchSchedule",
     "Dataset",
-    "Face",
     "GapConstants",
     "GapEstimate",
     "GradientEstimate",
@@ -103,7 +94,6 @@ __all__ = [
     "TraceRecord",
     "Vertex",
     "alt_step",
-    "away_direction",
     "derive_rng_streams",
     "dual_norm",
     "evaluate",
@@ -114,8 +104,6 @@ __all__ = [
     "gap_estimate",
     "generate_synthetic",
     "hard_threshold",
-    "in_face_lmo",
-    "in_face_step_cap",
     "init_params",
     "iterates_digest",
     "lmo",
@@ -123,12 +111,8 @@ __all__ = [
     "load_dataset_csv",
     "loss_value",
     "make_quadratic",
-    "max_feasible_step",
-    "minimal_face",
     "nnz_metrics",
-    "per_sample_gradient",
     "run",
-    "sample_gradient_batch",
     "save_dataset_bin",
     "save_dataset_csv",
     "sd_step",

@@ -9,11 +9,10 @@ No numerical solver is involved anywhere in this module.
 
 Every oracle is written once, row-wise, for an ``(n_rows, dim)`` matrix whose
 rows are blocks sharing one ball (same ``dim``, ``radius`` and ``norm_x``);
-`ball_groups` and `stack_rows` build such matrices from a list of blocks. The
-1-D functions (`lmo`, `minimal_face`, `in_face_lmo`, `away_direction`,
-`in_face_step_cap`, `max_feasible_step`) are the one-row case. Each row of a
-row-wise result is bit for bit what the per-block formula gives, so grouping
-blocks never moves an iterate digest. That rests on four rules:
+`ball_groups` and `stack_rows` build such matrices from a list of blocks, and
+a single block is a one-row matrix (`lmo` is that case of `lmo_rows`). Each
+row of a row-wise result is bit for bit what the per-block formula gives, so
+grouping blocks never moves an iterate digest. That rests on four rules:
 
 - row dots are ``np.matmul(a[:, None, :], b[:, :, None])``, which rounds like
   the 1-D ``a @ b``; ``(a * b).sum(1)`` and ``einsum`` differ in the last bits;
@@ -21,8 +20,7 @@ blocks never moves an iterate digest. That rests on four rules:
   1-D ``np.sum(np.abs(x))``;
 - the signed sum of the in-face cap is a sequential fold,
   ``np.cumsum(..., axis=1)[:, -1]``;
-- argmax and argmin along axis 1 break ties to the lowest index, as the 1-D
-  oracles do.
+- argmax and argmin along axis 1 break ties to the lowest index, as in 1-D.
 
 A failed row check raises `RowError`, which carries the offending row so a
 caller that stacked the rows can name the block (see `blame_blocks`).
@@ -44,6 +42,10 @@ FEASIBILITY_TOL = 1e-10
 
 #: zero and boundary tolerance of minimal faces (coordinates and ||x||_1 - radius)
 FACE_TOL = 1e-12
+
+#: slack of the in-face checks: feasibility of a face's point, an in-face
+#: direction on the zero set, and the points-out test
+IN_FACE_TOL = 1e-9
 
 
 class Norm(enum.Enum):
@@ -102,34 +104,6 @@ class Vertex:
     index: int
     sign: int
     value: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class Face:
-    """Minimal face of a point, encoded by its signed support.
-
-    ``j_plus`` and ``j_minus`` hold the indices of strictly positive and
-    strictly negative coordinates, ``j_zero`` the rest. When ``on_boundary``
-    is false the minimal face is the whole ball and the index sets are
-    informational only.
-    """
-
-    j_plus: tuple[int, ...]
-    j_minus: tuple[int, ...]
-    j_zero: tuple[int, ...]
-    on_boundary: bool
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Indices carrying nonzero weight, ascending."""
-        return tuple(sorted(self.j_plus + self.j_minus))
-
-    def sign_of(self, j: int) -> int:
-        if j in self.j_plus:
-            return 1
-        if j in self.j_minus:
-            return -1
-        return 0
 
 
 class RowError(ValueError):
@@ -237,7 +211,11 @@ def _vertex_rows(ball: L1Ball, rows: np.ndarray, index: np.ndarray, sign: np.nda
 
 
 def lmo_rows(ball: L1Ball, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise `lmo`: the index, sign and vertex matrix minimizing each ``g[r] @ x``."""
+    """Index, sign and vertex of ``argmin { g[r] @ x : ||x||_1 <= radius }`` per row.
+
+    The vertex is ``-sign(g[r, j]) * radius * e_j`` at a maximal ``|g[r, j]|``;
+    ties go to the lowest index, and ``g[r, j] == 0`` to the positive vertex.
+    """
     rows = np.arange(len(g))
     index = np.abs(g).argmax(axis=1)
     sign = np.where(g[rows, index] <= 0.0, 1, -1)
@@ -250,17 +228,25 @@ def frank_wolfe_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray) -> tuple[np.nda
     return v, row_dot(g, x - v)
 
 
-def face_rows(ball: L1Ball, x: np.ndarray, tol: float = FACE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise `minimal_face`: sign masks in {-1, 0, 1} and the boundary flags."""
+def face_rows(ball: L1Ball, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal face of every row: sign masks in {-1, 0, 1} and boundary flags.
+
+    Both are classified at ``FACE_TOL``; an interior row's face is the whole
+    ball. Rows more than ``IN_FACE_TOL`` outside the ball raise.
+    """
     norm1 = l1_rows(x)
-    _fail_rows(norm1 > ball.radius + max(tol, 1e-9),
+    _fail_rows(norm1 > ball.radius + IN_FACE_TOL,
                lambda r: f"point is infeasible: ||x||_1 = {float(norm1[r])} > {ball.radius}")
-    sign = (x > tol).astype(np.float64) - (x < -tol)
-    return sign, np.abs(norm1 - ball.radius) <= tol
+    sign = (x > FACE_TOL).astype(np.float64) - (x < -FACE_TOL)
+    return sign, np.abs(norm1 - ball.radius) <= FACE_TOL
 
 
 def in_face_lmo_rows(ball: L1Ball, sign: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise `in_face_lmo` over the faces given by ``sign``; every support must be nonempty."""
+    """Minimize ``c[r] @ x`` over the boundary face given by ``sign[r]``.
+
+    The face's vertices are ``sign[r, j] * radius * e_j`` on its (nonempty)
+    support; the smallest ``sign[r, j] * c[r, j]`` wins, ties to the lowest index.
+    """
     rows = np.arange(len(sign))
     index = np.where(sign != 0.0, sign * c, np.inf).argmin(axis=1)
     s = sign[rows, index]
@@ -271,7 +257,11 @@ def away_rows(
     ball: L1Ball, x: np.ndarray, g: np.ndarray, sign: np.ndarray, on_boundary: np.ndarray,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise `away_direction` over the faces of `face_rows`: ``d``, acceptance and ``g @ d``."""
+    """Away directions ``d = x - argmax_face g @ x`` with acceptance and ``g @ d`` per row.
+
+    A row is accepted when ``g @ d < -tol`` and ``d`` is no longer than the
+    diameter; the faces are the ones `face_rows` gave.
+    """
     in_face = on_boundary & sign.any(axis=1)
     c = -g
     v = lmo_rows(ball, c)[2]
@@ -333,23 +323,27 @@ def sign_cap_rows(x: np.ndarray, d: np.ndarray, sign: np.ndarray) -> tuple[np.nd
     return alpha, toward & (caps == alpha[:, None])
 
 
-def points_out_rows(sign: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
+def points_out_rows(sign: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Rows whose in-face direction leaves the ball at once.
 
     The signed sum ``sum_j sign_j d_j`` is a sequential fold in index order.
     """
     signed = np.cumsum(sign * d, axis=1)[:, -1]
-    return signed > tol * np.maximum(1.0, l1_rows(d))
+    return signed > IN_FACE_TOL * np.maximum(1.0, l1_rows(d))
 
 
 def in_face_step_cap_rows(
     ball: L1Ball, x: np.ndarray, d: np.ndarray, sign: np.ndarray, on_boundary: np.ndarray,
-    tol: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise `in_face_step_cap` over the faces `face_rows` gave: cap and binding mask per row."""
+    """Cap and binding mask per row along in-face directions, faces from `face_rows`.
+
+    A boundary row caps at its first sign crossing on the support and marks
+    the coordinates that land on zero there (cap 0 if ``d`` points out);
+    an interior row's cap is `ball_cap_rows`, with no binding coordinates.
+    """
     _fail_rows(~d.any(axis=1), "direction is identically zero")
-    _fail_rows(outside_rows(ball, x, max(tol, FEASIBILITY_TOL)), "x_bar is infeasible")
-    _fail_rows(on_boundary & ((np.abs(d) > tol) & (sign == 0.0)).any(axis=1),
+    _fail_rows(outside_rows(ball, x, IN_FACE_TOL), "x_bar is infeasible")
+    _fail_rows(on_boundary & ((np.abs(d) > IN_FACE_TOL) & (sign == 0.0)).any(axis=1),
                "in-face direction must vanish on the zero set of x_bar")
     alpha = np.empty(len(x))
     binding = np.zeros(x.shape, dtype=bool)
@@ -358,7 +352,7 @@ def in_face_step_cap_rows(
         alpha[interior] = ball_cap_rows(ball, x[interior], d[interior])
     if on_boundary.any():
         xb, db, sb = x[on_boundary], d[on_boundary], sign[on_boundary]
-        out = points_out_rows(sb, db, tol)
+        out = points_out_rows(sb, db)
         cap, bind = sign_cap_rows(xb, db, sb)
         alpha[on_boundary] = np.where(out, 0.0, cap)
         binding[on_boundary] = bind & ~out[:, None]
@@ -366,105 +360,7 @@ def in_face_step_cap_rows(
 
 
 def lmo(ball: L1Ball, g: np.ndarray) -> Vertex:
-    """Linear minimization oracle: ``argmin { g @ x : ||x||_1 <= radius }``.
-
-    The minimizer is the signed vertex ``-sign(g[j]) * radius * e_j`` at a
-    coordinate of maximal ``|g[j]|``. Ties break to the lowest index, and a
-    sign tie (``g[j] == 0``) resolves to the positive vertex.
-    """
+    """`lmo_rows` for one 1-D gradient: ``argmin { g @ x : ||x||_1 <= radius }``."""
     g = _check_vector(g, ball.dim, "g")
     index, sign, value = lmo_rows(ball, g[None, :])
     return Vertex(index=int(index[0]), sign=int(sign[0]), value=value[0])
-
-
-def minimal_face(ball: L1Ball, x: np.ndarray, tol: float = FACE_TOL) -> Face:
-    """Classify the signed support of a feasible point.
-
-    Coordinates within ``tol`` of zero are treated as zero, and the point
-    counts as a boundary point when ``| ||x||_1 - radius | <= tol``.
-    """
-    x = _check_vector(x, ball.dim, "x")
-    sign, on_boundary = face_rows(ball, x[None, :], tol)
-    return Face(
-        j_plus=tuple(np.flatnonzero(sign[0] > 0.0).tolist()),
-        j_minus=tuple(np.flatnonzero(sign[0] < 0.0).tolist()),
-        j_zero=tuple(np.flatnonzero(sign[0] == 0.0).tolist()),
-        on_boundary=bool(on_boundary[0]),
-    )
-
-
-def in_face_lmo(ball: L1Ball, face: Face, c: np.ndarray) -> Vertex:
-    """Minimize ``c @ x`` over a proper face of the ball.
-
-    The extreme points of the face of a boundary point are the signed
-    vertices ``sign(x[j]) * radius * e_j`` for ``j`` in the support, so the
-    minimizer is the support index with the smallest ``sign(x[j]) * c[j]``.
-    Ties break to the lowest index.
-    """
-    if not face.on_boundary:
-        raise ValueError("in_face_lmo requires a boundary face; the face of an "
-                         "interior point is the whole ball, use lmo instead")
-    if not face.support:
-        raise ValueError("boundary face has empty support")
-    c = _check_vector(c, ball.dim, "c")
-    sign = np.zeros((1, ball.dim))
-    sign[0, list(face.j_plus)] = 1.0
-    sign[0, list(face.j_minus)] = -1.0
-    index, s, value = in_face_lmo_rows(ball, sign, c[None, :])
-    return Vertex(index=int(index[0]), sign=int(s[0]), value=value[0])
-
-
-def away_direction(
-    ball: L1Ball, x_bar: np.ndarray, g_check: np.ndarray, tol: float = 1e-12
-) -> tuple[np.ndarray, bool]:
-    """Away direction ``d = x_bar - x_check`` over the minimal face of ``x_bar``.
-
-    ``x_check`` maximizes ``g_check @ x`` over the face (over the whole ball
-    when ``x_bar`` is interior); the face is classified at ``FACE_TOL``. The
-    direction is accepted only when it is a strict descent direction,
-    ``g_check @ d < -tol``, and no longer than the set diameter in the block
-    norm. Rejected directions are returned anyway so the caller can log them.
-    """
-    x_bar = _check_vector(x_bar, ball.dim, "x_bar")[None, :]
-    g_check = _check_vector(g_check, ball.dim, "g_check")[None, :]
-    d, accepted, _ = away_rows(ball, x_bar, g_check, *face_rows(ball, x_bar), tol)
-    return d[0], bool(accepted[0])
-
-
-def in_face_step_cap(
-    ball: L1Ball, x_bar: np.ndarray, d: np.ndarray, tol: float = 1e-9
-) -> tuple[float, tuple[int, ...]]:
-    """Step cap along an in-face direction, with the indices that bind.
-
-    For a boundary point the cap is the first sign crossing on the support;
-    the returned indices are the coordinates that land exactly on zero
-    there, which lets a caller zero them out explicitly. For an interior
-    point the minimal face is the whole ball and the cap is the plain
-    feasibility cap (no binding indices).
-    """
-    x_bar = _check_vector(x_bar, ball.dim, "x_bar")[None, :]
-    d = _check_vector(d, ball.dim, "d")[None, :]
-    face = face_rows(ball, x_bar, min(tol, FACE_TOL))
-    alpha, binding = in_face_step_cap_rows(ball, x_bar, d, *face, tol)
-    return float(alpha[0]), tuple(np.flatnonzero(binding[0]).tolist())
-
-
-def max_feasible_step(
-    ball: L1Ball, x_bar: np.ndarray, d: np.ndarray, in_face: bool = False, tol: float = 1e-9
-) -> float:
-    """Largest step ``a`` keeping ``x_bar + a * d`` feasible.
-
-    With ``in_face=False`` this is the exact breakpoint scan against the
-    l1 constraint. With ``in_face=True`` the step is additionally capped so
-    that no supported coordinate of a boundary point crosses zero and the
-    zero coordinates stay zero (the direction must vanish there).
-    """
-    if in_face:
-        return in_face_step_cap(ball, x_bar, d, tol=tol)[0]
-    x_bar = _check_vector(x_bar, ball.dim, "x_bar")
-    d = _check_vector(d, ball.dim, "d")
-    if not np.any(d != 0.0):
-        raise ValueError("direction is identically zero")
-    if not ball.contains(x_bar, tol=max(tol, FEASIBILITY_TOL)):
-        raise ValueError("x_bar is infeasible")
-    return max(0.0, float(ball_cap_rows(ball, x_bar[None, :], d[None, :])[0]))

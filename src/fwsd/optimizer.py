@@ -41,10 +41,6 @@ from .geometry import (
 )
 from .problems import GradientEstimate
 
-# The 1-D oracles stay importable from here because perfbench/tracer.py
-# patches these names; the steps below call the row-wise kernels instead.
-from .geometry import away_direction, in_face_step_cap, lmo  # noqa: F401,E402
-
 
 @dataclass(frozen=True)
 class BatchSchedule:
@@ -306,14 +302,6 @@ def _mean_gradient(problem, x_blocks, y, batch) -> GradientEstimate:
     return problem.gradient_mean(x_blocks, y, batch)
 
 
-def sample_gradient_batch(problem, x_blocks, y, b: int, rng: np.random.Generator) -> GradientEstimate:
-    """Average the gradients of ``b`` freshly drawn scenarios."""
-    if b < 1:
-        raise ValueError("batch size must be at least 1")
-    batch = problem.draw(rng, b)
-    return _mean_gradient(problem, x_blocks, y, batch)
-
-
 def run(
     problem,
     balls: Sequence[L1Ball],
@@ -328,7 +316,8 @@ def run(
     descent on the free block, and (when configured) an away step per block
     on a fresh batch evaluated at the freshly stepped point. The trace has
     one record per iteration; the output iterate is drawn uniformly from
-    the ``K + 1`` iterates via the dedicated stream.
+    the ``K + 1`` iterates via the dedicated stream. A step's ``ValueError``
+    or ``RuntimeError`` is re-raised as the same type, naming the iteration.
     """
     balls = tuple(balls)
     n_blocks = len(balls)
@@ -360,43 +349,46 @@ def run(
         output = Iterate(tuple(np.array(b) for b in x), y.copy(), 0)
 
     trace: list[TraceRecord] = []
-    for k in range(k_total):
-        b_k = config.batch_schedule.batch_size(k, k_total)
-        batch = problem.draw(streams.data, b_k)
-        est = _mean_gradient(problem, x, y, batch)
-        objective = float(problem.objective_estimate(x, y, batch))
+    try:
+        for k in range(k_total):
+            b_k = config.batch_schedule.batch_size(k, k_total)
+            batch = problem.draw(streams.data, b_k)
+            est = _mean_gradient(problem, x, y, batch)
+            objective = float(problem.objective_estimate(x, y, batch))
 
-        x_bar, g_tildes, alphas = fw_step(x, est.g_blocks, balls, config)
-        gap_hat = float(sum(g_tildes)) * constants.scale + dual_norm(est.h, config.norm_y)
-        y_next, alpha_sd = sd_step(y, est.h, config)
+            x_bar, g_tildes, alphas = fw_step(x, est.g_blocks, balls, config)
+            gap_hat = float(sum(g_tildes)) * constants.scale + dual_norm(est.h, config.norm_y)
+            y_next, alpha_sd = sd_step(y, est.h, config)
 
-        if config.alternative_directions and n_blocks > 0:
-            fresh = problem.draw(streams.alt_batches, b_k)
-            check = _mean_gradient(problem, x_bar, y_next, fresh)
-            x_new, infos = alt_step(x_bar, check.g_blocks, balls, config)
-            betas = tuple(i.beta_bar for i in infos)
-            taken = tuple(i.taken for i in infos)
-        else:
-            x_new, betas, taken = tuple(x_bar), None, None
+            if config.alternative_directions and n_blocks > 0:
+                fresh = problem.draw(streams.alt_batches, b_k)
+                check = _mean_gradient(problem, x_bar, y_next, fresh)
+                x_new, infos = alt_step(x_bar, check.g_blocks, balls, config)
+                betas = tuple(i.beta_bar for i in infos)
+                taken = tuple(i.taken for i in infos)
+            else:
+                x_new, betas, taken = tuple(x_bar), None, None
 
-        x = [np.asarray(b) for b in x_new]
-        y = y_next
-        _digest_update(digest, x, y)
-        nnz = np.empty(n_blocks, dtype=np.int64)
-        for ball, idx in groups:
-            nnz[idx] = nnz_rows(stack_rows(x, idx, ball.dim, "x"))
-        trace.append(TraceRecord(
-            k=k,
-            objective_estimate=objective,
-            gap_hat=gap_hat,
-            alpha_bar_blocks=alphas,
-            alpha_sd=alpha_sd,
-            beta_bar_blocks=betas,
-            alt_taken_blocks=taken,
-            nnz_blocks=tuple(nnz.tolist()),
-        ))
-        if k + 1 == output_index:
-            output = Iterate(tuple(np.array(b) for b in x), y.copy(), k + 1)
+            x = [np.asarray(b) for b in x_new]
+            y = y_next
+            _digest_update(digest, x, y)
+            nnz = np.empty(n_blocks, dtype=np.int64)
+            for ball, idx in groups:
+                nnz[idx] = nnz_rows(stack_rows(x, idx, ball.dim, "x"))
+            trace.append(TraceRecord(
+                k=k,
+                objective_estimate=objective,
+                gap_hat=gap_hat,
+                alpha_bar_blocks=alphas,
+                alpha_sd=alpha_sd,
+                beta_bar_blocks=betas,
+                alt_taken_blocks=taken,
+                nnz_blocks=tuple(nnz.tolist()),
+            ))
+            if k + 1 == output_index:
+                output = Iterate(tuple(np.array(b) for b in x), y.copy(), k + 1)
+    except (ValueError, RuntimeError) as exc:
+        raise type(exc)(f"{exc} at iteration {k}") from exc
 
     final = Iterate(tuple(np.array(b) for b in x), y.copy(), k_total)
     assert output is not None

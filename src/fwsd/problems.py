@@ -2,9 +2,10 @@
 
 A problem couples constrained blocks ``x = (x_1, ..., x_N)`` with a free
 block ``y`` and exposes batch means of the gradients of a random objective
-``f(x, y, z)`` whose expectation is the target ``F``. The optimizer only
-ever touches problems through this interface; anything that can draw
-scenarios and average its gradients over a batch of them can be trained.
+``f(x, y, z)`` whose expectation is the target ``F``; one scenario's gradient
+is the mean over a batch of one. The optimizer only ever touches problems
+through this interface; anything that can draw scenarios and average its
+gradients over a batch of them can be trained.
 """
 
 from __future__ import annotations
@@ -119,11 +120,6 @@ class QuadraticInstance:
         r = _concat(x_blocks, y) - self.minimizer
         g_blocks, h = self._split(np.cumsum((self.q_matrix @ r)[None, :] + batch, axis=0)[-1])
         return GradientEstimate(g_blocks=tuple(g / n for g in g_blocks), h=h / n, batch_size=n)
-
-    def gradient_at(self, x_blocks, y, z):
-        """Per-scenario gradient ``(g_blocks, h)``: the mean over a batch of one."""
-        est = self.gradient_mean(x_blocks, y, np.reshape(z, (1, -1)))
-        return list(est.g_blocks), est.h
 
     def objective_estimate(self, x_blocks, y, batch) -> float:
         v = _concat(x_blocks, y)

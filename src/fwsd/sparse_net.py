@@ -281,19 +281,6 @@ def _backprop(spec: MLPSpec, params: Sequence[LayerParams], X: np.ndarray, T: np
     return [LayerParams(w=s.w / n, b=s.b / n) for s in sums]
 
 
-def per_sample_gradient(spec: MLPSpec, params, sample, layout: ParamLayout | None = None):
-    """Gradient of one sample's loss, in layout coordinates.
-
-    ``sample`` is a ``(features, target)`` pair of 1-D arrays. Returns
-    ``(g_blocks, g_y)`` matching ``layout.pack``.
-    """
-    if layout is None:
-        layout = ParamLayout(spec)
-    x, target = sample
-    return layout.pack(_backprop(spec, params, np.atleast_2d(np.asarray(x, dtype=np.float64)),
-                                 np.atleast_2d(np.asarray(target, dtype=np.float64))))
-
-
 @dataclass(frozen=True, eq=False)
 class MLPProblem:
     """Empirical-risk training problem over a fixed dataset.
@@ -328,12 +315,6 @@ class MLPProblem:
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.integers(0, self.n_samples, size=n)
-
-    def gradient_at(self, x_blocks, y, z):
-        i = int(z)
-        params = self.layout.unpack(x_blocks, y)
-        sample = (self.data.features[i], self.data.targets[i])
-        return per_sample_gradient(self.spec, params, sample, self.layout)
 
     def gradient_mean(self, x_blocks, y, batch):
         """Mean of the batch's per-sample gradients from one batched pass."""

@@ -2,19 +2,58 @@
 
 Every function here is the loop form of a kernel in `fwsd.geometry` or a
 step in `fwsd.optimizer`: one 1-D block at a time, and for faces and caps
-one coordinate at a time. The row-wise code has to match it bit for bit,
-including tie-breaking and the sign of zero, which the property tests in
-`test_rowwise.py` check.
+one coordinate at a time. `Face` is the set form of a minimal face that
+`face_rows` encodes as a sign row. The row-wise code has to match the loops
+bit for bit, including tie-breaking and the sign of zero, which the property
+tests in `test_rowwise.py` check.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from fwsd.geometry import Face, L1Ball, Norm, Vertex
+from fwsd.geometry import L1Ball, Norm, Vertex
 from fwsd.optimizer import AltStepInfo
 
 G_TILDE_SLACK = 1e-12
 FEASIBILITY_TOL = 1e-10
 FACE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Face:
+    """Minimal face of a point, encoded by its signed support.
+
+    ``j_plus`` and ``j_minus`` hold the indices of strictly positive and
+    strictly negative coordinates, ``j_zero`` the rest. When ``on_boundary``
+    is false the minimal face is the whole ball and the index sets are
+    informational only.
+    """
+
+    j_plus: tuple[int, ...]
+    j_minus: tuple[int, ...]
+    j_zero: tuple[int, ...]
+    on_boundary: bool
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """Indices carrying nonzero weight, ascending."""
+        return tuple(sorted(self.j_plus + self.j_minus))
+
+    def sign_of(self, j: int) -> int:
+        if j in self.j_plus:
+            return 1
+        if j in self.j_minus:
+            return -1
+        return 0
+
+    @classmethod
+    def from_rows(cls, sign: np.ndarray, on_boundary) -> "Face":
+        """The face of one row of `fwsd.geometry.face_rows`' output."""
+        return cls(j_plus=tuple(np.flatnonzero(sign > 0.0).tolist()),
+                   j_minus=tuple(np.flatnonzero(sign < 0.0).tolist()),
+                   j_zero=tuple(np.flatnonzero(sign == 0.0).tolist()),
+                   on_boundary=bool(on_boundary))
 
 
 def _contains(ball: L1Ball, x, tol: float = FEASIBILITY_TOL) -> bool:
@@ -195,27 +234,6 @@ def in_face_step_cap(
         return 0.0, ()  # direction points out of the ball immediately
     alpha, binding = _sign_cap(x_bar, d, face.support)
     return alpha, binding
-
-
-def max_feasible_step(
-    ball: L1Ball, x_bar: np.ndarray, d: np.ndarray, in_face: bool = False, tol: float = 1e-9
-) -> float:
-    """Largest step ``a`` keeping ``x_bar + a * d`` feasible.
-
-    With ``in_face=False`` this is the exact breakpoint scan against the
-    l1 constraint. With ``in_face=True`` the step is additionally capped so
-    that no supported coordinate of a boundary point crosses zero and the
-    zero coordinates stay zero (the direction must vanish there).
-    """
-    if in_face:
-        return in_face_step_cap(ball, x_bar, d, tol=tol)[0]
-    x_bar = _check_vector(x_bar, ball.dim, "x_bar")
-    d = _check_vector(d, ball.dim, "d")
-    if not np.any(d != 0.0):
-        raise ValueError("direction is identically zero")
-    if not _contains(ball, x_bar, tol=max(tol, 1e-10)):
-        raise ValueError("x_bar is infeasible")
-    return max(0.0, _ball_cap(ball, x_bar, d))
 
 
 def fw_step(x_blocks, g_hat_blocks, balls, config):

@@ -20,7 +20,7 @@ import numpy as np
 
 from fwsd import cli
 from fwsd.gap import GapConstants, dual_norm, exact_gap, gap_estimate
-from fwsd.geometry import L1Ball, Norm, in_face_lmo, lmo, minimal_face
+from fwsd.geometry import L1Ball, Norm, face_rows, in_face_lmo_rows, lmo_rows
 from fwsd.optimizer import (
     BatchSchedule,
     OptimizerConfig,
@@ -72,7 +72,7 @@ def _random_interior_point(rng, dim: int, radius: float, fill: float) -> np.ndar
 
 
 def test_criterion_01_oracles_match_brute_force_enumeration():
-    """lmo and in_face_lmo agree exactly with vertex enumeration, dims 1-8."""
+    """lmo_rows and in_face_lmo_rows agree exactly with vertex enumeration, dims 1-8."""
     started = time.perf_counter()
     rng = np.random.default_rng(20260814)
     for dim in range(1, 9):
@@ -81,7 +81,7 @@ def test_criterion_01_oracles_match_brute_force_enumeration():
             ball = L1Ball(dim, radius)
 
             g = rng.standard_normal(dim)
-            vert = lmo(ball, g)
+            (index,), (vertex_sign,), (vertex,) = lmo_rows(ball, g[None, :])
             best = None
             for j in range(dim):
                 for sign in (1, -1):
@@ -90,25 +90,26 @@ def test_criterion_01_oracles_match_brute_force_enumeration():
                     obj = float(g @ value)
                     if best is None or obj < best[0]:
                         best = (obj, j, sign)
-            assert (vert.index, vert.sign) == (best[1], best[2])
-            assert float(g @ vert.value) == best[0]
+            assert (index, vertex_sign) == (best[1], best[2])
+            assert float(g @ vertex) == best[0]
 
             x = _random_boundary_point(rng, dim, radius)
-            face = minimal_face(ball, x)
-            assert face.on_boundary
+            (face,), (on_boundary,) = face_rows(ball, x[None, :])
+            assert on_boundary
             c = rng.standard_normal(dim)
-            pick = in_face_lmo(ball, face, c)
+            (index,), (vertex_sign,), (vertex,) = in_face_lmo_rows(ball, face[None, :],
+                                                                   c[None, :])
             best = None
-            for j in face.support:
+            for j in np.flatnonzero(face).tolist():
                 value = np.zeros(dim)
-                value[j] = face.sign_of(j) * radius
+                value[j] = face[j] * radius
                 obj = float(c @ value)
                 if best is None or obj < best[0]:
-                    best = (obj, j, face.sign_of(j))
-            assert (pick.index, pick.sign) == (best[1], best[2])
-            assert float(c @ pick.value) == best[0]
+                    best = (obj, j, face[j])
+            assert (index, vertex_sign) == (best[1], best[2])
+            assert float(c @ vertex) == best[0]
     _elapsed_under(started, 5.0)
-    print("criterion 01: PASS (8000 lmo and 8000 in-face lmo calls match enumeration)")
+    print("criterion 01: PASS (8000 lmo_rows and 8000 in_face_lmo_rows calls match enumeration)")
 
 
 # ------------------------------------------------------------- criterion 2
@@ -255,9 +256,9 @@ def test_criterion_05_sampled_gap_dominates_exact_gap_on_average():
             g_true = exact_gap(inst, x_blocks, y, balls, constants)
             batch = inst.draw(np.random.default_rng(17 * seed + 3), n_draws)
             values = np.empty(n_draws)
-            for i, z in enumerate(batch):
-                g_blocks, h = inst.gradient_at(x_blocks, y, z)
-                values[i] = gap_estimate(x_blocks, g_blocks, h, balls,
+            for i in range(n_draws):
+                one = inst.gradient_mean(x_blocks, y, batch[i:i + 1])
+                values[i] = gap_estimate(x_blocks, one.g_blocks, one.h, balls,
                                          constants).value
             se = float(values.std(ddof=1)) / math.sqrt(n_draws)
             assert float(values.mean()) >= g_true - 3.0 * se, (
@@ -281,8 +282,8 @@ def test_criterion_06_away_steps_preserve_signed_support():
         radius = float(rng.uniform(0.5, 2.0))
         ball = L1Ball(dim, radius)
         x = _random_boundary_point(rng, dim, radius)
-        before = minimal_face(ball, x)
-        assert before.on_boundary
+        (before,), (on_boundary,) = face_rows(ball, x[None, :])
+        assert on_boundary
         g = rng.standard_normal(dim)
         # alternate the step constant so the in-face cap binds often
         c_bar = 8.0 * radius ** 2 if trial % 2 == 0 else 0.05
@@ -293,13 +294,13 @@ def test_criterion_06_away_steps_preserve_signed_support():
             assert np.array_equal(x_new, x)
             continue
         taken += 1
-        after = minimal_face(ball, x_new)
-        assert set(after.j_plus) <= set(before.j_plus)
-        assert set(after.j_minus) <= set(before.j_minus)
+        (after,), _ = face_rows(ball, x_new[None, :])
+        assert np.all(before[after > 0.0] > 0.0)
+        assert np.all(before[after < 0.0] < 0.0)
         if info.beta_bar == info.alpha_stop:
             capped += 1
-            shrank = len(after.support) < len(before.support)
-            zeroed = any(x_new[j] == 0.0 for j in before.support)
+            shrank = np.count_nonzero(after) < np.count_nonzero(before)
+            zeroed = np.any(x_new[before != 0.0] == 0.0)
             assert shrank or zeroed
     assert taken >= 1000 and capped >= 500, (taken, capped)
     _elapsed_under(started, 10.0)
@@ -374,8 +375,9 @@ def test_criterion_08_single_block_run_matches_monolithic_loop():
     for _ in range(k_total):
         batch = inst.draw(streams.data, batch_size)
         acc_g = acc_h = None
-        for z in batch:
-            g_blocks, h_part = inst.gradient_at([x], y, z)
+        for i in range(batch_size):
+            one = inst.gradient_mean([x], y, batch[i:i + 1])
+            g_blocks, h_part = one.g_blocks, one.h
             if acc_g is None:
                 acc_g = np.array(g_blocks[0], dtype=np.float64)
                 acc_h = np.array(h_part, dtype=np.float64)

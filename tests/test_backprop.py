@@ -25,7 +25,6 @@ from fwsd.sparse_net import (
     MLPProblem,
     MLPSpec,
     ParamLayout,
-    per_sample_gradient,
 )
 
 BATCH_SIZES = (1, 16, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS)
@@ -96,9 +95,9 @@ def test_single_sample_is_batch_one(drawn):
     x_blocks, y = problem.layout.pack(params)
     want = problem.layout.pack(ref.backprop(problem.spec, params, problem.data.features[i],
                                             problem.data.targets[i]))
-    assert_same_bytes(*problem.gradient_at(x_blocks, y, i), *want)
-    sample = (problem.data.features[i], problem.data.targets[i])
-    assert_same_bytes(*per_sample_gradient(problem.spec, params, sample), *want)
+    one = problem.gradient_mean(x_blocks, y, np.array([i]))
+    assert one.batch_size == 1
+    assert_same_bytes(one.g_blocks, one.h, *want)
 
 
 def test_exact_gradient_matches_reference_over_full_dataset():

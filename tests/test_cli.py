@@ -575,6 +575,19 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys):
 # ---------------------------------------------------------------- exit codes
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow the test provokes
+def test_diverged_step_names_block_step_and_iteration(tmp_path, capsys):
+    # with l_nabla near zero the steps are huge, relu activations overflow,
+    # and the away step's fresh gradient is the first non-finite value
+    code = run_cli("train", "--problem", "synthetic-net", "--method", "sfw-if",
+                   "--activation", "relu", "--l-nabla", "1e-12", "--iterations", "200",
+                   "--out-prefix", str(tmp_path / "d"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert ("error: g_check contains non-finite entries (block 0, in alt_step) "
+            "at iteration 2\n") in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli("train", "--no-such-flag", "1") == 1
     assert run_cli("no-such-command") == 1

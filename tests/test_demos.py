@@ -1,8 +1,11 @@
-"""The narrative demos still run against the package.
+"""The narrative demos still run against the package and print what they printed.
 
-`sparse_training.py` is left out: it takes several seconds.
+Each demo's stdout is pinned by its SHA-256, so a change to the library or to
+a demo that alters a single printed character fails here. `sparse_training.py`
+is left out: it takes several seconds.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,11 +15,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+STDOUT_SHA256 = {
+    "geometry_tour.py": "ce81e2cb002c3a44b290dd277242a1bccf2b67a81f266baf2c44097ef6781822",
+    "quadratic_convergence.py": "f866e84a0bbbb9df0a415845e5f30d60da482488017f3652d0037234629fb71e",
+}
 
-@pytest.mark.parametrize("demo", ["geometry_tour.py", "quadratic_convergence.py"])
+
+@pytest.mark.parametrize("demo", sorted(STDOUT_SHA256))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256[demo], done.stdout.decode()

@@ -12,7 +12,7 @@ from fwsd.gap import (
     gap_estimate,
 )
 from fwsd.geometry import L1Ball, Norm
-from fwsd.problems import make_quadratic
+from fwsd.problems import GradientEstimate, StochasticProblem, make_quadratic
 
 
 class TestDualNorm:
@@ -150,12 +150,13 @@ class TestExactGap:
             def draw(self, rng, n):
                 return np.zeros((n, 2))
 
-            def gradient_at(self, x_blocks, y, z):
-                return [np.zeros(2)], np.zeros(0)
+            def gradient_mean(self, x_blocks, y, batch):
+                return GradientEstimate((np.zeros(2),), np.zeros(0), len(batch))
 
             def objective_estimate(self, x_blocks, y, batch):
                 return 0.0
 
+        assert isinstance(Opaque(), StochasticProblem)
         with pytest.raises(NotImplementedError):
             exact_gap(Opaque(), [np.zeros(2)], np.zeros(0), [L1Ball(2, 1.0)], GapConstants(1.0, 8.0))
 

@@ -1,25 +1,30 @@
-"""Geometry oracles checked against brute-force enumeration.
+"""Geometry kernels checked against brute-force enumeration.
 
-Every closed-form oracle in fwsd.geometry has a slow counterpart here that
+Every closed-form kernel in fwsd.geometry has a slow counterpart here that
 enumerates the 2*dim signed vertices (or the extreme points of a face)
-explicitly. The fast path has to match the slow path exactly, including
-tie-breaking order.
+explicitly. The kernels work on matrices whose rows share one ball: worked
+examples go in as one-row matrices, and the random trials of a test are
+stacked into one matrix and checked row by row. The fast path has to match
+the slow path exactly, including tie-breaking order.
 """
 
 import numpy as np
 import pytest
 
 from fwsd.geometry import (
-    Face,
+    FACE_TOL,
     L1Ball,
     Norm,
-    away_direction,
-    in_face_lmo,
-    in_face_step_cap,
+    away_rows,
+    ball_cap_rows,
+    face_rows,
+    in_face_lmo_rows,
+    in_face_step_cap_rows,
     lmo,
-    max_feasible_step,
-    minimal_face,
+    lmo_rows,
 )
+
+AWAY_TOL = 1e-12  # the strict-descent threshold OptimizerConfig.away_tol defaults to
 
 
 def enumerate_vertices(ball):
@@ -40,10 +45,10 @@ def brute_lmo(ball, g):
     return best
 
 
-def brute_face_minimizer(ball, face, c):
+def brute_face_minimizer(ball, sign, c):
     best = None
-    for j in face.support:
-        s = face.sign_of(j)
+    for j in np.flatnonzero(sign).tolist():
+        s = int(sign[j])
         v = np.zeros(ball.dim)
         v[j] = s * ball.radius
         val = float(c @ v)
@@ -60,6 +65,17 @@ def random_boundary_point(rng, ball, support_size):
     x = np.zeros(ball.dim)
     x[idx] = signs * w
     return x
+
+
+def away(ball, x, g):
+    """Away directions and acceptance of the rows of ``x``, as `alt_step` gets them."""
+    d, ok, _ = away_rows(ball, x, g, *face_rows(ball, x), AWAY_TOL)
+    return d, ok
+
+
+def in_face_cap(ball, x, d):
+    """In-face caps and binding masks of the rows of ``x``, as `alt_step` gets them."""
+    return in_face_step_cap_rows(ball, x, d, *face_rows(ball, x))
 
 
 class TestL1Ball:
@@ -121,221 +137,256 @@ class TestLMO:
         rng = np.random.default_rng(7)
         for dim in range(1, 7):
             ball = L1Ball(dim, 1.5)
-            for _ in range(200):
-                g = rng.standard_normal(dim)
-                val, j, s, v = brute_lmo(ball, g)
-                got = lmo(ball, g)
-                assert (got.index, got.sign) == (j, s)
-                assert float(g @ got.value) == val
+            g = np.array([rng.standard_normal(dim) for _ in range(200)])
+            index, sign, value = lmo_rows(ball, g)
+            for r in range(len(g)):
+                val, j, s, v = brute_lmo(ball, g[r])
+                assert (index[r], sign[r]) == (j, s)
+                assert float(g[r] @ value[r]) == val
 
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(8)
         ball = L1Ball(5, 1.0)
-        for _ in range(300):
-            g = rng.integers(-2, 3, size=5).astype(float)  # many exact ties
-            val, j, s, v = brute_lmo(ball, g)
-            got = lmo(ball, g)
-            assert (got.index, got.sign) == (j, s)
+        g = np.array([rng.integers(-2, 3, size=5).astype(float)  # many exact ties
+                      for _ in range(300)])
+        index, sign, _ = lmo_rows(ball, g)
+        for r in range(len(g)):
+            val, j, s, v = brute_lmo(ball, g[r])
+            assert (index[r], sign[r]) == (j, s)
 
 
 class TestMinimalFace:
     def test_boundary_point_classification(self):
-        face = minimal_face(L1Ball(3, 1.0), np.array([0.5, -0.5, 0.0]))
-        assert face == Face(j_plus=(0,), j_minus=(1,), j_zero=(2,), on_boundary=True)
-        assert face.support == (0, 1)
+        sign, on_boundary = face_rows(L1Ball(3, 1.0), np.array([[0.5, -0.5, 0.0]]))
+        assert sign.tolist() == [[1.0, -1.0, 0.0]]
+        assert on_boundary.tolist() == [True]
+        assert np.flatnonzero(sign[0]).tolist() == [0, 1]
 
     def test_interior_point_is_whole_ball(self):
-        face = minimal_face(L1Ball(2, 1.0), np.array([0.1, 0.1]))
-        assert not face.on_boundary
+        _, on_boundary = face_rows(L1Ball(2, 1.0), np.array([[0.1, 0.1]]))
+        assert on_boundary.tolist() == [False]
 
     def test_vertex_face_has_single_support_index(self):
-        face = minimal_face(L1Ball(3, 2.0), np.array([0.0, -2.0, 0.0]))
-        assert face.on_boundary
-        assert face.support == (1,)
-        assert face.sign_of(1) == -1
+        sign, on_boundary = face_rows(L1Ball(3, 2.0), np.array([[0.0, -2.0, 0.0]]))
+        assert on_boundary.tolist() == [True]
+        assert np.flatnonzero(sign[0]).tolist() == [1]
+        assert sign[0, 1] == -1.0
 
     def test_infeasible_point_raises(self):
-        with pytest.raises(ValueError):
-            minimal_face(L1Ball(2, 1.0), np.array([0.8, 0.5]))
+        with pytest.raises(ValueError, match="point is infeasible"):
+            face_rows(L1Ball(2, 1.0), np.array([[0.8, 0.5]]))
 
     def test_index_sets_partition(self):
+        # every coordinate is positive, negative or zero in the sign mask,
+        # exactly as it lies beyond FACE_TOL
         rng = np.random.default_rng(11)
         ball = L1Ball(6, 1.0)
-        for _ in range(200):
-            x = rng.uniform(-0.3, 0.3, size=6)
-            if not ball.contains(x):
-                continue
-            face = minimal_face(ball, x)
-            seen = sorted(face.j_plus + face.j_minus + face.j_zero)
-            assert seen == list(range(6))
+        x = np.array([rng.uniform(-0.3, 0.3, size=6) for _ in range(200)])
+        x = x[[ball.contains(row) for row in x]]
+        sign, _ = face_rows(ball, x)
+        assert set(np.unique(sign).tolist()) <= {-1.0, 0.0, 1.0}
+        np.testing.assert_array_equal(sign > 0.0, x > FACE_TOL)
+        np.testing.assert_array_equal(sign < 0.0, x < -FACE_TOL)
 
 
 class TestInFaceLMO:
     def test_picks_most_negative_signed_cost(self):
         ball = L1Ball(3, 1.0)
-        face = minimal_face(ball, np.array([0.5, -0.5, 0.0]))
-        v = in_face_lmo(ball, face, np.array([-1.0, 2.0, 0.0]))
-        assert (v.index, v.sign) == (1, -1)
-        np.testing.assert_array_equal(v.value, [0.0, -1.0, 0.0])
+        sign, _ = face_rows(ball, np.array([[0.5, -0.5, 0.0]]))
+        index, s, value = in_face_lmo_rows(ball, sign, np.array([[-1.0, 2.0, 0.0]]))
+        assert (index[0], s[0]) == (1, -1)
+        np.testing.assert_array_equal(value[0], [0.0, -1.0, 0.0])
 
     def test_interior_face_rejected(self):
+        # an interior point's face is the whole ball: its away vertex comes
+        # from the global oracle, not from the in-face oracle over its support
         ball = L1Ball(2, 1.0)
-        face = minimal_face(ball, np.array([0.1, 0.1]))
-        with pytest.raises(ValueError):
-            in_face_lmo(ball, face, np.array([1.0, 0.0]))
+        x = np.array([[0.1, 0.1]])
+        sign, on_boundary = face_rows(ball, x)
+        assert on_boundary.tolist() == [False] and sign.all()
+        d, ok = away(ball, x, np.array([[-1.0, 0.0]]))
+        np.testing.assert_array_equal(d[0], x[0] - [-1.0, 0.0])
+        assert ok.tolist() == [True]
 
     def test_matches_brute_force_over_face_extreme_points(self):
         rng = np.random.default_rng(21)
         ball = L1Ball(8, 1.0)
+        x, c = [], []
         for _ in range(300):
             k = int(rng.integers(1, 9))
-            x = random_boundary_point(rng, ball, k)
-            face = minimal_face(ball, x)
-            c = rng.standard_normal(8)
-            val, j, s, v = brute_face_minimizer(ball, face, c)
-            got = in_face_lmo(ball, face, c)
-            assert (got.index, got.sign) == (j, s)
+            x.append(random_boundary_point(rng, ball, k))
+            c.append(rng.standard_normal(8))
+        sign, on_boundary = face_rows(ball, np.array(x))
+        assert on_boundary.all()
+        c = np.array(c)
+        index, s, _ = in_face_lmo_rows(ball, sign, c)
+        for r in range(len(c)):
+            val, j, want_s, v = brute_face_minimizer(ball, sign[r], c[r])
+            assert (index[r], s[r]) == (j, want_s)
 
     def test_face_vertex_result_stays_in_face(self):
         rng = np.random.default_rng(22)
         ball = L1Ball(6, 3.0)
+        x, c = [], []
         for _ in range(200):
-            x = random_boundary_point(rng, ball, int(rng.integers(1, 7)))
-            face = minimal_face(ball, x)
-            got = in_face_lmo(ball, face, rng.standard_normal(6))
-            assert got.index in face.support
-            assert got.sign == face.sign_of(got.index)
+            x.append(random_boundary_point(rng, ball, int(rng.integers(1, 7))))
+            c.append(rng.standard_normal(6))
+        sign, _ = face_rows(ball, np.array(x))
+        index, s, _ = in_face_lmo_rows(ball, sign, np.array(c))
+        rows = np.arange(len(x))
+        assert (sign[rows, index] != 0.0).all()
+        np.testing.assert_array_equal(s, sign[rows, index])
 
 
 class TestAwayDirection:
     def test_two_coordinate_boundary_example(self):
         ball = L1Ball(3, 1.0)
-        d, ok = away_direction(ball, np.array([0.5, -0.5, 0.0]), np.array([1.0, -2.0, 0.0]))
-        assert ok
-        np.testing.assert_allclose(d, [0.5, 0.5, 0.0])
+        d, ok = away(ball, np.array([[0.5, -0.5, 0.0]]), np.array([[1.0, -2.0, 0.0]]))
+        assert ok.tolist() == [True]
+        np.testing.assert_allclose(d[0], [0.5, 0.5, 0.0])
 
     def test_vertex_with_outward_pull_is_rejected(self):
         ball = L1Ball(2, 1.0)
-        d, ok = away_direction(ball, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-        assert not ok
-        np.testing.assert_array_equal(d, [0.0, 0.0])
+        d, ok = away(ball, np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]]))
+        assert ok.tolist() == [False]
+        np.testing.assert_array_equal(d[0], [0.0, 0.0])
 
     def test_interior_point_uses_global_oracle(self):
         ball = L1Ball(2, 1.0)
-        d, ok = away_direction(ball, np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        assert ok
-        np.testing.assert_allclose(d, [-1.0, 0.0])
+        d, ok = away(ball, np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
+        assert ok.tolist() == [True]
+        np.testing.assert_allclose(d[0], [-1.0, 0.0])
 
     def test_accepted_directions_descend_and_fit_the_ball(self):
         rng = np.random.default_rng(33)
         for norm in (Norm.L1, Norm.L2):
             ball = L1Ball(7, 2.0, norm)
-            n_accepted = 0
+            x, g = [], []
             for _ in range(500):
                 if rng.uniform() < 0.5:
-                    x = random_boundary_point(rng, ball, int(rng.integers(1, 8)))
+                    x.append(random_boundary_point(rng, ball, int(rng.integers(1, 8))))
                 else:
-                    x = rng.uniform(-0.2, 0.2, size=7)
-                g = rng.standard_normal(7)
-                d, ok = away_direction(ball, x, g)
-                if ok:
-                    n_accepted += 1
-                    assert float(g @ d) < 0.0
-                    assert ball.norm(d) <= ball.diameter() + 1e-12
-            assert n_accepted > 100  # the sweep exercises the accepted branch
+                    x.append(rng.uniform(-0.2, 0.2, size=7))
+                g.append(rng.standard_normal(7))
+            g = np.array(g)
+            d, ok = away(ball, np.array(x), g)
+            for r in np.flatnonzero(ok):
+                assert float(g[r] @ d[r]) < 0.0
+                assert ball.norm(d[r]) <= ball.diameter() + 1e-12
+            assert ok.sum() > 100  # the sweep exercises the accepted branch
 
     def test_away_point_maximizes_over_face(self):
         # d = x - v where v attains max g @ v over the face's extreme points
         rng = np.random.default_rng(34)
         ball = L1Ball(5, 1.0)
+        x, g = [], []
         for _ in range(300):
-            x = random_boundary_point(rng, ball, int(rng.integers(1, 6)))
-            g = rng.standard_normal(5)
-            face = minimal_face(ball, x)
-            best = max(float(g @ _face_vertex(ball, face, j)) for j in face.support)
-            d, _ = away_direction(ball, x, g)
-            v = x - d
-            assert float(g @ v) == pytest.approx(best, rel=1e-12, abs=1e-12)
+            x.append(random_boundary_point(rng, ball, int(rng.integers(1, 6))))
+            g.append(rng.standard_normal(5))
+        x, g = np.array(x), np.array(g)
+        sign, _ = face_rows(ball, x)
+        d, _ = away(ball, x, g)
+        for r in range(len(x)):
+            best = max(float(g[r] @ _face_vertex(ball, sign[r], j))
+                       for j in np.flatnonzero(sign[r]))
+            v = x[r] - d[r]
+            assert float(g[r] @ v) == pytest.approx(best, rel=1e-12, abs=1e-12)
 
 
-def _face_vertex(ball, face, j):
+def _face_vertex(ball, sign, j):
     v = np.zeros(ball.dim)
-    v[j] = face.sign_of(j) * ball.radius
+    v[j] = sign[j] * ball.radius
     return v
 
 
 class TestMaxFeasibleStep:
     def test_in_face_cap_stops_at_first_sign_crossing(self):
         ball = L1Ball(3, 1.0)
-        x = np.array([0.5, -0.5, 0.0])
-        d = np.array([0.5, 0.5, 0.0])
-        assert max_feasible_step(ball, x, d, in_face=True) == 1.0
-        alpha, binding = in_face_step_cap(ball, x, d)
-        assert alpha == 1.0 and binding == (1,)
+        x = np.array([[0.5, -0.5, 0.0]])
+        d = np.array([[0.5, 0.5, 0.0]])
+        alpha, binding = in_face_cap(ball, x, d)
+        assert alpha.tolist() == [1.0]
+        assert np.flatnonzero(binding[0]).tolist() == [1]
 
     def test_crossing_the_ball_from_one_side_to_the_other(self):
         ball = L1Ball(2, 1.0)
-        alpha = max_feasible_step(ball, np.array([1.0, 0.0]), np.array([-2.0, 0.0]))
-        assert alpha == 1.0
+        alpha = ball_cap_rows(ball, np.array([[1.0, 0.0]]), np.array([[-2.0, 0.0]]))
+        assert alpha.tolist() == [1.0]
 
     def test_zero_direction_rejected(self):
         ball = L1Ball(2, 1.0)
-        with pytest.raises(ValueError):
-            max_feasible_step(ball, np.array([0.1, 0.0]), np.zeros(2))
+        with pytest.raises(ValueError, match="direction is identically zero"):
+            in_face_cap(ball, np.array([[0.1, 0.0]]), np.zeros((1, 2)))
 
     def test_direction_touching_zero_set_rejected_in_face(self):
         ball = L1Ball(3, 1.0)
-        x = np.array([0.5, -0.5, 0.0])
-        with pytest.raises(ValueError):
-            max_feasible_step(ball, x, np.array([0.5, 0.5, 0.3]), in_face=True)
+        x = np.array([[0.5, -0.5, 0.0]])
+        with pytest.raises(ValueError, match="must vanish on the zero set"):
+            in_face_cap(ball, x, np.array([[0.5, 0.5, 0.3]]))
 
     def test_outward_in_face_direction_caps_at_zero(self):
         ball = L1Ball(2, 1.0)
-        x = np.array([0.5, 0.5])
-        assert max_feasible_step(ball, x, np.array([1.0, 1.0]), in_face=True) == 0.0
+        alpha, binding = in_face_cap(ball, np.array([[0.5, 0.5]]), np.array([[1.0, 1.0]]))
+        assert alpha.tolist() == [0.0]
+        assert not binding.any()
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(44)
         ball = L1Ball(6, 1.5)
+        x, d = [], []
         for _ in range(400):
-            x = rng.uniform(-0.25, 0.25, size=6)
-            if not ball.contains(x, tol=0.0):
+            point = rng.uniform(-0.25, 0.25, size=6)
+            if not ball.contains(point, tol=0.0):
                 continue
-            d = rng.standard_normal(6)
-            alpha = max_feasible_step(ball, x, d)
+            x.append(point)
+            d.append(rng.standard_normal(6))
+        alphas = ball_cap_rows(ball, np.array(x), np.array(d))
+        for xr, dr, alpha in zip(x, d, alphas):
             # bisection on ||x + a d||_1 - radius
             lo, hi = 0.0, 1.0
-            while np.sum(np.abs(x + hi * d)) <= ball.radius:
+            while np.sum(np.abs(xr + hi * dr)) <= ball.radius:
                 hi *= 2.0
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                if np.sum(np.abs(x + mid * d)) <= ball.radius:
+                if np.sum(np.abs(xr + mid * dr)) <= ball.radius:
                     lo = mid
                 else:
                     hi = mid
             assert alpha == pytest.approx(lo, rel=1e-12, abs=1e-12)
 
     def test_step_is_maximal(self):
-        # feasible at the cap, infeasible (or sign-violating) just beyond it
+        # feasible at the cap, infeasible (or sign-violating) just beyond it;
+        # in-face trials go through the in-face cap, the others through the
+        # plain feasibility cap
         rng = np.random.default_rng(45)
         ball = L1Ball(5, 1.0)
+        trials = {True: ([], []), False: ([], [])}
         for _ in range(400):
             in_face = rng.uniform() < 0.5
             if in_face:
                 x = random_boundary_point(rng, ball, int(rng.integers(2, 6)))
-                d, ok = away_direction(ball, x, rng.standard_normal(5))
-                if not ok:
+                d, ok = away(ball, x[None, :], rng.standard_normal(5)[None, :])
+                if not ok[0]:
                     continue
+                d = d[0]
             else:
                 x = rng.uniform(-0.15, 0.15, size=5)
                 d = rng.standard_normal(5)
-            alpha = max_feasible_step(ball, x, d, in_face=in_face)
-            assert np.isfinite(alpha) and alpha >= 0.0
-            assert ball.contains(x + alpha * d, tol=1e-10)
-            beyond = x + (alpha + 1e-6) * d
+            trials[in_face][0].append(x)
+            trials[in_face][1].append(d)
+        for in_face, (x, d) in trials.items():
+            x, d = np.array(x), np.array(d)
             if in_face:
-                face = minimal_face(ball, x)
-                crossed = any(beyond[j] * np.sign(x[j]) < 0.0 for j in face.support)
-                assert crossed or not ball.contains(beyond, tol=1e-10)
+                alphas = in_face_cap(ball, x, d)[0]
+                sign = face_rows(ball, x)[0]
             else:
-                assert not ball.contains(beyond, tol=1e-10)
+                alphas = ball_cap_rows(ball, x, d)
+            for r, alpha in enumerate(alphas):
+                assert np.isfinite(alpha) and alpha >= 0.0
+                assert ball.contains(x[r] + alpha * d[r], tol=1e-10)
+                beyond = x[r] + (alpha + 1e-6) * d[r]
+                if in_face:
+                    crossed = bool(np.any(beyond * sign[r] < 0.0))
+                    assert crossed or not ball.contains(beyond, tol=1e-10)
+                else:
+                    assert not ball.contains(beyond, tol=1e-10)

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from fwsd.gap import GapConstants, dual_norm, exact_gap
-from fwsd.geometry import L1Ball, Norm
+from fwsd.geometry import L1Ball, Norm, RowError
 from fwsd.optimizer import (
     BatchSchedule,
     Iterate,
     OptimizerConfig,
+    _mean_gradient,
     alt_step,
     derive_rng_streams,
     fw_step,
     iterates_digest,
     run,
-    sample_gradient_batch,
     sd_step,
 )
 from fwsd.problems import make_quadratic
@@ -225,29 +225,28 @@ class TestAltStep:
 
 
 class TestSampleGradientBatch:
+    # the engine's gradient phase: draw a batch, then one gradient_mean call
     def test_mean_matches_fixed_order_loop(self):
         problem = make_quadratic(seed=23, p=3, q=2, l_nabla=1.0, noise_sigma=1.0)
         x = [np.array([0.1, 0.2, -0.3])]
         y = np.array([0.0, 0.5])
-        rng_a = np.random.default_rng(88)
-        rng_b = np.random.default_rng(88)
-        est = sample_gradient_batch(problem, x, y, 7, rng_a)
-        batch = problem.draw(rng_b, 7)
+        batch = problem.draw(np.random.default_rng(88), 7)
+        est = _mean_gradient(problem, x, y, batch)
         acc_g = np.zeros(3)
         acc_h = np.zeros(2)
-        for z in batch:
-            gx, gy = problem.gradient_at(x, y, z)
-            acc_g += gx[0]
-            acc_h += gy
+        for i in range(len(batch)):
+            one = problem.gradient_mean(x, y, batch[i:i + 1])
+            acc_g += one.g_blocks[0]
+            acc_h += one.h
         np.testing.assert_array_equal(est.g_blocks[0], acc_g / 7)
         np.testing.assert_array_equal(est.h, acc_h / 7)
         assert est.batch_size == 7
 
     def test_rejects_empty_batch(self):
         problem = make_quadratic(seed=23, p=2, q=1, l_nabla=1.0)
-        with pytest.raises(ValueError):
-            sample_gradient_batch(problem, [np.zeros(2)], np.zeros(1), 0,
-                                  np.random.default_rng(0))
+        batch = problem.draw(np.random.default_rng(0), 0)
+        with pytest.raises(ValueError, match="empty batch"):
+            _mean_gradient(problem, [np.zeros(2)], np.zeros(1), batch)
 
 
 def small_run(seed=0, iterations=40, noise=0.5, alternative=True, **kw):
@@ -260,6 +259,27 @@ def small_run(seed=0, iterations=40, noise=0.5, alternative=True, **kw):
     x0 = [np.zeros(4)]
     y0 = np.zeros(3)
     return problem, balls, cfg, run(problem, balls, y0, x0, cfg)
+
+
+class _NonFiniteFrom:
+    """A quadratic whose gradient has a NaN in block 0 from batch ``first_bad`` on."""
+
+    def __init__(self, inst, first_bad):
+        self.inst, self.first_bad, self.batches = inst, first_bad, 0
+        self.block_dims, self.y_dim = inst.block_dims, inst.y_dim
+
+    def draw(self, rng, n):
+        return self.inst.draw(rng, n)
+
+    def objective_estimate(self, x_blocks, y, batch):
+        return self.inst.objective_estimate(x_blocks, y, batch)
+
+    def gradient_mean(self, x_blocks, y, batch):
+        est = self.inst.gradient_mean(x_blocks, y, batch)
+        if self.batches >= self.first_bad:
+            est.g_blocks[0][0] = np.nan
+        self.batches += 1
+        return est
 
 
 class TestRun:
@@ -347,6 +367,18 @@ class TestRun:
         with pytest.raises(ValueError):
             run(problem, balls, np.zeros(3), [np.zeros(4)], bad)  # c_bar too small
 
+    def test_step_failure_names_the_iteration(self):
+        # from the fourth batch on the gradient is non-finite, so fw_step
+        # fails at iteration 3; run keeps the type and the block and step
+        problem = make_quadratic(seed=101, p=4, q=3, l_nabla=2.0)
+        balls = [L1Ball(4, 1.0)]
+        diverging = _NonFiniteFrom(problem, first_bad=3)
+        with pytest.raises(RowError) as raised:
+            run(diverging, balls, np.zeros(3), [np.zeros(4)], config_for(balls, l_nabla=2.0))
+        assert str(raised.value) == ("g contains non-finite entries (block 0, in fw_step) "
+                                     "at iteration 3")
+        assert diverging.batches == 4
+
     def test_digest_matches_helper_on_recorded_iterates(self):
         # replay the run by hand and hash the iterates with the public helper
         problem = make_quadratic(seed=77, p=2, q=2, l_nabla=1.0, noise_sigma=0.0)
@@ -357,7 +389,7 @@ class TestRun:
         iterates = [Iterate((np.zeros(2),), np.zeros(2), 0)]
         x = [np.zeros(2)]
         y = np.zeros(2)
-        from fwsd.optimizer import _mean_gradient, fw_step as fws, sd_step as sds
+        from fwsd.optimizer import fw_step as fws, sd_step as sds
 
         streams = derive_rng_streams(11)
         streams.output_draw.integers(0, 6)

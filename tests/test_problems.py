@@ -6,7 +6,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quadratic_reference as ref
-from fwsd.problems import StochasticProblem, finite_difference_check, make_quadratic
+from fwsd.problems import (
+    GradientEstimate,
+    StochasticProblem,
+    finite_difference_check,
+    make_quadratic,
+)
 
 
 class TestMakeQuadratic:
@@ -72,9 +77,9 @@ class TestGradients:
         batch = problem.draw(rng, 4)
         assert np.all(batch == 0.0)
         gx_exact, gy_exact = problem.exact_gradient(x, y)
-        gx, gy = problem.gradient_at(x, y, batch[0])
-        np.testing.assert_array_equal(gx[0], gx_exact[0])
-        np.testing.assert_array_equal(gy, gy_exact)
+        one = problem.gradient_mean(x, y, batch[:1])
+        np.testing.assert_array_equal(one.g_blocks[0], gx_exact[0])
+        np.testing.assert_array_equal(one.h, gy_exact)
 
     def test_sampled_gradients_are_unbiased(self):
         problem = make_quadratic(seed=13, p=3, q=2, l_nabla=1.0, noise_sigma=1.5)
@@ -83,8 +88,8 @@ class TestGradients:
         y = np.array([0.3, 0.1])
         gx_exact, gy_exact = problem.exact_gradient(x, y)
         batch = problem.draw(rng, 20000)
-        stacked = np.array([np.concatenate([problem.gradient_at(x, y, z)[0][0],
-                                            problem.gradient_at(x, y, z)[1]]) for z in batch])
+        ones = [problem.gradient_mean(x, y, batch[i:i + 1]) for i in range(len(batch))]
+        stacked = np.array([np.concatenate([one.g_blocks[0], one.h]) for one in ones])
         exact = np.concatenate([gx_exact[0], gy_exact])
         err = np.abs(stacked.mean(axis=0) - exact)
         se = stacked.std(axis=0) / np.sqrt(len(batch))
@@ -139,12 +144,10 @@ class TestGradientMean:
         assert _bytes(est.g_blocks) == _bytes(want_g)
         assert _bytes([est.h]) == _bytes([want_h])
         assert est.batch_size == len(batch)
-        for z in batch[:3]:
-            g, h = inst.gradient_at(x, y, z)
+        for z in batch[:3]:  # one scenario is a batch of one
             one = inst.gradient_mean(x, y, z[None, :])
-            assert _bytes(g + [h]) == _bytes(list(one.g_blocks) + [one.h])
             want_g, want_h = ref.gradient_at(inst, x, y, z)
-            assert _bytes(g + [h]) == _bytes(want_g + [want_h])
+            assert _bytes(list(one.g_blocks) + [one.h]) == _bytes(want_g + [want_h])
 
     def test_rejects_empty_batch(self):
         inst = make_quadratic(seed=0, p=2, q=1, l_nabla=1.0)
@@ -161,11 +164,12 @@ class TestFiniteDifferenceCheck:
             def draw(self, rng, n):
                 return np.zeros((n, 2))
 
-            def gradient_at(self, x_blocks, y, z):
-                return [np.zeros(2)], np.zeros(0)
+            def gradient_mean(self, x_blocks, y, batch):
+                return GradientEstimate((np.zeros(2),), np.zeros(0), len(batch))
 
             def objective_estimate(self, x_blocks, y, batch):
                 return 0.0
 
+        assert isinstance(SampleOnly(), StochasticProblem)
         with pytest.raises(NotImplementedError):
             finite_difference_check(SampleOnly(), [np.zeros(2)], np.zeros(0))

@@ -23,11 +23,13 @@ from fwsd.gap import GapConstants, InternalConsistencyError, gap_estimate
 from fwsd.geometry import (
     L1Ball,
     Norm,
-    away_direction,
-    in_face_step_cap,
-    lmo,
-    max_feasible_step,
-    minimal_face,
+    away_rows,
+    ball_cap_rows,
+    ball_groups,
+    face_rows,
+    in_face_step_cap_rows,
+    lmo_rows,
+    stack_rows,
 )
 from fwsd.optimizer import OptimizerConfig, alt_step, fw_step, run
 from fwsd.problems import make_quadratic
@@ -180,28 +182,54 @@ def test_gap_estimate_matches_reference(case):
 @SETTINGS
 @given(block_sets())
 def test_one_row_api_matches_reference(case):
-    # the 1-D functions are the one-row case of the same kernels
+    # each kernel on a one-row matrix is the per-block loop on that block
     balls, seed = case
     x, g, config = _inputs(balls, seed)
     rng = np.random.default_rng(seed + 1)
     for ball, xb, gb in list(zip(balls, x, g))[:8]:
-        v, want = lmo(ball, gb), ref.lmo(ball, gb)
-        assert (v.index, v.sign, _bits(v.value)) == (want.index, want.sign, _bits(want.value))
-        assert minimal_face(ball, xb) == ref.minimal_face(ball, xb)
-        d, ok = away_direction(ball, xb, gb, config.away_tol)
+        index, sign, value = lmo_rows(ball, gb[None, :])
+        want = ref.lmo(ball, gb)
+        assert (index[0], sign[0], _bits(value[0])) == (want.index, want.sign,
+                                                        _bits(want.value))
+        face = face_rows(ball, xb[None, :])
+        assert ref.Face.from_rows(face[0][0], face[1][0]) == ref.minimal_face(ball, xb)
+        d, ok, _ = away_rows(ball, xb[None, :], gb[None, :], *face, config.away_tol)
         want_d, want_ok = ref.away_direction(ball, xb, gb, config.away_tol)
-        assert (_bits(d), ok) == (_bits(want_d), want_ok)
-        if ok:
-            cap = _outcome(in_face_step_cap, ball, xb, d)
-            want_cap = _outcome(ref.in_face_step_cap, ball, xb, d)
+        assert (_bits(d[0]), bool(ok[0])) == (_bits(want_d), want_ok)
+        if ok[0]:
+            cap = _outcome(in_face_step_cap_rows, ball, xb[None, :], d, *face)
+            want_cap = _outcome(ref.in_face_step_cap, ball, xb, d[0])
             _assert_same_failure(cap[1], want_cap[1])
             if cap[1] is None:
-                assert (_bits(cap[0][0]), cap[0][1]) == (_ref_bits(want_cap[0][0]), want_cap[0][1])
+                (alpha,), (binding,) = cap[0]
+                assert ((_bits(float(alpha)), tuple(np.flatnonzero(binding).tolist()))
+                        == (_ref_bits(want_cap[0][0]), want_cap[0][1]))
         # a general direction: many kinks for the interior breakpoint scan
         direction = _gradient(rng, ball.dim)
         if np.any(direction != 0.0):
-            got = max_feasible_step(ball, xb, direction)
-            assert _bits(got) == _ref_bits(ref.max_feasible_step(ball, xb, direction))
+            got = ball_cap_rows(ball, xb[None, :], direction[None, :])[0]
+            assert _bits(float(got)) == _ref_bits(ref._ball_cap(ball, xb, direction))
+
+
+@SETTINGS
+@given(block_sets())
+def test_ball_cap_rows_matches_reference_on_stacked_rows(case):
+    # general directions cross zero at a different number of kinks in each
+    # row, so rows of one stack pad their kink columns differently, and a
+    # row whose norm never passes the radius at a kink extrapolates from
+    # its own last kink
+    balls, seed = case
+    x, _, _ = _inputs(balls, seed)
+    rng = np.random.default_rng(seed + 2)
+    d = [_gradient(rng, b.dim) for b in balls]
+    for ball, idx in ball_groups(balls):
+        idx = np.array([i for i in idx.tolist() if np.any(d[i] != 0.0)], dtype=np.int64)
+        if idx.size == 0:
+            continue
+        caps = ball_cap_rows(ball, stack_rows(x, idx, ball.dim, "x"),
+                             stack_rows(d, idx, ball.dim, "d"))
+        assert ([_bits(float(c)) for c in caps]
+                == [_ref_bits(ref._ball_cap(ball, x[i], d[i])) for i in idx.tolist()])
 
 
 def test_sampler_reaches_every_branch():

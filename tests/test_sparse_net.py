@@ -28,7 +28,6 @@ from fwsd.sparse_net import (
     load_dataset_csv,
     loss_value,
     nnz_metrics,
-    per_sample_gradient,
     save_dataset_bin,
     save_dataset_csv,
 )
@@ -201,12 +200,20 @@ def test_cross_entropy_stable_for_large_logits():
 # ---------------------------------------------------------------- gradients
 
 
+def one_sample_gradient(spec, params, x, target):
+    """``(g_blocks, g_y)`` of one sample: `gradient_mean` over a one-row dataset."""
+    layout = ParamLayout(spec)
+    problem = MLPProblem(spec=spec, layout=layout, data=Dataset(x[None, :], target[None, :]))
+    est = problem.gradient_mean(*layout.pack(params), np.array([0]))
+    return list(est.g_blocks), est.h
+
+
 def test_linear_mse_gradient_closed_form():
     # one linear layer: gradient of (w @ x - t)^2 is 2 (w @ x - t) x
     spec = MLPSpec(layer_sizes=(3, 1), loss=Loss.MSE, bias=False)
     params = [LayerParams(w=np.array([[0.1, 0.2, 0.3]]), b=np.zeros(1))]
     x = np.array([1.0, 2.0, 3.0])
-    g_blocks, g_y = per_sample_gradient(spec, params, (x, np.array([0.4])))
+    g_blocks, g_y = one_sample_gradient(spec, params, x, np.array([0.4]))
     assert g_blocks == []
     assert np.allclose(g_y, 2.0 * x, rtol=0, atol=1e-15)
 
@@ -216,7 +223,7 @@ def test_softmax_gradient_closed_form():
     spec = MLPSpec(layer_sizes=(2, 2), loss=Loss.SOFTMAX_CE, bias=False)
     params = [LayerParams(w=np.eye(2), b=np.zeros(2))]
     x = np.array([1.0, 0.0])
-    _, g_y = per_sample_gradient(spec, params, (x, one_hot(0, 2)))
+    _, g_y = one_sample_gradient(spec, params, x, one_hot(0, 2))
     p0 = math.exp(1.0) / (math.exp(1.0) + 1.0)
     expected = np.array([[(p0 - 1.0) * 1.0, 0.0], [(1.0 - p0) * 1.0, 0.0]])
     assert np.allclose(g_y.reshape(2, 2), expected, rtol=0, atol=1e-15)
@@ -230,7 +237,7 @@ def test_sigmoid_unit_gradient_chain_rule():
     params = [LayerParams(w=w, b=np.zeros(1)), LayerParams(w=np.ones((1, 1)), b=np.zeros(1))]
     x = np.array([0.8, 0.5])
     t = np.array([0.9])
-    g_blocks, g_y = per_sample_gradient(spec, params, (x, t))
+    g_blocks, g_y = one_sample_gradient(spec, params, x, t)
     s = 1.0 / (1.0 + math.exp(-(w[0] @ x)))
     expected = 2.0 * (s - t[0]) * s * (1.0 - s) * x
     assert np.allclose(g_blocks[0], expected, rtol=0, atol=1e-15)
@@ -304,7 +311,8 @@ def test_gradient_mean_matches_per_sample_loop():
     acc_g = None
     acc_h = None
     for z in batch:
-        g_blocks, h = problem.gradient_at(x_blocks, y, z)
+        one = problem.gradient_mean(x_blocks, y, np.array([z]))
+        g_blocks, h = one.g_blocks, one.h
         if acc_g is None:
             acc_g = [g.copy() for g in g_blocks]
             acc_h = h.copy()
