@@ -55,7 +55,7 @@ c = rng.standard_normal(6)
 (index,), (sign,), _ = in_face_lmo_rows(ball, face[0], c[None, :])
 print("in-face oracle on the boundary point above:")
 print(f"  cost vector     {np.round(c, 3)}")
-print(f"  face extreme pt {int(sign):+d} * {ball.radius} * e_{index}")
+print(f"  face extreme pt {sign:+d} * {ball.radius} * e_{index}")
 print()
 
 # --- away directions back off the worst vertex of the face -----------------

@@ -11,8 +11,6 @@ percent of its weights without hurting the test loss.
 
 from dataclasses import replace
 
-import numpy as np
-
 from fwsd.geometry import Norm
 from fwsd.optimizer import BatchSchedule, OptimizerConfig, run
 from fwsd.sparse_net import (

@@ -85,13 +85,13 @@ class ExperimentConfig:
     seed: int = 0
     iterations: int = 0
     epochs: int = 0
-    batch_schedule: str = "constant"
-    batch_size: int = 1
+    batch_schedule: str = OptimizerConfig.batch_schedule.kind
+    batch_size: int = OptimizerConfig.batch_schedule.size
     l_nabla: float = 1.0
     c_bar_scale: float = 1.0
-    norm_y: str = "l2"
-    alpha_clamp: bool = True
-    away_tol: float = 1e-12
+    norm_y: str = OptimizerConfig.norm_y.value
+    alpha_clamp: bool = OptimizerConfig.alpha_clamp
+    away_tol: float = OptimizerConfig.away_tol
     smoothing_window: int = 50
     epoch_sampling: bool = False
     layer_sizes: tuple[int, ...] = (20, 20, 20, 1)
@@ -824,11 +824,11 @@ def build_parser() -> argparse.ArgumentParser:
     te = commands.add_parser("threshold-eval")
     te.add_argument("--checkpoint", required=True)
     te.add_argument("--dataset", required=True)
-    te.add_argument("--thetas", default="100,50,25,10,5")
+    te.add_argument("--thetas", default=",".join(f"{t:g}" for t in REPORT_THETAS))
     te.add_argument("--out", default=None)
     gt = commands.add_parser("gap-trace")
     gt.add_argument("--trace", required=True)
-    gt.add_argument("--window", type=int, default=50)
+    gt.add_argument("--window", type=int, default=ExperimentConfig.smoothing_window)
     gt.add_argument("--out", default=None)
     return parser
 

@@ -249,7 +249,7 @@ def in_face_lmo_rows(ball: L1Ball, sign: np.ndarray, c: np.ndarray) -> tuple[np.
     """
     rows = np.arange(len(sign))
     index = np.where(sign != 0.0, sign * c, np.inf).argmin(axis=1)
-    s = sign[rows, index]
+    s = sign[rows, index].astype(np.int64)
     return index, s, _vertex_rows(ball, rows, index, s)
 
 

@@ -2,7 +2,8 @@
 
 One iteration, starting from ``(x_k, y_k)``:
 
-1. draw a batch, average per-scenario gradients into ``(g_hat, h_hat)``;
+1. draw a batch, average per-scenario gradients into ``(g_hat, h_hat)``
+   and take the batch's mean objective from the same pass;
 2. Frank-Wolfe step per constrained block: move toward the oracle vertex
    with step ``alpha_i = g_tilde_i / c_bar_i`` (optionally clamped at 1);
 3. steepest-descent step on the free block with step
@@ -354,7 +355,7 @@ def run(
             b_k = config.batch_schedule.batch_size(k, k_total)
             batch = problem.draw(streams.data, b_k)
             est = _mean_gradient(problem, x, y, batch)
-            objective = float(problem.objective_estimate(x, y, batch))
+            objective = float(est.objective())
 
             x_bar, g_tildes, alphas = fw_step(x, est.g_blocks, balls, config)
             gap_hat = float(sum(g_tildes)) * constants.scale + dual_norm(est.h, config.norm_y)

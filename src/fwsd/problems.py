@@ -2,27 +2,27 @@
 
 A problem couples constrained blocks ``x = (x_1, ..., x_N)`` with a free
 block ``y`` and exposes batch means of the gradients of a random objective
-``f(x, y, z)`` whose expectation is the target ``F``; one scenario's gradient
-is the mean over a batch of one. The optimizer only ever touches problems
+``f(x, y, z)`` whose expectation is the target ``F``, and the batch's mean
+objective from the same pass. The optimizer only ever touches problems
 through this interface; anything that can draw scenarios and average its
-gradients over a batch of them can be trained.
+gradients and objective over a batch of them can be trained.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
 class GradientEstimate:
-    """Mean gradient of a batch: one array per constrained block, then the free block."""
+    """Batch means: one gradient per constrained block, the free block's, and the objective."""
 
     g_blocks: tuple[np.ndarray, ...]
     h: np.ndarray
-    batch_size: int
+    objective: Callable[[], float]
 
 
 @runtime_checkable
@@ -33,8 +33,10 @@ class StochasticProblem(Protocol):
     distribution (an empirical one samples indices with replacement).
     ``gradient_mean`` averages the per-scenario partial gradients over a
     batch from ``draw``, one array per constrained block plus one for the
-    free block. ``objective_estimate`` averages the per-scenario objective
-    over such a batch.
+    free block; one scenario's gradient is the mean over a batch of one.
+    ``GradientEstimate.objective()`` returns the batch's mean objective from
+    that pass's own intermediates. It is lazy, so a caller that needs only
+    the gradient does not pay for it.
 
     Problems that know their expectation may additionally provide
     ``exact_gradient(x_blocks, y)`` and ``exact_objective(x_blocks, y)``;
@@ -50,8 +52,6 @@ class StochasticProblem(Protocol):
     def draw(self, rng: np.random.Generator, n: int): ...
 
     def gradient_mean(self, x_blocks, y, batch) -> GradientEstimate: ...
-
-    def objective_estimate(self, x_blocks, y, batch) -> float: ...
 
 
 def _concat(x_blocks, y) -> np.ndarray:
@@ -113,19 +113,16 @@ class QuadraticInstance:
         return rng.standard_normal((n, self.dim)) * scale
 
     def gradient_mean(self, x_blocks, y, batch) -> GradientEstimate:
-        """Mean of ``Q r + z`` over the batch's rows, folded in row order."""
+        """Mean of ``Q r + z`` over the batch's rows in row order; the objective reuses ``Q r``."""
         n = len(batch)
         if n == 0:
             raise ValueError("empty batch")
-        r = _concat(x_blocks, y) - self.minimizer
-        g_blocks, h = self._split(np.cumsum((self.q_matrix @ r)[None, :] + batch, axis=0)[-1])
-        return GradientEstimate(g_blocks=tuple(g / n for g in g_blocks), h=h / n, batch_size=n)
-
-    def objective_estimate(self, x_blocks, y, batch) -> float:
         v = _concat(x_blocks, y)
         r = v - self.minimizer
-        noise = float(np.mean(batch @ v)) if len(batch) else 0.0
-        return 0.5 * float(r @ (self.q_matrix @ r)) + noise
+        qr = self.q_matrix @ r
+        g_blocks, h = self._split(np.cumsum(qr[None, :] + batch, axis=0)[-1])
+        return GradientEstimate(tuple(g / n for g in g_blocks), h / n,
+                                lambda: 0.5 * float(r @ qr) + float(np.mean(batch @ v)))
 
 
 def make_quadratic(

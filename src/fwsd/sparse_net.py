@@ -317,18 +317,13 @@ class MLPProblem:
         return rng.integers(0, self.n_samples, size=n)
 
     def gradient_mean(self, x_blocks, y, batch):
-        """Mean of the batch's per-sample gradients from one batched pass."""
+        """Mean of the batch's per-sample gradients from one pass; the objective uses `forward`."""
         idx = np.asarray(batch, dtype=np.int64)
         params = self.layout.unpack(x_blocks, y)
-        mean = _backprop(self.spec, params, self.data.features[idx], self.data.targets[idx])
-        g_blocks, g_y = self.layout.pack(mean)
-        return GradientEstimate(g_blocks=tuple(g_blocks), h=g_y, batch_size=idx.size)
-
-    def objective_estimate(self, x_blocks, y, batch) -> float:
-        idx = np.asarray(batch, dtype=np.int64)
-        params = self.layout.unpack(x_blocks, y)
-        pred = forward(self.spec, params, self.data.features[idx])
-        return loss_value(self.spec, pred, self.data.targets[idx])
+        X, T = self.data.features[idx], self.data.targets[idx]
+        g_blocks, g_y = self.layout.pack(_backprop(self.spec, params, X, T))
+        return GradientEstimate(tuple(g_blocks), g_y,
+                                lambda: loss_value(self.spec, forward(self.spec, params, X), T))
 
     def exact_gradient(self, x_blocks, y):
         est = self.gradient_mean(x_blocks, y, np.arange(self.n_samples))

@@ -2,8 +2,9 @@
 
 `gradient_at` is ``split(Q r + z)`` for one scenario, and `mean_gradient`
 adds the per-scenario gradients one at a time in batch order and divides by
-the count. `QuadraticInstance.gradient_mean` has to match it bit for bit,
-which `test_problems.py` checks.
+the count. `objective_estimate` is the batch objective computed on its own.
+`QuadraticInstance.gradient_mean` and its ``objective()`` have to match
+them bit for bit, which `test_problems.py` checks.
 """
 
 import numpy as np
@@ -36,3 +37,13 @@ def mean_gradient(inst, x_blocks, y, batch):
             acc_h += h
     count = len(batch)
     return [g / count for g in acc_g], acc_h / count
+
+
+def objective_estimate(inst, x_blocks, y, batch):
+    """``0.5 r' Q r`` plus the batch mean of ``z @ v``, with its own ``Q r``."""
+    parts = [np.asarray(b, dtype=np.float64) for b in x_blocks]
+    parts.append(np.asarray(y, dtype=np.float64))
+    v = np.concatenate(parts)
+    r = v - inst.minimizer
+    noise = float(np.mean(batch @ v)) if len(batch) else 0.0
+    return 0.5 * float(r @ (inst.q_matrix @ r)) + noise

@@ -18,8 +18,9 @@ from dataclasses import replace
 
 import numpy as np
 
+import quadratic_reference
 from fwsd import cli
-from fwsd.gap import GapConstants, dual_norm, exact_gap, gap_estimate
+from fwsd.gap import GapConstants, exact_gap, gap_estimate
 from fwsd.geometry import L1Ball, Norm, face_rows, in_face_lmo_rows, lmo_rows
 from fwsd.optimizer import (
     BatchSchedule,
@@ -386,7 +387,7 @@ def test_criterion_08_single_block_run_matches_monolithic_loop():
                 acc_h += h_part
         g = acc_g / batch_size
         h = acc_h / batch_size
-        objective = float(inst.objective_estimate([x], y, batch))
+        objective = float(quadratic_reference.objective_estimate(inst, [x], y, batch))
         j = int(np.argmax(np.abs(g)))
         sign = 1 if g[j] <= 0.0 else -1
         v = np.zeros(7)

@@ -151,10 +151,7 @@ class TestExactGap:
                 return np.zeros((n, 2))
 
             def gradient_mean(self, x_blocks, y, batch):
-                return GradientEstimate((np.zeros(2),), np.zeros(0), len(batch))
-
-            def objective_estimate(self, x_blocks, y, batch):
-                return 0.0
+                return GradientEstimate((np.zeros(2),), np.zeros(0), lambda: 0.0)
 
         assert isinstance(Opaque(), StochasticProblem)
         with pytest.raises(NotImplementedError):

@@ -237,6 +237,13 @@ class TestInFaceLMO:
         assert (sign[rows, index] != 0.0).all()
         np.testing.assert_array_equal(s, sign[rows, index])
 
+    def test_both_oracles_return_integer_signs(self):
+        ball = L1Ball(3, 1.0)
+        sign, _ = face_rows(ball, np.array([[0.5, -0.5, 0.0]]))
+        c = np.array([[-1.0, 2.0, 0.0]])
+        assert lmo_rows(ball, c)[1].dtype == np.int64
+        assert in_face_lmo_rows(ball, sign, c)[1].dtype == np.int64
+
 
 class TestAwayDirection:
     def test_two_coordinate_boundary_example(self):

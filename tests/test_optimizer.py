@@ -1,9 +1,12 @@
 """Engine steps against worked values, plus run-level contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fwsd.gap import GapConstants, dual_norm, exact_gap
+import quadratic_reference as ref
+from fwsd.gap import dual_norm
 from fwsd.geometry import L1Ball, Norm, RowError
 from fwsd.optimizer import (
     BatchSchedule,
@@ -240,7 +243,7 @@ class TestSampleGradientBatch:
             acc_h += one.h
         np.testing.assert_array_equal(est.g_blocks[0], acc_g / 7)
         np.testing.assert_array_equal(est.h, acc_h / 7)
-        assert est.batch_size == 7
+        assert est.objective() == ref.objective_estimate(problem, x, y, batch)
 
     def test_rejects_empty_batch(self):
         problem = make_quadratic(seed=23, p=2, q=1, l_nabla=1.0)
@@ -271,15 +274,33 @@ class _NonFiniteFrom:
     def draw(self, rng, n):
         return self.inst.draw(rng, n)
 
-    def objective_estimate(self, x_blocks, y, batch):
-        return self.inst.objective_estimate(x_blocks, y, batch)
-
     def gradient_mean(self, x_blocks, y, batch):
         est = self.inst.gradient_mean(x_blocks, y, batch)
         if self.batches >= self.first_bad:
             est.g_blocks[0][0] = np.nan
         self.batches += 1
         return est
+
+
+class _CountingReads:
+    """A quadratic that counts, per gradient pass, how often its objective is read."""
+
+    def __init__(self, inst):
+        self.inst, self.reads = inst, []
+        self.block_dims, self.y_dim = inst.block_dims, inst.y_dim
+
+    def draw(self, rng, n):
+        return self.inst.draw(rng, n)
+
+    def gradient_mean(self, x_blocks, y, batch):
+        est = self.inst.gradient_mean(x_blocks, y, batch)
+        at = len(self.reads)
+        self.reads.append(0)
+
+        def objective():
+            self.reads[at] += 1
+            return est.objective()
+        return replace(est, objective=objective)
 
 
 class TestRun:
@@ -290,6 +311,15 @@ class TestRun:
         assert a.output_index == b.output_index
         assert [r.gap_hat for r in a.trace] == [r.gap_hat for r in b.trace]
         assert [r.objective_estimate for r in a.trace] == [r.objective_estimate for r in b.trace]
+
+    def test_objective_read_once_per_iteration_on_the_data_batch(self):
+        # each iteration makes a data pass, then an away-step check pass
+        problem = make_quadratic(seed=101, p=4, q=3, l_nabla=2.0, noise_sigma=0.5)
+        balls = [L1Ball(4, 1.0)]
+        counting = _CountingReads(problem)
+        run(counting, balls, np.zeros(3), [np.zeros(4)],
+            config_for(balls, iterations=10, l_nabla=2.0, alternative_directions=True))
+        assert counting.reads == [1, 0] * 10
 
     def test_different_seed_differs(self):
         _, _, _, a = small_run(seed=5)
