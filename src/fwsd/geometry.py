@@ -10,8 +10,9 @@ No numerical solver is involved anywhere in this module.
 Every oracle is written once, row-wise, for an ``(n_rows, dim)`` matrix whose
 rows are blocks sharing one ball (same ``dim``, ``radius`` and ``norm_x``);
 `ball_groups` and `stack_rows` build such matrices from a list of blocks, and
-a single block is a one-row matrix (`lmo` is that case of `lmo_rows`). Each
-row of a row-wise result is bit for bit what the per-block formula gives, so
+a single block is a one-row matrix (`lmo` is that case of `lmo_rows`). `run` calls
+both once per run for the iterate, then stacks only gradient rows per iteration.
+Each row of a row-wise result is bit for bit what the per-block formula gives, so
 grouping blocks never moves an iterate digest. That rests on four rules:
 
 - row dots are ``np.matmul(a[:, None, :], b[:, :, None])``, which rounds like
@@ -179,9 +180,14 @@ def stack_rows(blocks: Sequence[np.ndarray], idx: np.ndarray, dim: int, name: st
     if m is None or m.shape[1:] != (dim,):
         r = next(r for r, b in enumerate(rows) if np.shape(b) != (dim,))
         raise RowError(f"{name} has shape {np.shape(rows[r])}, expected ({dim},)", r)
+    finite_rows(m, name)
+    return m
+
+
+def finite_rows(m: np.ndarray, name: str) -> None:
+    """Raise `RowError` at the first row of ``m`` with a non-finite entry."""
     if not np.isfinite(m).all():
         _fail_rows(~np.isfinite(m).all(axis=1), f"{name} contains non-finite entries")
-    return m
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -5,12 +5,15 @@ One iteration, starting from ``(x_k, y_k)``:
 1. draw a batch, average per-scenario gradients into ``(g_hat, h_hat)``
    and take the batch's mean objective from the same pass;
 2. Frank-Wolfe step per constrained block: move toward the oracle vertex
-   with step ``alpha_i = g_tilde_i / c_bar_i`` (optionally clamped at 1);
+   with step ``alpha_i = g_tilde_i / c_bar_i`` (optionally clamped at 1),
+   one `fw_step` call per group of blocks sharing a ball; `run` holds the
+   iterate as one ``(n_rows, dim)`` matrix per group, and problems see
+   row views of it in block order;
 3. steepest-descent step on the free block with step
    ``||h_hat||_* / (2 l_nabla)``;
 4. optionally, on a fresh batch evaluated at the post-step point, take an
    away step inside the minimal face of each block, capped so the step
-   never leaves the face.
+   never leaves the face, one `alt_step` call per group.
 
 The returned iterate is drawn uniformly from all ``K + 1`` iterates, which
 is what the sublinear guarantee on the squared gap applies to. All
@@ -31,10 +34,12 @@ from .gap import GapConstants, _clamp_g_tilde, dual_norm
 from .geometry import (
     L1Ball,
     Norm,
+    RowError,
     away_rows,
     ball_groups,
     blame_blocks,
     face_rows,
+    finite_rows,
     frank_wolfe_rows,
     in_face_step_cap_rows,
     nnz_rows,
@@ -134,6 +139,23 @@ class AltStepInfo:
     beta_bar: float
 
 
+@dataclass(frozen=True, eq=False)
+class AltStepInfos:
+    """Per-row arrays of one `alt_step` call; indexing or iterating builds `AltStepInfo`s."""
+
+    taken: np.ndarray
+    a_value: np.ndarray
+    alpha_stop: np.ndarray
+    beta_bar: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.taken)
+
+    def __getitem__(self, r: int) -> AltStepInfo:  # IndexError past the end ends iteration
+        return AltStepInfo(bool(self.taken[r]), float(self.a_value[r]),
+                           float(self.alpha_stop[r]), float(self.beta_bar[r]))
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     """Per-iteration log row; NNZ counts describe the post-step iterate."""
@@ -181,48 +203,27 @@ def iterates_digest(iterates: Iterable[Iterate]) -> str:
     """SHA-256 over the raw little-endian float64 bytes of every iterate."""
     h = hashlib.sha256()
     for it in iterates:
-        _digest_update(h, it.x_blocks, it.y)
+        _digest_groups(h, [np.ascontiguousarray(b, dtype=np.float64) for b in it.x_blocks],
+                       None, it.y)
     return h.hexdigest()
 
 
-def _digest_update(h, x_blocks, y) -> None:
-    for xb in x_blocks:
-        h.update(np.ascontiguousarray(xb, dtype=np.float64).tobytes())
-    h.update(np.ascontiguousarray(y, dtype=np.float64).tobytes())
+def fw_step(x: np.ndarray, g: np.ndarray, ball: L1Ball, c_bar: np.ndarray,
+            config: OptimizerConfig):
+    """Frank-Wolfe step on the rows of one group of blocks sharing ``ball``.
 
-
-def fw_step(
-    x_blocks: Sequence[np.ndarray],
-    g_hat_blocks: Sequence[np.ndarray],
-    balls: Sequence[L1Ball],
-    config: OptimizerConfig,
-):
-    """Frank-Wolfe step on every constrained block.
-
-    Returns ``(x_bar_blocks, g_tilde_blocks, alpha_bar_blocks)`` where
-    ``x_bar_i = x_i + alpha_i * (v_i - x_i)`` for the oracle vertex ``v_i``
-    and ``alpha_i = g_tilde_i / c_bar_i`` (clamped at 1 when configured).
-    Blocks sharing a ball are stacked and stepped together, row-wise.
+    ``x`` and ``g`` are ``(n_rows, dim)``; ``c_bar`` holds the rows' constants.
+    Returns ``(x_bar, g_tilde, alpha)``: ``x_bar[r] = x[r] + alpha[r] * (v[r] - x[r])``
+    for the oracle vertex ``v[r]``, ``alpha[r] = g_tilde[r] / c_bar[r]`` (clamped at 1
+    when configured). Row checks raise naming the row; `blame_blocks` names the block.
     """
-    c_bar = np.asarray(config.c_bar_per_block, dtype=np.float64)
-    x_bar = [None] * len(balls)
-    g_tildes = np.empty(len(balls))
-    alphas = np.empty(len(balls))
-    for ball, idx in ball_groups(balls):
-        with blame_blocks("fw_step", idx):
-            x = stack_rows(x_blocks, idx, ball.dim, "x")
-            g = stack_rows(g_hat_blocks, idx, ball.dim, "g")
-            v, gap = frank_wolfe_rows(ball, x, g)
-            g_tilde = _clamp_g_tilde(gap, g)
-        alpha = g_tilde / c_bar[idx]
-        if config.alpha_clamp:
-            alpha = np.where(alpha > 1.0, 1.0, alpha)
-        stepped = x + alpha[:, None] * (v - x)
-        for i, row in zip(idx.tolist(), stepped):
-            x_bar[i] = row
-        g_tildes[idx] = g_tilde
-        alphas[idx] = alpha
-    return tuple(x_bar), tuple(g_tildes.tolist()), tuple(alphas.tolist())
+    finite_rows(x, "x")
+    v, gap = frank_wolfe_rows(ball, x, g)
+    g_tilde = _clamp_g_tilde(gap, g)
+    alpha = g_tilde / c_bar
+    if config.alpha_clamp:
+        alpha = np.where(alpha > 1.0, 1.0, alpha)
+    return x + alpha[:, None] * (v - x), g_tilde, alpha
 
 
 def sd_step(y: np.ndarray, h_hat: np.ndarray, config: OptimizerConfig):
@@ -239,68 +240,69 @@ def sd_step(y: np.ndarray, h_hat: np.ndarray, config: OptimizerConfig):
         return y.copy(), 0.0
     alpha = h_norm / (2.0 * config.l_nabla)
     if config.norm_y is Norm.L2:
-        direction = h_hat / h_norm
-        return y - alpha * direction, alpha
+        return y - alpha * (h_hat / h_norm), alpha
     j = int(np.argmax(np.abs(h_hat)))
     y_next = y.copy()
     y_next[j] = y_next[j] - alpha * np.sign(h_hat[j])
     return y_next, alpha
 
 
-def alt_step(
-    x_bar_blocks: Sequence[np.ndarray],
-    g_check_blocks: Sequence[np.ndarray],
-    balls: Sequence[L1Ball],
-    config: OptimizerConfig,
-):
-    """Away step inside the minimal face of each block.
+def alt_step(x_bar: np.ndarray, g_check: np.ndarray, ball: L1Ball, c_bar: np.ndarray,
+             config: OptimizerConfig):
+    """Away step inside the minimal face of each row of one group sharing ``ball``.
 
-    Per block: classify the minimal face at ``FACE_TOL``, build the away
+    Per row: classify the minimal face at ``FACE_TOL``, build the away
     direction from a fresh gradient, and if it is a strict descent direction
     (``g_check @ d < -away_tol``) step ``beta = min(a / c_bar, alpha_stop)``
     along it, where ``a = -g_check @ d`` and ``alpha_stop`` is the in-face
     cap. When the cap binds, the binding coordinates are set to exactly
-    zero, so supports shrink exactly rather than to rounding dust. Blocks
-    sharing a ball are stacked and stepped together, row-wise.
+    zero, so supports shrink exactly rather than to rounding dust. Returns
+    ``(x_next, infos)``; rows not taken keep their values and read zeros in
+    `AltStepInfos`. Row checks name the group row, as in `fw_step`.
     """
-    c_bar = np.asarray(config.c_bar_per_block, dtype=np.float64)
-    n = len(balls)
-    x_next = [None] * n
-    taken = np.zeros(n, dtype=bool)
-    a_values, alpha_stops, betas = np.zeros(n), np.zeros(n), np.zeros(n)
-    for ball, idx in ball_groups(balls):
-        with blame_blocks("alt_step", idx):
-            x = stack_rows(x_bar_blocks, idx, ball.dim, "x_bar")
-            g = stack_rows(g_check_blocks, idx, ball.dim, "g_check")
-            sign, on_boundary = face_rows(ball, x)
-            d, ok, gd = away_rows(ball, x, g, sign, on_boundary, config.away_tol)
-        stepped = x.copy()
-        if ok.any():
-            moved = idx[ok]
-            with blame_blocks("alt_step", moved):
-                alpha_stop, binding = in_face_step_cap_rows(ball, x[ok], d[ok], sign[ok],
-                                                            on_boundary[ok])
-            a_value = -gd[ok]
-            quotient = a_value / c_bar[moved]
-            beta = np.where(alpha_stop < quotient, alpha_stop, quotient)
-            rows = x[ok] + beta[:, None] * d[ok]
-            rows[binding & (beta == alpha_stop)[:, None]] = 0.0
-            stepped[ok] = rows
-            taken[moved] = True
-            a_values[moved], alpha_stops[moved], betas[moved] = a_value, alpha_stop, beta
-        for i, row in zip(idx.tolist(), stepped):
-            x_next[i] = row
-    infos = tuple(
-        AltStepInfo(taken=t, a_value=a, alpha_stop=s, beta_bar=b)
-        for t, a, s, b in zip(taken.tolist(), a_values.tolist(), alpha_stops.tolist(),
-                              betas.tolist())
-    )
-    return tuple(x_next), infos
+    finite_rows(x_bar, "x_bar")
+    sign, on_boundary = face_rows(ball, x_bar)
+    d, ok, gd = away_rows(ball, x_bar, g_check, sign, on_boundary, config.away_tol)
+    x_next = x_bar.copy()
+    a_value, alpha_stop, beta = np.zeros((3, len(x_bar)))
+    if ok.any():
+        try:
+            cap, binding = in_face_step_cap_rows(ball, x_bar[ok], d[ok], sign[ok], on_boundary[ok])
+        except RowError as exc:  # the cap sees the accepted rows only
+            exc.row = int(np.flatnonzero(ok)[exc.row])
+            raise
+        a = -gd[ok]
+        quotient = a / np.asarray(c_bar, dtype=np.float64)[ok]
+        step = np.where(cap < quotient, cap, quotient)
+        rows = x_bar[ok] + step[:, None] * d[ok]
+        rows[binding & (step == cap)[:, None]] = 0.0
+        x_next[ok] = rows
+        a_value[ok], alpha_stop[ok], beta[ok] = a, cap, step
+    return x_next, AltStepInfos(taken=ok, a_value=a_value, alpha_stop=alpha_stop, beta_bar=beta)
 
 
 def _mean_gradient(problem, x_blocks, y, batch) -> GradientEstimate:
     # a function of its own so that perfbench/tracer.py can time the gradient phase
     return problem.gradient_mean(x_blocks, y, batch)
+
+
+def _block_rows(mats: Sequence[np.ndarray], order: list[int] | None) -> list[np.ndarray]:
+    """Row views of the group matrices in block order."""
+    rows = [row for m in mats for row in m]
+    return rows if order is None else [rows[j] for j in order]
+
+
+def _in_block_order(parts: Sequence[np.ndarray], order: list[int] | None) -> tuple:
+    """Per-group row values as a tuple of Python scalars in block order."""
+    values = [v for p in parts for v in p.tolist()]
+    return tuple(values if order is None else [values[j] for j in order])
+
+
+def _digest_groups(h, mats: Sequence[np.ndarray], order: list[int] | None, y) -> None:
+    # sha256 over a C-contiguous matrix equals sha256 over its rows in turn
+    for part in mats if order is None else _block_rows(mats, order):
+        h.update(part)
+    h.update(np.ascontiguousarray(y, dtype=np.float64))
 
 
 def run(
@@ -313,12 +315,13 @@ def run(
     """Run the full hybrid method for ``config.iterations`` iterations.
 
     Validates feasibility of the start point and the per-block constants,
-    then iterates: batch gradient, Frank-Wolfe step per block, steepest
-    descent on the free block, and (when configured) an away step per block
-    on a fresh batch evaluated at the freshly stepped point. The trace has
-    one record per iteration; the output iterate is drawn uniformly from
-    the ``K + 1`` iterates via the dedicated stream. A step's ``ValueError``
-    or ``RuntimeError`` is re-raised as the same type, naming the iteration.
+    then iterates: batch gradient, Frank-Wolfe step per group of blocks
+    sharing a ball, steepest descent on the free block, and (when
+    configured) an away step per group on a fresh batch evaluated at the
+    freshly stepped point. The trace has one record per iteration; the output
+    iterate is drawn uniformly from the ``K + 1`` iterates via the dedicated
+    stream. A step's ``ValueError`` or ``RuntimeError`` is re-raised as the
+    same type, naming the iteration.
     """
     balls = tuple(balls)
     n_blocks = len(balls)
@@ -326,77 +329,89 @@ def run(
         raise ValueError("balls, x0_blocks and c_bar_per_block must align")
     if tuple(problem.block_dims) != tuple(b.dim for b in balls):
         raise ValueError("ball dimensions do not match the problem's blocks")
-    x = [np.array(b, dtype=np.float64) for b in x0_blocks]
     y = np.array(y0, dtype=np.float64)
     if y.shape != (problem.y_dim,):
         raise ValueError(f"y0 has shape {y.shape}, expected ({problem.y_dim},)")
     if not np.all(np.isfinite(y)):
         raise ValueError("y0 contains non-finite entries")
-    for xb, ball in zip(x, balls):
+    for xb, ball in zip(x0_blocks, balls):
         if not ball.contains(xb):
             raise ValueError("x0 block is infeasible")
     # validates c_bar_i >= 2 * l_nabla * diam^2 per block
     constants = GapConstants.from_blocks(config.l_nabla, config.c_bar_per_block, balls)
     groups = ball_groups(balls)
+    flat = [i for _, idx in groups for i in idx.tolist()]  # blocks of the groups' rows in turn
+    order = None if flat == sorted(flat) else np.argsort(flat).tolist()
+    c_bars = [np.asarray(config.c_bar_per_block, dtype=np.float64)[idx] for _, idx in groups]
+    # the iterate: one matrix per group, never written after it is made
+    x = [stack_rows(x0_blocks, idx, ball.dim, "x") for ball, idx in groups]
+
+    def each_group(step, kernel, mats, grads, name):
+        out = []
+        for (ball, idx), m, cg in zip(groups, mats, c_bars):
+            with blame_blocks(step, idx):
+                out.append(kernel(m, stack_rows(grads, idx, ball.dim, name), ball, cg, config))
+        return out
+
+    def snapshot(k):
+        return Iterate(tuple(row.copy() for row in _block_rows(x, order)), y.copy(), k)
 
     streams = derive_rng_streams(config.seed)
     k_total = config.iterations
     output_index = int(streams.output_draw.integers(0, k_total + 1))
 
     digest = hashlib.sha256()
-    _digest_update(digest, x, y)
-    output = None
-    if output_index == 0:
-        output = Iterate(tuple(np.array(b) for b in x), y.copy(), 0)
+    _digest_groups(digest, x, order, y)
+    output = snapshot(0) if output_index == 0 else None
 
     trace: list[TraceRecord] = []
     try:
         for k in range(k_total):
             b_k = config.batch_schedule.batch_size(k, k_total)
             batch = problem.draw(streams.data, b_k)
-            est = _mean_gradient(problem, x, y, batch)
+            est = _mean_gradient(problem, _block_rows(x, order), y, batch)
             objective = float(est.objective())
 
-            x_bar, g_tildes, alphas = fw_step(x, est.g_blocks, balls, config)
+            steps = each_group("fw_step", fw_step, x, est.g_blocks, "g")
+            x_bar = [s[0] for s in steps]
+            g_tildes = _in_block_order([s[1] for s in steps], order)
             gap_hat = float(sum(g_tildes)) * constants.scale + dual_norm(est.h, config.norm_y)
             y_next, alpha_sd = sd_step(y, est.h, config)
 
             if config.alternative_directions and n_blocks > 0:
                 fresh = problem.draw(streams.alt_batches, b_k)
-                check = _mean_gradient(problem, x_bar, y_next, fresh)
-                x_new, infos = alt_step(x_bar, check.g_blocks, balls, config)
-                betas = tuple(i.beta_bar for i in infos)
-                taken = tuple(i.taken for i in infos)
+                check = _mean_gradient(problem, _block_rows(x_bar, order), y_next, fresh)
+                aways = each_group("alt_step", alt_step, x_bar, check.g_blocks, "g_check")
+                x = [s[0] for s in aways]
+                betas = _in_block_order([s[1].beta_bar for s in aways], order)
+                taken = _in_block_order([s[1].taken for s in aways], order)
             else:
-                x_new, betas, taken = tuple(x_bar), None, None
+                x, betas, taken = x_bar, None, None
 
-            x = [np.asarray(b) for b in x_new]
             y = y_next
-            _digest_update(digest, x, y)
-            nnz = np.empty(n_blocks, dtype=np.int64)
-            for ball, idx in groups:
-                nnz[idx] = nnz_rows(stack_rows(x, idx, ball.dim, "x"))
+            _digest_groups(digest, x, order, y)
+            for m in x:  # a step that leaves a non-finite entry fails in its own iteration
+                finite_rows(m, "x")
             trace.append(TraceRecord(
                 k=k,
                 objective_estimate=objective,
                 gap_hat=gap_hat,
-                alpha_bar_blocks=alphas,
+                alpha_bar_blocks=_in_block_order([s[2] for s in steps], order),
                 alpha_sd=alpha_sd,
                 beta_bar_blocks=betas,
                 alt_taken_blocks=taken,
-                nnz_blocks=tuple(nnz.tolist()),
+                nnz_blocks=_in_block_order([nnz_rows(m) for m in x], order),
             ))
             if k + 1 == output_index:
-                output = Iterate(tuple(np.array(b) for b in x), y.copy(), k + 1)
+                output = snapshot(k + 1)
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"{exc} at iteration {k}") from exc
 
-    final = Iterate(tuple(np.array(b) for b in x), y.copy(), k_total)
     assert output is not None
     return RunResult(
         output_iterate=output,
         trace=trace,
         iterates_digest=digest.hexdigest(),
-        final_iterate=final,
+        final_iterate=snapshot(k_total),
         output_index=output_index,
     )

@@ -145,9 +145,11 @@ class ParamLayout:
         """Split parameter arrays into ``(x_blocks, y)``.
 
         Works on anything params-shaped, so gradients pack the same way.
+        The blocks are row views of the constrained layers' float64 weight
+        matrices, not copies; ``y`` is a new array.
         """
-        x_blocks = [np.array(params[l].w[node], dtype=np.float64)
-                    for l, node in self.block_meta]
+        x_blocks = [row for l in self.spec.fw_layers
+                    for row in np.asarray(params[l].w, dtype=np.float64)]
         parts = [np.asarray(params[l].w, dtype=np.float64).ravel()
                  for l in range(self.spec.n_layers) if l not in self.spec.fw_layers]
         if self.spec.bias:
@@ -170,10 +172,8 @@ class ParamLayout:
         for l in range(spec.n_layers):
             shape = (spec.fan_out(l), spec.fan_in(l))
             if l in spec.fw_layers:
-                w = np.empty(shape)
-                for node in range(shape[0]):
-                    w[node] = x_blocks[block_at]
-                    block_at += 1
+                w = self._stack_layer(x_blocks[block_at:block_at + shape[0]], l, block_at)
+                block_at += shape[0]
             else:
                 size = shape[0] * shape[1]
                 w = y[at:at + size].reshape(shape).copy()
@@ -189,6 +189,21 @@ class ParamLayout:
                 b = np.zeros(spec.fan_out(l))
             params.append(LayerParams(w=weights[l], b=b))
         return params
+
+    def _stack_layer(self, rows, layer: int, first: int) -> np.ndarray:
+        # one layer's weight matrix from its blocks; a misshapen block is named
+        fan_in = self.spec.fan_in(layer)
+        try:
+            w = np.array(rows, dtype=np.float64)
+        except ValueError as exc:  # blocks of different shapes, or not numbers
+            w, error = None, exc
+        if w is not None and w.shape[1:] == (fan_in,):
+            return w
+        for node, row in enumerate(rows):
+            if np.shape(row) != (fan_in,):
+                raise ValueError(f"block {first + node} (layer {layer}, node {node}) has shape "
+                                 f"{np.shape(row)}, expected ({fan_in},)")
+        raise error
 
 
 def forward(spec: MLPSpec, params: Sequence[LayerParams], x: np.ndarray) -> np.ndarray:
@@ -210,13 +225,10 @@ def forward(spec: MLPSpec, params: Sequence[LayerParams], x: np.ndarray) -> np.n
 
 def _activate(activation: Activation, z: np.ndarray) -> np.ndarray:
     if activation is Activation.SIGMOID:
-        # split by sign for stability on large magnitudes
-        out = np.empty_like(z)
+        # split by sign for stability on large magnitudes: exp only sees -|z|
         pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        e = np.exp(np.where(pos, -z, z))
+        return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
     return np.maximum(z, 0.0)
 
 

@@ -3,12 +3,23 @@
 `backprop` is one sample's forward and backward pass with matrix-vector
 products, and `mean_gradient` adds the per-sample gradients one at a time in
 batch order and divides by the count. `fwsd.sparse_net._backprop` has to
-match it bit for bit, which `test_backprop.py` checks.
+match it bit for bit, which `test_backprop.py` checks. `sigmoid` is the
+boolean-scatter form that `_activate`'s `np.where` form replaced.
 """
 
 import numpy as np
 
 from fwsd.sparse_net import LayerParams, Loss, _activate, _activation_slope
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The sigmoid as `_activate` computed it with boolean scatters, split by sign."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def loss_and_output_grad(loss: Loss, pred: np.ndarray, target: np.ndarray):

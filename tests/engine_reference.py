@@ -1,0 +1,180 @@
+"""The per-block engine that the group-matrix state replaced, kept as the reference.
+
+`run` holds the iterate as one array per block. Every step regroups the
+blocks by ball, stacks the group's rows, calls one row-wise kernel and
+scatters the rows back into block order; the digest hashes block by block.
+`fwsd.optimizer.run` has to match it bit for bit (digest, trace, output
+index, output and final iterates), which `test_engine.py` checks.
+"""
+
+import hashlib
+
+import numpy as np
+
+from fwsd.gap import GapConstants, _clamp_g_tilde, dual_norm
+from fwsd.geometry import (
+    away_rows,
+    ball_groups,
+    blame_blocks,
+    face_rows,
+    frank_wolfe_rows,
+    in_face_step_cap_rows,
+    nnz_rows,
+    stack_rows,
+)
+from fwsd.optimizer import (
+    AltStepInfo,
+    Iterate,
+    RunResult,
+    TraceRecord,
+    derive_rng_streams,
+    sd_step,
+)
+
+
+def _digest_update(h, x_blocks, y):
+    for xb in x_blocks:
+        h.update(np.ascontiguousarray(xb, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(y, dtype=np.float64).tobytes())
+
+
+def fw_step(x_blocks, g_hat_blocks, balls, config):
+    """Frank-Wolfe step on every block; blocks sharing a ball are stepped row-wise."""
+    c_bar = np.asarray(config.c_bar_per_block, dtype=np.float64)
+    x_bar = [None] * len(balls)
+    g_tildes = np.empty(len(balls))
+    alphas = np.empty(len(balls))
+    for ball, idx in ball_groups(balls):
+        with blame_blocks("fw_step", idx):
+            x = stack_rows(x_blocks, idx, ball.dim, "x")
+            g = stack_rows(g_hat_blocks, idx, ball.dim, "g")
+            v, gap = frank_wolfe_rows(ball, x, g)
+            g_tilde = _clamp_g_tilde(gap, g)
+        alpha = g_tilde / c_bar[idx]
+        if config.alpha_clamp:
+            alpha = np.where(alpha > 1.0, 1.0, alpha)
+        stepped = x + alpha[:, None] * (v - x)
+        for i, row in zip(idx.tolist(), stepped):
+            x_bar[i] = row
+        g_tildes[idx] = g_tilde
+        alphas[idx] = alpha
+    return tuple(x_bar), tuple(g_tildes.tolist()), tuple(alphas.tolist())
+
+
+def alt_step(x_bar_blocks, g_check_blocks, balls, config):
+    """Away step inside the minimal face of every block."""
+    c_bar = np.asarray(config.c_bar_per_block, dtype=np.float64)
+    n = len(balls)
+    x_next = [None] * n
+    taken = np.zeros(n, dtype=bool)
+    a_values, alpha_stops, betas = np.zeros(n), np.zeros(n), np.zeros(n)
+    for ball, idx in ball_groups(balls):
+        with blame_blocks("alt_step", idx):
+            x = stack_rows(x_bar_blocks, idx, ball.dim, "x_bar")
+            g = stack_rows(g_check_blocks, idx, ball.dim, "g_check")
+            sign, on_boundary = face_rows(ball, x)
+            d, ok, gd = away_rows(ball, x, g, sign, on_boundary, config.away_tol)
+        stepped = x.copy()
+        if ok.any():
+            moved = idx[ok]
+            with blame_blocks("alt_step", moved):
+                alpha_stop, binding = in_face_step_cap_rows(ball, x[ok], d[ok], sign[ok],
+                                                            on_boundary[ok])
+            a_value = -gd[ok]
+            quotient = a_value / c_bar[moved]
+            beta = np.where(alpha_stop < quotient, alpha_stop, quotient)
+            rows = x[ok] + beta[:, None] * d[ok]
+            rows[binding & (beta == alpha_stop)[:, None]] = 0.0
+            stepped[ok] = rows
+            taken[moved] = True
+            a_values[moved], alpha_stops[moved], betas[moved] = a_value, alpha_stop, beta
+        for i, row in zip(idx.tolist(), stepped):
+            x_next[i] = row
+    infos = tuple(
+        AltStepInfo(taken=t, a_value=a, alpha_stop=s, beta_bar=b)
+        for t, a, s, b in zip(taken.tolist(), a_values.tolist(), alpha_stops.tolist(),
+                              betas.tolist())
+    )
+    return tuple(x_next), infos
+
+
+def run(problem, balls, y0, x0_blocks, config):
+    """The hybrid method with one array per block as the iterate."""
+    balls = tuple(balls)
+    n_blocks = len(balls)
+    if len(x0_blocks) != n_blocks or len(config.c_bar_per_block) != n_blocks:
+        raise ValueError("balls, x0_blocks and c_bar_per_block must align")
+    if tuple(problem.block_dims) != tuple(b.dim for b in balls):
+        raise ValueError("ball dimensions do not match the problem's blocks")
+    x = [np.array(b, dtype=np.float64) for b in x0_blocks]
+    y = np.array(y0, dtype=np.float64)
+    if y.shape != (problem.y_dim,):
+        raise ValueError(f"y0 has shape {y.shape}, expected ({problem.y_dim},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y0 contains non-finite entries")
+    for xb, ball in zip(x, balls):
+        if not ball.contains(xb):
+            raise ValueError("x0 block is infeasible")
+    constants = GapConstants.from_blocks(config.l_nabla, config.c_bar_per_block, balls)
+    groups = ball_groups(balls)
+
+    streams = derive_rng_streams(config.seed)
+    k_total = config.iterations
+    output_index = int(streams.output_draw.integers(0, k_total + 1))
+
+    digest = hashlib.sha256()
+    _digest_update(digest, x, y)
+    output = None
+    if output_index == 0:
+        output = Iterate(tuple(np.array(b) for b in x), y.copy(), 0)
+
+    trace = []
+    try:
+        for k in range(k_total):
+            b_k = config.batch_schedule.batch_size(k, k_total)
+            batch = problem.draw(streams.data, b_k)
+            est = problem.gradient_mean(x, y, batch)
+            objective = float(est.objective())
+
+            x_bar, g_tildes, alphas = fw_step(x, est.g_blocks, balls, config)
+            gap_hat = float(sum(g_tildes)) * constants.scale + dual_norm(est.h, config.norm_y)
+            y_next, alpha_sd = sd_step(y, est.h, config)
+
+            if config.alternative_directions and n_blocks > 0:
+                fresh = problem.draw(streams.alt_batches, b_k)
+                check = problem.gradient_mean(x_bar, y_next, fresh)
+                x_new, infos = alt_step(x_bar, check.g_blocks, balls, config)
+                betas = tuple(i.beta_bar for i in infos)
+                taken = tuple(i.taken for i in infos)
+            else:
+                x_new, betas, taken = tuple(x_bar), None, None
+
+            x = [np.asarray(b) for b in x_new]
+            y = y_next
+            _digest_update(digest, x, y)
+            nnz = np.empty(n_blocks, dtype=np.int64)
+            for ball, idx in groups:
+                nnz[idx] = nnz_rows(stack_rows(x, idx, ball.dim, "x"))
+            trace.append(TraceRecord(
+                k=k,
+                objective_estimate=objective,
+                gap_hat=gap_hat,
+                alpha_bar_blocks=alphas,
+                alpha_sd=alpha_sd,
+                beta_bar_blocks=betas,
+                alt_taken_blocks=taken,
+                nnz_blocks=tuple(nnz.tolist()),
+            ))
+            if k + 1 == output_index:
+                output = Iterate(tuple(np.array(b) for b in x), y.copy(), k + 1)
+    except (ValueError, RuntimeError) as exc:
+        raise type(exc)(f"{exc} at iteration {k}") from exc
+
+    final = Iterate(tuple(np.array(b) for b in x), y.copy(), k_total)
+    return RunResult(
+        output_iterate=output,
+        trace=trace,
+        iterates_digest=digest.hexdigest(),
+        final_iterate=final,
+        output_index=output_index,
+    )

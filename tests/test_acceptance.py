@@ -290,7 +290,8 @@ def test_criterion_06_away_steps_preserve_signed_support():
         c_bar = 8.0 * radius ** 2 if trial % 2 == 0 else 0.05
         config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(c_bar,),
                                  iterations=0, seed=0)
-        (x_new,), (info,) = alt_step([x], [g], [ball], config)
+        (x_new,), (info,) = alt_step(x[None, :], g[None, :], ball,
+                                     np.array(config.c_bar_per_block), config)
         if not info.taken:
             assert np.array_equal(x_new, x)
             continue
@@ -328,7 +329,8 @@ def test_criterion_07_away_steps_never_increase_objective():
             x = _random_interior_point(rng, 5, 1.0, fill)
             y = rng.standard_normal(2)
             g_blocks, _ = inst.exact_gradient([x], y)
-            (x_new,), (info,) = alt_step([x], g_blocks, [ball], config)
+            (x_new,), (info,) = alt_step(x[None, :], np.array(g_blocks), ball,
+                                         np.array(config.c_bar_per_block), config)
             f_before = inst.exact_objective([x], y)
             f_after = inst.exact_objective([x_new], y)
             assert f_after <= f_before + 1e-10, (

@@ -6,13 +6,15 @@ per-sample pass and in-order accumulation it replaced. Hypothesis draws
 networks of 2-4 layers of width 1-40, both activations, both losses, bias on
 and off, and batches of 1, 16, one chunk plus one and three chunks, drawn
 with replacement from at most 40 rows so indices repeat. Gradients must agree
-in their bytes, and the batch objective must equal the loss of `forward`.
+in their bytes, and the batch objective must equal the loss of `forward`. The
+sigmoid must equal the reference's boolean-scatter form in its bytes, NaN
+signs included.
 """
 
 import tracemalloc
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import backprop_reference as ref
@@ -25,6 +27,7 @@ from fwsd.sparse_net import (
     MLPProblem,
     MLPSpec,
     ParamLayout,
+    _activate,
     forward,
     loss_value,
 )
@@ -140,3 +143,22 @@ def test_exact_gradient_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"exact_gradient peaked at {peak / 2**20:.1f} MB"
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0), 5e-324,
+                    -5e-324, 2.2250738585072014e-308, 745.2, -745.2, 746.0, -746.0, 1e308,
+                    -1e308, 36.8, -36.8])
+
+
+@SETTINGS
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=60),
+       st.sampled_from([(-1,), (3, -1)]))
+@example(SPECIAL.tolist(), (-1,))
+def test_sigmoid_matches_reference_bytes(values, shape):
+    z = np.array(values, dtype=np.float64)
+    if shape == (3, -1):
+        z = np.resize(z, 3 * len(z)).reshape(3, -1)
+    got = _activate(Activation.SIGMOID, z)
+    assert (got.dtype, got.shape) == (z.dtype, z.shape)
+    assert got.tobytes() == ref.sigmoid(z).tobytes()

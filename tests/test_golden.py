@@ -11,7 +11,8 @@ SHA-256 of the trace CSV, the checkpoint and the report (less the lines
 that echo output paths). The quadratic run calls
 ``fwsd.run`` with away steps on blocks of mixed width, radius and norm, so
 that grouping blocks by ball and putting results back in block order are
-both exercised; its trace records are hashed with every float in hex.
+both exercised; its trace records are hashed with every float in hex, and
+its output and final iterates byte for byte.
 """
 
 import hashlib
@@ -104,6 +105,14 @@ def _hex(value):
     return [_hex(v) for v in value]
 
 
+def _iterate_sha(iterate):
+    h = hashlib.sha256()
+    for block in (*iterate.x_blocks, iterate.y):
+        assert block.dtype == np.float64 and block.ndim == 1
+        h.update(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def test_mixed_block_quadratic_run_matches_golden():
     # blocks 0 and 3 share a ball; block 1 differs only in its norm, block 2
     # in its width, block 4 only in its radius
@@ -126,4 +135,12 @@ def test_mixed_block_quadratic_run_matches_golden():
     assert (result.iterates_digest, trace_sha) == (
         "18191cf490d97a9ce7f7b426b4817f0bbb1b3675eabafe26868584d2f0d6a736",
         "8ac296b1cfd2c5080f5de0714bc6ad99dab878ca8ba9abe04a8e9a26511d8d9d",
+    )
+    # the digest hashes the iterates as the engine holds them; the output
+    # and final iterates are reassembled in block order on a separate path
+    assert (result.output_index, _iterate_sha(result.output_iterate),
+            _iterate_sha(result.final_iterate)) == (
+        60,
+        "e8bb7541d5be804f2542b4aa79fade7d9842be477964bcaadacd1e56550aa3df",
+        "72f8cf883ff20eef9f427ccfd0b958679b49253cdbe27f69c4a792bd009f6667",
     )

@@ -9,6 +9,7 @@ import quadratic_reference as ref
 from fwsd.gap import dual_norm
 from fwsd.geometry import L1Ball, Norm, RowError
 from fwsd.optimizer import (
+    AltStepInfo,
     BatchSchedule,
     Iterate,
     OptimizerConfig,
@@ -98,39 +99,42 @@ class TestRngStreams:
         assert np.array_equal(a.alt_batches.standard_normal(4), b.alt_batches.standard_normal(4))
 
 
+def one_row(ball, x, g, cfg):
+    """A one-block group: the kernels' ``(x, g, ball, c_bar, config)`` arguments."""
+    c_bar = np.array(cfg.c_bar_per_block)
+    return np.array([x], dtype=np.float64), np.array([g], dtype=np.float64), ball, c_bar, cfg
+
+
 class TestFwStep:
     def test_worked_example(self):
-        balls = [L1Ball(2, 1.0)]
-        cfg = config_for(balls)
-        x_bar, g_tildes, alphas = fw_step(
-            [np.zeros(2)], [np.array([1.0, -2.0])], balls, cfg
-        )
-        assert g_tildes == (2.0,)
-        assert alphas == (0.25,)
+        ball = L1Ball(2, 1.0)
+        cfg = config_for([ball])
+        x_bar, g_tildes, alphas = fw_step(*one_row(ball, np.zeros(2), [1.0, -2.0], cfg))
+        assert g_tildes.tolist() == [2.0]
+        assert alphas.tolist() == [0.25]
         np.testing.assert_array_equal(x_bar[0], [0.0, 0.25])
 
     def test_clamp_caps_step_at_one(self):
-        balls = [L1Ball(2, 1.0)]
-        cfg = config_for(balls, c_bar_per_block=(8.0,))
-        huge = np.array([100.0, 0.0])
-        x_bar, g_tildes, alphas = fw_step([np.zeros(2)], [huge], balls, cfg)
+        ball = L1Ball(2, 1.0)
+        cfg = config_for([ball], c_bar_per_block=(8.0,))
+        x_bar, g_tildes, alphas = fw_step(*one_row(ball, np.zeros(2), [100.0, 0.0], cfg))
         assert g_tildes[0] == 100.0
-        assert alphas == (1.0,)
+        assert alphas.tolist() == [1.0]
         np.testing.assert_array_equal(x_bar[0], [-1.0, 0.0])
 
     def test_unclamped_step_can_exceed_one(self):
-        balls = [L1Ball(2, 1.0)]
-        cfg = config_for(balls, c_bar_per_block=(8.0,), alpha_clamp=False)
-        _, _, alphas = fw_step([np.zeros(2)], [np.array([100.0, 0.0])], balls, cfg)
+        ball = L1Ball(2, 1.0)
+        cfg = config_for([ball], c_bar_per_block=(8.0,), alpha_clamp=False)
+        _, _, alphas = fw_step(*one_row(ball, np.zeros(2), [100.0, 0.0], cfg))
         assert alphas[0] == 12.5
 
     def test_stationary_block_does_not_move(self):
-        balls = [L1Ball(2, 1.0)]
-        cfg = config_for(balls)
+        ball = L1Ball(2, 1.0)
+        cfg = config_for([ball])
         x = np.array([-1.0, 0.0])  # the oracle vertex for this gradient
-        x_bar, g_tildes, alphas = fw_step([x], [np.array([5.0, 0.0])], balls, cfg)
-        assert g_tildes == (0.0,)
-        assert alphas == (0.0,)
+        x_bar, g_tildes, alphas = fw_step(*one_row(ball, x, [5.0, 0.0], cfg))
+        assert g_tildes.tolist() == [0.0]
+        assert alphas.tolist() == [0.0]
         np.testing.assert_array_equal(x_bar[0], x)
 
 
@@ -166,11 +170,9 @@ class TestSdStep:
 
 class TestAltStep:
     def test_worked_example(self):
-        balls = [L1Ball(3, 1.0)]
-        cfg = config_for(balls)  # c_bar = 8
-        x_next, infos = alt_step(
-            [np.array([0.5, -0.5, 0.0])], [np.array([1.0, -2.0, 0.0])], balls, cfg
-        )
+        ball = L1Ball(3, 1.0)
+        cfg = config_for([ball])  # c_bar = 8
+        x_next, infos = alt_step(*one_row(ball, [0.5, -0.5, 0.0], [1.0, -2.0, 0.0], cfg))
         info = infos[0]
         assert info.taken
         assert info.a_value == 0.5
@@ -179,19 +181,17 @@ class TestAltStep:
         np.testing.assert_array_equal(x_next[0], [0.53125, -0.46875, 0.0])
 
     def test_rejected_direction_leaves_block_unchanged(self):
-        balls = [L1Ball(2, 1.0)]
-        cfg = config_for(balls)
+        ball = L1Ball(2, 1.0)
+        cfg = config_for([ball])
         x = np.array([1.0, 0.0])  # vertex, outward pull
-        x_next, infos = alt_step([x], [np.array([-1.0, 0.0])], balls, cfg)
+        x_next, infos = alt_step(*one_row(ball, x, [-1.0, 0.0], cfg))
         assert not infos[0].taken
         np.testing.assert_array_equal(x_next[0], x)
 
     def test_cap_binding_zeroes_coordinate_exactly(self):
-        balls = [L1Ball(2, 1.0)]
-        cfg = config_for(balls, c_bar_per_block=(0.25,))
-        x_next, infos = alt_step(
-            [np.array([0.5, -0.5])], [np.array([2.0, -1.0])], balls, cfg
-        )
+        ball = L1Ball(2, 1.0)
+        cfg = config_for([ball], c_bar_per_block=(0.25,))
+        x_next, infos = alt_step(*one_row(ball, [0.5, -0.5], [2.0, -1.0], cfg))
         info = infos[0]
         assert info.taken
         assert info.beta_bar == info.alpha_stop == 1.0
@@ -203,28 +203,44 @@ class TestAltStep:
         # 5e-13 lies inside FACE_TOL, so the face is {0, 1}: the away vertex
         # is e_0 and the step is rejected; 5e-12 lies outside it, so the
         # away vertex is e_2 and the cap drops that coordinate to exactly 0
-        balls = [L1Ball(3, 1.0)]
-        cfg = config_for(balls, away_tol=away_tol)
+        ball = L1Ball(3, 1.0)
+        cfg = config_for([ball], away_tol=away_tol)
         g = np.array([0.0, 0.0, 1.0])
         x = np.array([0.6, 0.4 - 5e-13, 5e-13])
-        x_next, infos = alt_step([x], [g], balls, cfg)
+        x_next, infos = alt_step(*one_row(ball, x, g, cfg))
         assert not infos[0].taken
         np.testing.assert_array_equal(x_next[0], x)
         x = np.array([0.6, 0.4 - 5e-12, 5e-12])
-        x_next, infos = alt_step([x], [g], balls, cfg)
+        x_next, infos = alt_step(*one_row(ball, x, g, cfg))
         assert infos[0].taken and infos[0].beta_bar == infos[0].alpha_stop
         assert x_next[0][2] == 0.0
-        assert balls[0].contains(x_next[0])
+        assert ball.contains(x_next[0])
 
     def test_blocks_are_independent(self):
-        balls = [L1Ball(2, 1.0), L1Ball(2, 1.0)]
-        cfg = config_for(balls)
+        # two rows of one group: each row's step depends on that row only
+        ball = L1Ball(2, 1.0)
+        cfg = config_for([ball, ball])
         x_next, infos = alt_step(
-            [np.array([0.5, -0.5]), np.array([1.0, 0.0])],
-            [np.array([2.0, -1.0]), np.array([-1.0, 0.0])],
-            balls, cfg,
+            np.array([[0.5, -0.5], [1.0, 0.0]]), np.array([[2.0, -1.0], [-1.0, 0.0]]),
+            ball, np.array(cfg.c_bar_per_block), cfg,
         )
         assert infos[0].taken and not infos[1].taken
+        assert infos.taken.tolist() == [True, False]
+        np.testing.assert_array_equal(x_next[1], [1.0, 0.0])
+
+    def test_infos_are_built_per_row_on_access(self):
+        ball = L1Ball(2, 1.0)
+        cfg = config_for([ball, ball])
+        _, infos = alt_step(np.array([[0.5, -0.5], [1.0, 0.0]]),
+                            np.array([[2.0, -1.0], [-1.0, 0.0]]),
+                            ball, np.array(cfg.c_bar_per_block), cfg)
+        assert len(infos) == 2
+        assert list(infos) == [infos[0], infos[1]]
+        assert infos[1] == AltStepInfo(taken=False, a_value=0.0, alpha_stop=0.0, beta_bar=0.0)
+        assert type(infos[0].taken) is bool and type(infos[0].beta_bar) is float
+        assert infos[0].beta_bar == float(infos.beta_bar[0])
+        with pytest.raises(IndexError):
+            infos[2]
 
 
 class TestSampleGradientBatch:
@@ -417,7 +433,7 @@ class TestRun:
         result = run(problem, balls, np.zeros(2), [np.zeros(2)], cfg)
 
         iterates = [Iterate((np.zeros(2),), np.zeros(2), 0)]
-        x = [np.zeros(2)]
+        x = np.zeros((1, 2))
         y = np.zeros(2)
         from fwsd.optimizer import fw_step as fws, sd_step as sds
 
@@ -425,9 +441,9 @@ class TestRun:
         streams.output_draw.integers(0, 6)
         for k in range(5):
             batch = problem.draw(streams.data, 1)
-            est = _mean_gradient(problem, x, y, batch)
-            x_bar, _, _ = fws(x, est.g_blocks, balls, cfg)
+            est = _mean_gradient(problem, list(x), y, batch)
+            x, _, _ = fws(x, np.array(est.g_blocks), balls[0],
+                          np.array(cfg.c_bar_per_block), cfg)
             y, _ = sds(y, est.h, cfg)
-            x = list(x_bar)
-            iterates.append(Iterate(tuple(np.array(b) for b in x), y.copy(), k + 1))
+            iterates.append(Iterate((x[0].copy(),), y.copy(), k + 1))
         assert iterates_digest(iterates) == result.iterates_digest

@@ -1,7 +1,8 @@
 """Row-wise geometry against the per-block reference, bit for bit.
 
-`fw_step`, `alt_step` and `gap_estimate` stack the blocks that share a ball
-and call one row-wise kernel per group. `geometry_reference` keeps the loop
+`fw_step` and `alt_step` step the rows of one group of blocks sharing a ball,
+and `gap_estimate` stacks such groups itself; `_by_group` calls a kernel once
+per group the way `run` does. `geometry_reference` keeps the per-block loop
 they replaced. Hypothesis draws block sets of widths 1-600 and 1-50 rows
 per ball (at most 6000 coordinates per ball, so a 600-wide ball gets up to
 10 rows), with mixed radii and norms, interleaved block order, interior
@@ -23,9 +24,11 @@ from fwsd.gap import GapConstants, InternalConsistencyError, gap_estimate
 from fwsd.geometry import (
     L1Ball,
     Norm,
+    RowError,
     away_rows,
     ball_cap_rows,
     ball_groups,
+    blame_blocks,
     face_rows,
     in_face_step_cap_rows,
     lmo_rows,
@@ -121,6 +124,25 @@ def _ref_bits(value):
     return _bits(value)
 
 
+def _by_group(kernel, x, g, balls, config):
+    """Call ``kernel`` once per ball group, as `run` does; per-block results in block order.
+
+    ``x`` is stacked without a check, so the kernel's own finiteness check runs.
+    """
+    step = kernel.__name__
+    g_name = "g" if step == "fw_step" else "g_check"
+    c_bar = np.asarray(config.c_bar_per_block)
+    out = [None] * len(balls)
+    for ball, idx in ball_groups(balls):
+        with blame_blocks(step, idx):
+            m = np.array([x[i] for i in idx.tolist()], dtype=np.float64)
+            result = kernel(m, stack_rows(g, idx, ball.dim, g_name), ball, c_bar[idx], config)
+        for r, i in enumerate(idx.tolist()):
+            out[i] = [part[r].item() if isinstance(part, np.ndarray) and part.ndim == 1
+                      else part[r] for part in result]
+    return tuple(zip(*out))
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args), None
@@ -139,7 +161,7 @@ def _assert_same_failure(err, ref_err):
 def test_fw_step_matches_reference(case):
     balls, seed = case
     x, g, config = _inputs(balls, seed)
-    got, err = _outcome(fw_step, x, g, balls, config)
+    got, err = _outcome(_by_group, fw_step, x, g, balls, config)
     want, ref_err = _outcome(ref.fw_step, x, g, balls, config)
     _assert_same_failure(err, ref_err)
     if err is not None:
@@ -153,7 +175,7 @@ def test_fw_step_matches_reference(case):
 def test_alt_step_matches_reference(case):
     balls, seed = case
     x, g, config = _inputs(balls, seed)
-    got, err = _outcome(alt_step, x, g, balls, config)
+    got, err = _outcome(_by_group, alt_step, x, g, balls, config)
     want, ref_err = _outcome(ref.alt_step, x, g, balls, config)
     _assert_same_failure(err, ref_err)
     if err is not None:
@@ -240,7 +262,8 @@ def test_sampler_reaches_every_branch():
     for seed in rng.integers(0, 2**32 - 1, size=30):
         balls = [L1Ball(int(rng.integers(1, 40)), 1.0)] * 20
         x, g, config = _inputs(balls, int(seed))
-        _, infos = alt_step(x, g, balls, replace(config, away_tol=1e-12))
+        _, infos = alt_step(np.array(x), np.array(g), balls[0],
+                            np.array(config.c_bar_per_block), replace(config, away_tol=1e-12))
         for xb, info in zip(x, infos):
             seen["rejected"] += not info.taken
             seen["binding"] += info.taken and info.beta_bar == info.alpha_stop
@@ -265,7 +288,7 @@ def test_fw_step_names_block_with_non_finite_gradient(bad):
     balls, x, g, config = _two_groups()
     g[3] = np.array([0.0, bad, 1.0])
     with pytest.raises(ValueError, match=r"g contains non-finite entries \(block 3, in fw_step\)"):
-        fw_step(x, g, balls, config)
+        _by_group(fw_step, x, g, balls, config)
 
 
 def test_alt_step_names_block_with_non_finite_input():
@@ -273,26 +296,41 @@ def test_alt_step_names_block_with_non_finite_input():
     x[2] = np.array([0.1, np.nan, 0.0])
     with pytest.raises(ValueError,
                        match=r"x_bar contains non-finite entries \(block 2, in alt_step\)"):
-        alt_step(x, g, balls, config)
+        _by_group(alt_step, x, g, balls, config)
     balls, x, g, config = _two_groups()
     g[1] = np.array([np.inf, 0.0])
     with pytest.raises(ValueError,
                        match=r"g_check contains non-finite entries \(block 1, in alt_step\)"):
-        alt_step(x, g, balls, config)
+        _by_group(alt_step, x, g, balls, config)
+
+
+def test_in_face_cap_failure_names_the_group_row(monkeypatch):
+    # the cap sees only the accepted rows; its row 0 is the group's row 1
+    def failing_cap(ball, x, d, sign, on_boundary):
+        raise RowError("cap failed", 0)
+
+    monkeypatch.setattr("fwsd.optimizer.in_face_step_cap_rows", failing_cap)
+    ball = L1Ball(2, 1.0)
+    x = np.array([[1.0, 0.0], [0.5, -0.5]])  # a vertex pulled outward, then an accepted row
+    g = np.array([[-1.0, 0.0], [2.0, -1.0]])
+    config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(8.0, 8.0), iterations=1, seed=0)
+    with pytest.raises(RowError, match=r"^cap failed \(block 7, in alt_step\)$"):
+        with blame_blocks("alt_step", [5, 7]):
+            alt_step(x, g, ball, np.array(config.c_bar_per_block), config)
 
 
 def test_negative_gap_names_block():
     balls, x, g, config = _two_groups()
     x[2] = np.array([-5.0, 0.0, 0.0])  # infeasible, so g @ (x - v) < 0
     with pytest.raises(InternalConsistencyError, match=r"\(block 2, in fw_step\)"):
-        fw_step(x, g, balls, config)
+        _by_group(fw_step, x, g, balls, config)
 
 
 def test_shape_error_names_block():
     balls, x, g, config = _two_groups()
     g[2] = np.ones(4)
     with pytest.raises(ValueError, match=r"g has shape \(4,\), expected \(3,\) \(block 2, in fw_step\)"):
-        fw_step(x, g, balls, config)
+        _by_group(fw_step, x, g, balls, config)
 
 
 def test_run_with_non_finite_gradient_fails_loudly():

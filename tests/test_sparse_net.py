@@ -122,6 +122,31 @@ def test_layout_unpack_validation():
         layout.unpack([np.zeros(3), np.zeros(3)], np.zeros(layout.y_dim + 1))
 
 
+def test_layout_unpack_names_misshapen_block():
+    layout = ParamLayout(MLPSpec(layer_sizes=(3, 2), fw_layers=(0,), deltas=(1.0,)))
+    y = np.zeros(layout.y_dim)
+    with pytest.raises(ValueError,
+                       match=r"^block 1 \(layer 0, node 1\) has shape \(4,\), expected \(3,\)$"):
+        layout.unpack([np.zeros(3), np.zeros(4)], y)
+    with pytest.raises(ValueError,
+                       match=r"^block 0 \(layer 0, node 0\) has shape \(4,\), expected \(3,\)$"):
+        layout.unpack([np.zeros(4), np.zeros(4)], y)
+    # blocks count on across constrained layers; nodes restart per layer
+    layout = ParamLayout(MLPSpec(layer_sizes=(2, 3, 2), fw_layers=(0, 1), deltas=(1.0, 1.0)))
+    blocks = [np.zeros(2)] * 3 + [np.zeros(3), np.zeros((3, 1))]
+    with pytest.raises(ValueError,
+                       match=r"^block 4 \(layer 1, node 1\) has shape \(3, 1\), expected \(3,\)$"):
+        layout.unpack(blocks, np.zeros(layout.y_dim))
+
+
+def test_layout_pack_returns_row_views():
+    spec = MLPSpec(layer_sizes=(3, 2, 2), fw_layers=(0, 1), deltas=(1.0, 1.0))
+    params = random_params(spec, np.random.default_rng(5))
+    x_blocks, _ = ParamLayout(spec).pack(params)
+    assert [b.base is params[l].w for b, l in zip(x_blocks, (0, 0, 1, 1))] == [True] * 4
+    np.testing.assert_array_equal(x_blocks[3], params[1].w[1])
+
+
 # ---------------------------------------------------------------- forward
 
 
