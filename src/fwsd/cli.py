@@ -376,23 +376,35 @@ def write_trace_csv(path, trace: Sequence[TraceRecord], window: int,
         writer.writerow(["k", "objective_estimate", "gap_hat", "gap_hat_smoothed",
                          *(f"alpha_bar_{i}" for i in range(n_blocks)), "alpha_sd", *nnz_names])
         for record, smooth, nnz in zip(trace, smoothed, nnz_rows):
-            values = (record.objective_estimate, record.gap_hat, smooth,
-                      *record.alpha_bar_blocks, record.alpha_sd, *nnz)
-            writer.writerow([str(record.k)] + [f"{v:.17g}" for v in values])
+            row = [str(record.k),
+                   f"{record.objective_estimate:.17g}",
+                   f"{record.gap_hat:.17g}",
+                   f"{smooth:.17g}"]
+            row += [f"{a:.17g}" for a in record.alpha_bar_blocks]
+            row.append(f"{record.alpha_sd:.17g}")
+            row += [f"{v:.17g}" for v in nnz]
+            writer.writerow(row)
 
 
 def _net_nnz_columns(layout: ParamLayout, trace: Sequence[TraceRecord]):
     """Per-layer NNZ percentages derived from the per-block counts."""
     names = [f"nnz_layer_{l}" for l in layout.spec.fw_layers]
-    groups = [(layout.spec.fan_in(l), layout.blocks_for_layer(l)) for l in layout.spec.fw_layers]
-    rows = [[100.0 * float(np.mean([record.nnz_blocks[b] / fan_in for b in blocks]))
-             for fan_in, blocks in groups] for record in trace]
+    rows = []
+    groups = [(l, layout.blocks_for_layer(l)) for l in layout.spec.fw_layers]
+    for record in trace:
+        row = []
+        for l, blocks in groups:
+            fan_in = layout.spec.fan_in(l)
+            counts = [record.nnz_blocks[b] for b in blocks]
+            row.append(100.0 * float(np.mean([c / fan_in for c in counts])))
+        rows.append(row)
     return names, rows
 
 
 def _block_nnz_columns(n_blocks: int, trace: Sequence[TraceRecord]):
-    return ([f"nnz_block_{i}" for i in range(n_blocks)],
-            [[float(c) for c in record.nnz_blocks] for record in trace])
+    names = [f"nnz_block_{i}" for i in range(n_blocks)]
+    rows = [[float(c) for c in record.nnz_blocks] for record in trace]
+    return names, rows
 
 
 # --------------------------------------------------------------------------
@@ -638,9 +650,14 @@ def train_once(config: ExperimentConfig) -> TrainOutcome:
 def report_lines(command: str, config: ExperimentConfig,
                  metrics: Sequence[tuple[str, object]],
                  paths: Sequence[tuple[str, str]]) -> list[str]:
-    return [f"command = {command}", *config_echo_lines(config), f"seed = {config.seed}",
-            *(f"{key} = {_fmt(value)}" for key, value in metrics),
-            *(f"{key} = {value}" for key, value in paths)]
+    lines = [f"command = {command}"]
+    lines += config_echo_lines(config)
+    lines += [f"seed = {config.seed}"]
+    for key, value in metrics:
+        lines.append(f"{key} = {_fmt(value)}")
+    for key, value in paths:
+        lines.append(f"{key} = {value}")
+    return lines
 
 
 def _emit(path, lines: Sequence[str]) -> None:

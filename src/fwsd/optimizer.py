@@ -203,8 +203,7 @@ def iterates_digest(iterates: Iterable[Iterate]) -> str:
     """SHA-256 over the raw little-endian float64 bytes of every iterate."""
     h = hashlib.sha256()
     for it in iterates:
-        _digest_groups(h, [np.ascontiguousarray(b, dtype=np.float64) for b in it.x_blocks],
-                       None, it.y)
+        _digest_rows(h, [np.ascontiguousarray(b, dtype=np.float64) for b in it.x_blocks], it.y)
     return h.hexdigest()
 
 
@@ -218,6 +217,7 @@ def fw_step(x: np.ndarray, g: np.ndarray, ball: L1Ball, c_bar: np.ndarray,
     when configured). Row checks raise naming the row; `blame_blocks` names the block.
     """
     finite_rows(x, "x")
+    finite_rows(g, "g")
     v, gap = frank_wolfe_rows(ball, x, g)
     g_tilde = _clamp_g_tilde(gap, g)
     alpha = g_tilde / c_bar
@@ -240,7 +240,8 @@ def sd_step(y: np.ndarray, h_hat: np.ndarray, config: OptimizerConfig):
         return y.copy(), 0.0
     alpha = h_norm / (2.0 * config.l_nabla)
     if config.norm_y is Norm.L2:
-        return y - alpha * (h_hat / h_norm), alpha
+        direction = h_hat / h_norm
+        return y - alpha * direction, alpha
     j = int(np.argmax(np.abs(h_hat)))
     y_next = y.copy()
     y_next[j] = y_next[j] - alpha * np.sign(h_hat[j])
@@ -261,6 +262,7 @@ def alt_step(x_bar: np.ndarray, g_check: np.ndarray, ball: L1Ball, c_bar: np.nda
     `AltStepInfos`. Row checks name the group row, as in `fw_step`.
     """
     finite_rows(x_bar, "x_bar")
+    finite_rows(g_check, "g_check")
     sign, on_boundary = face_rows(ball, x_bar)
     d, ok, gd = away_rows(ball, x_bar, g_check, sign, on_boundary, config.away_tol)
     x_next = x_bar.copy()
@@ -298,10 +300,9 @@ def _in_block_order(parts: Sequence[np.ndarray], order: list[int] | None) -> tup
     return tuple(values if order is None else [values[j] for j in order])
 
 
-def _digest_groups(h, mats: Sequence[np.ndarray], order: list[int] | None, y) -> None:
-    # sha256 over a C-contiguous matrix equals sha256 over its rows in turn
-    for part in mats if order is None else _block_rows(mats, order):
-        h.update(part)
+def _digest_rows(h, x_rows: Sequence[np.ndarray], y) -> None:
+    for row in x_rows:
+        h.update(row)
     h.update(np.ascontiguousarray(y, dtype=np.float64))
 
 
@@ -361,7 +362,7 @@ def run(
     output_index = int(streams.output_draw.integers(0, k_total + 1))
 
     digest = hashlib.sha256()
-    _digest_groups(digest, x, order, y)
+    _digest_rows(digest, _block_rows(x, order), y)
     output = snapshot(0) if output_index == 0 else None
 
     trace: list[TraceRecord] = []
@@ -389,7 +390,7 @@ def run(
                 x, betas, taken = x_bar, None, None
 
             y = y_next
-            _digest_groups(digest, x, order, y)
+            _digest_rows(digest, _block_rows(x, order), y)
             for m in x:  # a step that leaves a non-finite entry fails in its own iteration
                 finite_rows(m, "x")
             trace.append(TraceRecord(

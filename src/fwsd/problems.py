@@ -184,14 +184,23 @@ def finite_difference_check(problem, x_blocks, y, epsilon: float = 1e-5) -> floa
     y = np.array(y, dtype=np.float64)
     g_blocks, h = problem.exact_gradient(x_blocks, y)
     worst = 0.0
-    for vec, grad in zip([*x_blocks, y], [*g_blocks, h]):
-        for i in range(vec.size):
-            old = vec[i]
-            vec[i] = old + epsilon
-            f_hi = problem.exact_objective(x_blocks, y)
-            vec[i] = old - epsilon
-            f_lo = problem.exact_objective(x_blocks, y)
-            vec[i] = old
-            g = float(grad[i])
-            worst = max(worst, abs((f_hi - f_lo) / (2.0 * epsilon) - g) / max(1.0, abs(g)))
+
+    def central(vec, i, rebuild):
+        old = vec[i]
+        vec[i] = old + epsilon
+        f_hi = problem.exact_objective(*rebuild())
+        vec[i] = old - epsilon
+        f_lo = problem.exact_objective(*rebuild())
+        vec[i] = old
+        return (f_hi - f_lo) / (2.0 * epsilon)
+
+    for bi, block in enumerate(x_blocks):
+        for i in range(block.size):
+            fd = central(block, i, lambda: (x_blocks, y))
+            g = float(g_blocks[bi][i])
+            worst = max(worst, abs(fd - g) / max(1.0, abs(g)))
+    for i in range(y.size):
+        fd = central(y, i, lambda: (x_blocks, y))
+        g = float(h[i])
+        worst = max(worst, abs(fd - g) / max(1.0, abs(g)))
     return worst

@@ -35,7 +35,7 @@ from fwsd.geometry import (
     stack_rows,
 )
 from fwsd.optimizer import OptimizerConfig, alt_step, fw_step, run
-from fwsd.problems import make_quadratic
+from fwsd.problems import GradientEstimate, make_quadratic
 
 POINT_KINDS = ("interior", "boundary", "near", "vertex", "zero")
 GRADIENT_KINDS = ("normal", "ties", "zero")
@@ -127,16 +127,14 @@ def _ref_bits(value):
 def _by_group(kernel, x, g, balls, config):
     """Call ``kernel`` once per ball group, as `run` does; per-block results in block order.
 
-    ``x`` is stacked without a check, so the kernel's own finiteness check runs.
+    ``x`` and ``g`` are stacked without a check, so the kernel's own checks run.
     """
-    step = kernel.__name__
-    g_name = "g" if step == "fw_step" else "g_check"
     c_bar = np.asarray(config.c_bar_per_block)
     out = [None] * len(balls)
     for ball, idx in ball_groups(balls):
-        with blame_blocks(step, idx):
-            m = np.array([x[i] for i in idx.tolist()], dtype=np.float64)
-            result = kernel(m, stack_rows(g, idx, ball.dim, g_name), ball, c_bar[idx], config)
+        with blame_blocks(kernel.__name__, idx):
+            x_m, g_m = (np.array([v[i] for i in idx.tolist()], dtype=np.float64) for v in (x, g))
+            result = kernel(x_m, g_m, ball, c_bar[idx], config)
         for r, i in enumerate(idx.tolist()):
             out[i] = [part[r].item() if isinstance(part, np.ndarray) and part.ndim == 1
                       else part[r] for part in result]
@@ -283,25 +281,68 @@ def _two_groups():
     return balls, x, g, config
 
 
+class _BadGradientCall:
+    """Gradients of ones, except that pass ``bad_call`` (counted from 0) has a bad block.
+
+    With away steps every iteration makes two passes, `fw_step`'s and then
+    `alt_step`'s, so pass 2 is `fw_step`'s at iteration 1 and pass 3 `alt_step`'s.
+    """
+
+    def __init__(self, balls, bad_call, block, value):
+        self.block_dims, self.y_dim = tuple(b.dim for b in balls), 1
+        self.bad_call, self.block, self.value, self.calls = bad_call, block, value, 0
+
+    def draw(self, rng, n):
+        return n
+
+    def gradient_mean(self, x_blocks, y, batch):
+        g = [np.ones(d) for d in self.block_dims]
+        if self.calls == self.bad_call:
+            g[self.block] = self.value
+        self.calls += 1
+        return GradientEstimate(tuple(g), np.zeros(1), lambda: 0.0)
+
+
+def _run_with_bad_gradient(bad_call, block, value):
+    # blocks 0, 2 and 3 share a ball and block 1 has its own, so block 1 is
+    # the second group's row 0 and block 3 the first group's row 2
+    balls, x, _, config = _two_groups()
+    config = replace(config, iterations=3, alternative_directions=True)
+    run(_BadGradientCall(balls, bad_call, block, value), balls, np.zeros(1), x, config)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fw_step_names_block_with_non_finite_gradient(bad):
-    balls, x, g, config = _two_groups()
-    g[3] = np.array([0.0, bad, 1.0])
-    with pytest.raises(ValueError, match=r"g contains non-finite entries \(block 3, in fw_step\)"):
-        _by_group(fw_step, x, g, balls, config)
+    with pytest.raises(ValueError, match=r"^g contains non-finite entries "
+                                         r"\(block 3, in fw_step\) at iteration 1$"):
+        _run_with_bad_gradient(2, 3, np.array([0.0, bad, 1.0]))
 
 
 def test_alt_step_names_block_with_non_finite_input():
     balls, x, g, config = _two_groups()
-    x[2] = np.array([0.1, np.nan, 0.0])
+    x_m = np.array([x[0], [0.1, np.nan, 0.0], x[3]])  # the group of blocks 0, 2 and 3
     with pytest.raises(ValueError,
-                       match=r"x_bar contains non-finite entries \(block 2, in alt_step\)"):
-        _by_group(alt_step, x, g, balls, config)
-    balls, x, g, config = _two_groups()
-    g[1] = np.array([np.inf, 0.0])
-    with pytest.raises(ValueError,
-                       match=r"g_check contains non-finite entries \(block 1, in alt_step\)"):
-        _by_group(alt_step, x, g, balls, config)
+                       match=r"^x_bar contains non-finite entries \(block 2, in alt_step\)$"):
+        with blame_blocks("alt_step", [0, 2, 3]):
+            alt_step(x_m, np.ones((3, 3)), balls[0], np.full(3, 8.0), config)
+    with pytest.raises(ValueError, match=r"^g_check contains non-finite entries "
+                                         r"\(block 1, in alt_step\) at iteration 1$"):
+        _run_with_bad_gradient(3, 1, np.array([np.inf, 0.0]))
+
+
+@pytest.mark.parametrize("kernel", [fw_step, alt_step])
+def test_kernels_name_the_row_with_non_finite_gradient(kernel):
+    # called directly, each kernel checks its gradient matrix itself
+    _, _, _, config = _two_groups()
+    g = np.ones((3, 3))
+    g[2, 1] = np.nan
+    name = "g" if kernel is fw_step else "g_check"
+    with pytest.raises(RowError, match=rf"^{name} contains non-finite entries$") as info:
+        kernel(np.zeros((3, 3)), g, L1Ball(3, 1.0), np.full(3, 8.0), config)
+    assert info.value.row == 2
+    with pytest.raises(RowError, match=rf"\(block 3, in {kernel.__name__}\)$"):
+        with blame_blocks(kernel.__name__, [0, 2, 3]):
+            kernel(np.zeros((3, 3)), g, L1Ball(3, 1.0), np.full(3, 8.0), config)
 
 
 def test_in_face_cap_failure_names_the_group_row(monkeypatch):
@@ -327,10 +368,12 @@ def test_negative_gap_names_block():
 
 
 def test_shape_error_names_block():
-    balls, x, g, config = _two_groups()
-    g[2] = np.ones(4)
-    with pytest.raises(ValueError, match=r"g has shape \(4,\), expected \(3,\) \(block 2, in fw_step\)"):
-        _by_group(fw_step, x, g, balls, config)
+    with pytest.raises(ValueError, match=r"^g has shape \(4,\), expected \(3,\) "
+                                         r"\(block 2, in fw_step\) at iteration 1$"):
+        _run_with_bad_gradient(2, 2, np.ones(4))
+    with pytest.raises(ValueError, match=r"^g_check has shape \(3,\), expected \(2,\) "
+                                         r"\(block 1, in alt_step\) at iteration 1$"):
+        _run_with_bad_gradient(3, 1, np.ones(3))
 
 
 def test_run_with_non_finite_gradient_fails_loudly():
