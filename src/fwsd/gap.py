@@ -150,19 +150,18 @@ def gap_estimate(
 
     Per block, ``g_tilde_i = g_hat_i @ (x_i - v_i)`` with ``v_i`` the linear
     minimization oracle vertex for ``g_hat_i``, computed row-wise for each
-    group of blocks sharing a ball. The total gap is
+    run of consecutive blocks sharing a ball. The total gap is
     ``sum_i g_tilde_i * scale + dual_norm(h_hat)``.
     """
     if not (len(x_blocks) == len(g_hat_blocks) == len(balls)):
         raise ValueError("x_blocks, g_hat_blocks and balls must align")
-    g_tilde_blocks = np.empty(len(balls))
+    g_tilde_blocks = []
     for ball, idx in ball_groups(balls):
         with blame_blocks("gap_estimate", idx):
             x = stack_rows(x_blocks, idx, ball.dim, "x")
             _fail_rows(outside_rows(ball, x), "x block is infeasible")
             g = stack_rows(g_hat_blocks, idx, ball.dim, "g")
-            g_tilde_blocks[idx] = _clamp_g_tilde(frank_wolfe_rows(ball, x, g)[1], g)
-    g_tilde_blocks = g_tilde_blocks.tolist()
+            g_tilde_blocks += _clamp_g_tilde(frank_wolfe_rows(ball, x, g)[1], g).tolist()
     g_tilde = float(sum(g_tilde_blocks))
     h_dual = dual_norm(h_hat, norm_y)
     return GapEstimate(

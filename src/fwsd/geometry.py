@@ -9,9 +9,10 @@ No numerical solver is involved anywhere in this module.
 
 Every oracle is written once, row-wise, for an ``(n_rows, dim)`` matrix whose
 rows are blocks sharing one ball (same ``dim``, ``radius`` and ``norm_x``);
-`ball_groups` and `stack_rows` build such matrices from a list of blocks, and
-a single block is a one-row matrix (`lmo` is that case of `lmo_rows`). `run` calls
-both once per run for the iterate, then stacks only gradient rows per iteration.
+`ball_groups` cuts a list of blocks into runs of consecutive such blocks, which
+`stack_rows` stacks, and a single block is a one-row matrix (`lmo` is that case
+of `lmo_rows`). `run` calls both once per run for the iterate, then stacks only
+gradient rows per iteration.
 Each row of a row-wise result is bit for bit what the per-block formula gives, so
 grouping blocks never moves an iterate digest. That rests on four rules:
 
@@ -154,32 +155,34 @@ def _check_vector(v: np.ndarray, dim: int, name: str) -> np.ndarray:
 
 
 def ball_groups(balls: Sequence[L1Ball]) -> list[tuple[L1Ball, np.ndarray]]:
-    """Block indices grouped by equal ball, in order of first appearance."""
-    groups: dict[tuple, tuple[L1Ball, list[int]]] = {}
-    for i, ball in enumerate(balls):
-        # the key spells out the fields: hashing a Norm member runs Python code
-        key = (ball.dim, ball.radius, ball.norm_x is Norm.L1)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = group = (ball, [])
-        group[1].append(i)
-    return [(ball, np.array(idx)) for ball, idx in groups.values()]
+    """Maximal runs of consecutive blocks with equal balls, as ``(ball, idx)``.
+
+    ``idx`` is ascending and contiguous, so the runs' rows in turn are the blocks in order.
+    """
+    keys = [(b.dim, b.radius, b.norm_x) for b in balls]  # faster to compare than the dataclass
+    starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+    return [(balls[s], np.arange(s, e)) for s, e in zip(starts, starts[1:] + [len(balls)])]
 
 
 def stack_rows(blocks: Sequence[np.ndarray], idx: np.ndarray, dim: int, name: str) -> np.ndarray:
     """Stack ``blocks[i]`` for ``i`` in ``idx`` into a float64 ``(len(idx), dim)`` matrix.
 
-    Raises `RowError` at the first block of the wrong shape or with a
-    non-finite entry.
+    Raises `RowError` at the first block of the wrong shape, that does not
+    convert to float64, or with a non-finite entry.
     """
     rows = [blocks[i] for i in idx.tolist()]
     try:
         m = np.array(rows, dtype=np.float64)
-    except ValueError:  # blocks of different shapes
+    except (ValueError, TypeError):  # blocks of different shapes, or not numbers
         m = None
     if m is None or m.shape[1:] != (dim,):
-        r = next(r for r, b in enumerate(rows) if np.shape(b) != (dim,))
-        raise RowError(f"{name} has shape {np.shape(rows[r])}, expected ({dim},)", r)
+        for r, b in enumerate(rows):
+            if np.shape(b) != (dim,):
+                raise RowError(f"{name} has shape {np.shape(b)}, expected ({dim},)", r)
+            try:
+                np.asarray(b, dtype=np.float64)
+            except (ValueError, TypeError) as exc:
+                raise RowError(f"{name} does not convert to float64: {exc}", r) from exc
     finite_rows(m, name)
     return m
 

@@ -6,9 +6,9 @@ One iteration, starting from ``(x_k, y_k)``:
    and take the batch's mean objective from the same pass;
 2. Frank-Wolfe step per constrained block: move toward the oracle vertex
    with step ``alpha_i = g_tilde_i / c_bar_i`` (optionally clamped at 1),
-   one `fw_step` call per group of blocks sharing a ball; `run` holds the
-   iterate as one ``(n_rows, dim)`` matrix per group, and problems see
-   row views of it in block order;
+   one `fw_step` call per group, a run of consecutive blocks sharing a ball;
+   `run` holds the iterate as one ``(n_rows, dim)`` matrix per group, and
+   problems see row views of them, which are in block order;
 3. steepest-descent step on the free block with step
    ``||h_hat||_* / (2 l_nabla)``;
 4. optionally, on a fresh batch evaluated at the post-step point, take an
@@ -203,7 +203,7 @@ def iterates_digest(iterates: Iterable[Iterate]) -> str:
     """SHA-256 over the raw little-endian float64 bytes of every iterate."""
     h = hashlib.sha256()
     for it in iterates:
-        _digest_rows(h, [np.ascontiguousarray(b, dtype=np.float64) for b in it.x_blocks], it.y)
+        _digest(h, it.x_blocks, it.y)
     return h.hexdigest()
 
 
@@ -288,21 +288,20 @@ def _mean_gradient(problem, x_blocks, y, batch) -> GradientEstimate:
     return problem.gradient_mean(x_blocks, y, batch)
 
 
-def _block_rows(mats: Sequence[np.ndarray], order: list[int] | None) -> list[np.ndarray]:
-    """Row views of the group matrices in block order."""
-    rows = [row for m in mats for row in m]
-    return rows if order is None else [rows[j] for j in order]
+def _block_rows(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Row views of the group matrices, one per block in block order."""
+    return [row for m in mats for row in m]
 
 
-def _in_block_order(parts: Sequence[np.ndarray], order: list[int] | None) -> tuple:
-    """Per-group row values as a tuple of Python scalars in block order."""
-    values = [v for p in parts for v in p.tolist()]
-    return tuple(values if order is None else [values[j] for j in order])
+def _in_block_order(parts: Sequence[np.ndarray]) -> tuple:
+    """Per-group row values as one tuple of Python scalars in block order."""
+    return tuple([v for p in parts for v in p.tolist()])
 
 
-def _digest_rows(h, x_rows: Sequence[np.ndarray], y) -> None:
-    for row in x_rows:
-        h.update(row)
+def _digest(h, mats: Sequence[np.ndarray], y) -> None:
+    # one update per C-contiguous float64 matrix: the bytes of its rows in turn
+    for m in mats:
+        h.update(np.ascontiguousarray(m, dtype=np.float64))
     h.update(np.ascontiguousarray(y, dtype=np.float64))
 
 
@@ -316,13 +315,13 @@ def run(
     """Run the full hybrid method for ``config.iterations`` iterations.
 
     Validates feasibility of the start point and the per-block constants,
-    then iterates: batch gradient, Frank-Wolfe step per group of blocks
-    sharing a ball, steepest descent on the free block, and (when
-    configured) an away step per group on a fresh batch evaluated at the
-    freshly stepped point. The trace has one record per iteration; the output
-    iterate is drawn uniformly from the ``K + 1`` iterates via the dedicated
-    stream. A step's ``ValueError`` or ``RuntimeError`` is re-raised as the
-    same type, naming the iteration.
+    then iterates: batch gradient, Frank-Wolfe step per group (a run of
+    consecutive blocks sharing a ball), steepest descent on the free block,
+    and (when configured) an away step per group on a fresh batch evaluated
+    at the freshly stepped point. The trace has one record per iteration; the
+    output iterate is drawn uniformly from the ``K + 1`` iterates via the
+    dedicated stream. A step's ``ValueError`` or ``RuntimeError`` is
+    re-raised as the same type, naming the iteration.
     """
     balls = tuple(balls)
     n_blocks = len(balls)
@@ -341,8 +340,6 @@ def run(
     # validates c_bar_i >= 2 * l_nabla * diam^2 per block
     constants = GapConstants.from_blocks(config.l_nabla, config.c_bar_per_block, balls)
     groups = ball_groups(balls)
-    flat = [i for _, idx in groups for i in idx.tolist()]  # blocks of the groups' rows in turn
-    order = None if flat == sorted(flat) else np.argsort(flat).tolist()
     c_bars = [np.asarray(config.c_bar_per_block, dtype=np.float64)[idx] for _, idx in groups]
     # the iterate: one matrix per group, never written after it is made
     x = [stack_rows(x0_blocks, idx, ball.dim, "x") for ball, idx in groups]
@@ -355,14 +352,14 @@ def run(
         return out
 
     def snapshot(k):
-        return Iterate(tuple(row.copy() for row in _block_rows(x, order)), y.copy(), k)
+        return Iterate(tuple(row.copy() for row in _block_rows(x)), y.copy(), k)
 
     streams = derive_rng_streams(config.seed)
     k_total = config.iterations
     output_index = int(streams.output_draw.integers(0, k_total + 1))
 
     digest = hashlib.sha256()
-    _digest_rows(digest, _block_rows(x, order), y)
+    _digest(digest, x, y)
     output = snapshot(0) if output_index == 0 else None
 
     trace: list[TraceRecord] = []
@@ -370,38 +367,38 @@ def run(
         for k in range(k_total):
             b_k = config.batch_schedule.batch_size(k, k_total)
             batch = problem.draw(streams.data, b_k)
-            est = _mean_gradient(problem, _block_rows(x, order), y, batch)
+            est = _mean_gradient(problem, _block_rows(x), y, batch)
             objective = float(est.objective())
 
             steps = each_group("fw_step", fw_step, x, est.g_blocks, "g")
             x_bar = [s[0] for s in steps]
-            g_tildes = _in_block_order([s[1] for s in steps], order)
+            g_tildes = _in_block_order([s[1] for s in steps])
             gap_hat = float(sum(g_tildes)) * constants.scale + dual_norm(est.h, config.norm_y)
             y_next, alpha_sd = sd_step(y, est.h, config)
 
             if config.alternative_directions and n_blocks > 0:
                 fresh = problem.draw(streams.alt_batches, b_k)
-                check = _mean_gradient(problem, _block_rows(x_bar, order), y_next, fresh)
+                check = _mean_gradient(problem, _block_rows(x_bar), y_next, fresh)
                 aways = each_group("alt_step", alt_step, x_bar, check.g_blocks, "g_check")
                 x = [s[0] for s in aways]
-                betas = _in_block_order([s[1].beta_bar for s in aways], order)
-                taken = _in_block_order([s[1].taken for s in aways], order)
+                betas = _in_block_order([s[1].beta_bar for s in aways])
+                taken = _in_block_order([s[1].taken for s in aways])
             else:
                 x, betas, taken = x_bar, None, None
 
             y = y_next
-            _digest_rows(digest, _block_rows(x, order), y)
+            _digest(digest, x, y)
             for m in x:  # a step that leaves a non-finite entry fails in its own iteration
                 finite_rows(m, "x")
             trace.append(TraceRecord(
                 k=k,
                 objective_estimate=objective,
                 gap_hat=gap_hat,
-                alpha_bar_blocks=_in_block_order([s[2] for s in steps], order),
+                alpha_bar_blocks=_in_block_order([s[2] for s in steps]),
                 alpha_sd=alpha_sd,
                 beta_bar_blocks=betas,
                 alt_taken_blocks=taken,
-                nnz_blocks=_in_block_order([nnz_rows(m) for m in x], order),
+                nnz_blocks=_in_block_order([nnz_rows(m) for m in x]),
             ))
             if k + 1 == output_index:
                 output = snapshot(k + 1)

@@ -1,8 +1,10 @@
 """The per-block engine that the group-matrix state replaced, kept as the reference.
 
 `run` holds the iterate as one array per block. Every step regroups the
-blocks by ball, stacks the group's rows, calls one row-wise kernel and
-scatters the rows back into block order; the digest hashes block by block.
+blocks by ball (every block with an equal ball, wherever it sits, as
+`geometry_reference.groups_by_ball` does), stacks the group's rows, calls
+one row-wise kernel and scatters the rows back into block order; the digest
+hashes block by block.
 `fwsd.optimizer.run` has to match it bit for bit (digest, trace, output
 index, output and final iterates), which `test_engine.py` checks.
 """
@@ -14,7 +16,6 @@ import numpy as np
 from fwsd.gap import GapConstants, _clamp_g_tilde, dual_norm
 from fwsd.geometry import (
     away_rows,
-    ball_groups,
     blame_blocks,
     face_rows,
     frank_wolfe_rows,
@@ -30,6 +31,7 @@ from fwsd.optimizer import (
     derive_rng_streams,
     sd_step,
 )
+from geometry_reference import groups_by_ball
 
 
 def _digest_update(h, x_blocks, y):
@@ -44,7 +46,7 @@ def fw_step(x_blocks, g_hat_blocks, balls, config):
     x_bar = [None] * len(balls)
     g_tildes = np.empty(len(balls))
     alphas = np.empty(len(balls))
-    for ball, idx in ball_groups(balls):
+    for ball, idx in groups_by_ball(balls):
         with blame_blocks("fw_step", idx):
             x = stack_rows(x_blocks, idx, ball.dim, "x")
             g = stack_rows(g_hat_blocks, idx, ball.dim, "g")
@@ -68,7 +70,7 @@ def alt_step(x_bar_blocks, g_check_blocks, balls, config):
     x_next = [None] * n
     taken = np.zeros(n, dtype=bool)
     a_values, alpha_stops, betas = np.zeros(n), np.zeros(n), np.zeros(n)
-    for ball, idx in ball_groups(balls):
+    for ball, idx in groups_by_ball(balls):
         with blame_blocks("alt_step", idx):
             x = stack_rows(x_bar_blocks, idx, ball.dim, "x_bar")
             g = stack_rows(g_check_blocks, idx, ball.dim, "g_check")
@@ -116,7 +118,7 @@ def run(problem, balls, y0, x0_blocks, config):
         if not ball.contains(xb):
             raise ValueError("x0 block is infeasible")
     constants = GapConstants.from_blocks(config.l_nabla, config.c_bar_per_block, balls)
-    groups = ball_groups(balls)
+    groups = groups_by_ball(balls)
 
     streams = derive_rng_streams(config.seed)
     k_total = config.iterations

@@ -56,6 +56,19 @@ class Face:
                    on_boundary=bool(on_boundary))
 
 
+def groups_by_ball(balls):
+    """``(ball, idx)`` per distinct ball, ``idx`` all its blocks, in order of first appearance.
+
+    `fwsd.geometry.ball_groups` cuts runs of consecutive blocks instead; a
+    ball that recurs after a different one is one group here, so a kernel
+    called per group sees the rows of blocks that are not adjacent.
+    """
+    found = {}
+    for i, ball in enumerate(balls):
+        found.setdefault(ball, []).append(i)
+    return [(ball, np.array(idx)) for ball, idx in found.items()]
+
+
 def _contains(ball: L1Ball, x, tol: float = FEASIBILITY_TOL) -> bool:
     x = _check_vector(x, ball.dim, "x")
     return float(np.sum(np.abs(x))) <= ball.radius + tol

@@ -1,15 +1,17 @@
 """Row-wise geometry against the per-block reference, bit for bit.
 
 `fw_step` and `alt_step` step the rows of one group of blocks sharing a ball,
-and `gap_estimate` stacks such groups itself; `_by_group` calls a kernel once
-per group the way `run` does. `geometry_reference` keeps the per-block loop
-they replaced. Hypothesis draws block sets of widths 1-600 and 1-50 rows
-per ball (at most 6000 coordinates per ball, so a 600-wide ball gets up to
-10 rows), with mixed radii and norms, interleaved block order, interior
-points, boundary points, points within 1e-12 of the sphere, exact vertices,
--0.0 entries, gradients with ties in |g|, and zero gradients (whose away
-directions are rejected). Arrays must agree in their bytes and scalars in
-their hex form and Python type.
+and `gap_estimate` stacks runs of consecutive such blocks itself; `_by_group`
+calls a kernel once per set of blocks with an equal ball, wherever they sit,
+so that the permuted layouts below still stack many rows per call.
+`geometry_reference` keeps the per-block loop they replaced. Hypothesis
+draws block sets of widths 1-600 and 1-50 rows per ball (at most 6000
+coordinates per ball, so a 600-wide ball gets up to 10 rows), with mixed
+radii and norms, interleaved block order, interior points, boundary points,
+points within 1e-12 of the sphere, exact vertices, -0.0 entries, gradients
+with ties in |g|, and zero gradients (whose away directions are rejected).
+Arrays must agree in their bytes and scalars in their hex form and Python
+type.
 """
 
 from dataclasses import replace
@@ -125,13 +127,13 @@ def _ref_bits(value):
 
 
 def _by_group(kernel, x, g, balls, config):
-    """Call ``kernel`` once per ball group, as `run` does; per-block results in block order.
+    """Call ``kernel`` once per distinct ball on all its blocks; per-block results in block order.
 
     ``x`` and ``g`` are stacked without a check, so the kernel's own checks run.
     """
     c_bar = np.asarray(config.c_bar_per_block)
     out = [None] * len(balls)
-    for ball, idx in ball_groups(balls):
+    for ball, idx in ref.groups_by_ball(balls):
         with blame_blocks(kernel.__name__, idx):
             x_m, g_m = (np.array([v[i] for i in idx.tolist()], dtype=np.float64) for v in (x, g))
             result = kernel(x_m, g_m, ball, c_bar[idx], config)
@@ -242,7 +244,7 @@ def test_ball_cap_rows_matches_reference_on_stacked_rows(case):
     x, _, _ = _inputs(balls, seed)
     rng = np.random.default_rng(seed + 2)
     d = [_gradient(rng, b.dim) for b in balls]
-    for ball, idx in ball_groups(balls):
+    for ball, idx in ref.groups_by_ball(balls):
         idx = np.array([i for i in idx.tolist() if np.any(d[i] != 0.0)], dtype=np.int64)
         if idx.size == 0:
             continue
@@ -304,8 +306,8 @@ class _BadGradientCall:
 
 
 def _run_with_bad_gradient(bad_call, block, value):
-    # blocks 0, 2 and 3 share a ball and block 1 has its own, so block 1 is
-    # the second group's row 0 and block 3 the first group's row 2
+    # blocks 0, 2 and 3 share a ball and block 1 has its own, so the groups
+    # are the runs [0], [1] and [2, 3], and block 3 is the third group's row 1
     balls, x, _, config = _two_groups()
     config = replace(config, iterations=3, alternative_directions=True)
     run(_BadGradientCall(balls, bad_call, block, value), balls, np.zeros(1), x, config)
@@ -374,6 +376,24 @@ def test_shape_error_names_block():
     with pytest.raises(ValueError, match=r"^g_check has shape \(3,\), expected \(2,\) "
                                          r"\(block 1, in alt_step\) at iteration 1$"):
         _run_with_bad_gradient(3, 1, np.ones(3))
+
+
+def test_non_numeric_gradient_names_block():
+    with pytest.raises(RowError, match=r"^x does not convert to float64: ") as info:
+        stack_rows([np.array(["a", "b"])], np.array([0]), 2, "x")
+    assert info.value.row == 0
+    with pytest.raises(ValueError, match=r"^g does not convert to float64: .*"
+                                         r"\(block 2, in fw_step\) at iteration 0$"):
+        _run_with_bad_gradient(0, 2, np.array(["a", "b", "c"]))
+
+
+def test_ball_groups_are_runs_of_equal_balls():
+    a, b = L1Ball(3, 1.0), L1Ball(3, 1.0, Norm.L2)
+    groups = ball_groups([a, a, b, a])
+    assert [(ball, idx.tolist()) for ball, idx in groups] == [(a, [0, 1]), (b, [2]), (a, [3])]
+    # equal balls built separately are one run when adjacent
+    assert [idx.tolist() for _, idx in ball_groups([L1Ball(2, 0.5), L1Ball(2, 0.5)])] == [[0, 1]]
+    assert ball_groups([]) == []
 
 
 def test_run_with_non_finite_gradient_fails_loudly():
