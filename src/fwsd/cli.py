@@ -569,7 +569,7 @@ def _train_net(config: ExperimentConfig) -> TrainOutcome:
                                     train.features.shape[0])
 
     out = result.output_iterate
-    params = layout.unpack(list(out.x_blocks), out.y)
+    params = layout.unpack(out.x, out.y)
     nnz = nnz_metrics(params, metrics_layout)
     for l in spec_full.fw_layers:
         metrics.append((f"nnz_layer_{l}", nnz[l]))
@@ -619,10 +619,10 @@ def _train_quadratic(config: ExperimentConfig) -> TrainOutcome:
     x0_blocks = [np.zeros(d) for d in blocks]
     result, metrics = _run_budgeted(config, problem, balls, np.zeros(y_dim), x0_blocks, None)
     out = result.output_iterate
-    final_objective = problem.exact_objective(list(out.x_blocks), out.y)
+    final_objective = problem.exact_objective(out.x, out.y)
     metrics.append(("final_objective_exact", final_objective))
-    for i, x in enumerate(out.x_blocks):
-        metrics.append((f"nnz_block_{i}", int(nnz_rows(x[None, :])[0])))
+    for i, count in enumerate([c for m in out.x for c in nnz_rows(m).tolist()]):
+        metrics.append((f"nnz_block_{i}", count))
     nnz_names, nnz_trace = _block_nnz_columns(len(blocks), result.trace)
     arrays = [(f"x{i}", x) for i, x in enumerate(out.x_blocks)] + [("y", out.y)]
     return TrainOutcome(

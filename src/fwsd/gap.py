@@ -28,9 +28,10 @@ from .geometry import (
     _fail_rows,
     ball_groups,
     blame_blocks,
+    finite_rows,
     frank_wolfe_rows,
     outside_rows,
-    stack_rows,
+    regroup,
 )
 
 #: negative Frank-Wolfe gap values smaller than this are treated as
@@ -146,21 +147,23 @@ def gap_estimate(
     constants: GapConstants,
     norm_y: Norm = Norm.L2,
 ) -> GapEstimate:
-    """Plug-in gap at feasible ``x_blocks`` from (possibly sampled) gradients.
+    """Plug-in gap at feasible ``x_blocks`` from (possibly sampled) gradients, in any cuts.
 
     Per block, ``g_tilde_i = g_hat_i @ (x_i - v_i)`` with ``v_i`` the linear
     minimization oracle vertex for ``g_hat_i``, computed row-wise for each
     run of consecutive blocks sharing a ball. The total gap is
     ``sum_i g_tilde_i * scale + dual_norm(h_hat)``.
     """
-    if not (len(x_blocks) == len(g_hat_blocks) == len(balls)):
-        raise ValueError("x_blocks, g_hat_blocks and balls must align")
+    groups = ball_groups(balls)
+    heights, dims = [len(idx) for _, idx in groups], [ball.dim for ball, _ in groups]
+    with blame_blocks("gap_estimate", range(len(balls))):
+        xs = regroup(x_blocks, heights, dims, "x")
+        gs = regroup(g_hat_blocks, heights, dims, "g")
     g_tilde_blocks = []
-    for ball, idx in ball_groups(balls):
+    for (ball, idx), x, g in zip(groups, xs, gs):
         with blame_blocks("gap_estimate", idx):
-            x = stack_rows(x_blocks, idx, ball.dim, "x")
             _fail_rows(outside_rows(ball, x), "x block is infeasible")
-            g = stack_rows(g_hat_blocks, idx, ball.dim, "g")
+            finite_rows(g, "g")
             g_tilde_blocks += _clamp_g_tilde(frank_wolfe_rows(ball, x, g)[1], g).tolist()
     g_tilde = float(sum(g_tilde_blocks))
     h_dual = dual_norm(h_hat, norm_y)
@@ -180,7 +183,7 @@ def exact_gap(
     constants: GapConstants,
     norm_y: Norm = Norm.L2,
 ) -> float:
-    """Gap evaluated at the exact gradient of ``problem``.
+    """Gap evaluated at the exact gradient of ``problem``, with the blocks in any cut.
 
     Only available when the problem exposes ``exact_gradient``; sampled
     problems without one cannot be scored this way.

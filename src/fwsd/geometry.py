@@ -9,10 +9,10 @@ No numerical solver is involved anywhere in this module.
 
 Every oracle is written once, row-wise, for an ``(n_rows, dim)`` matrix whose
 rows are blocks sharing one ball (same ``dim``, ``radius`` and ``norm_x``);
-`ball_groups` cuts a list of blocks into runs of consecutive such blocks, which
-`stack_rows` stacks, and a single block is a one-row matrix (`lmo` is that case
-of `lmo_rows`). `run` calls both once per run for the iterate, then stacks only
-gradient rows per iteration.
+`ball_groups` cuts a list of blocks into runs of consecutive such blocks, and
+`regroup` cuts whatever arrays hold the blocks' rows into the runs' matrices, as
+views where it can; a single block is a one-row matrix (`lmo` is that case of
+`lmo_rows`).
 Each row of a row-wise result is bit for bit what the per-block formula gives, so
 grouping blocks never moves an iterate digest. That rests on four rules:
 
@@ -85,12 +85,14 @@ class L1Ball:
 
     def contains(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
         """Feasibility check with an absolute slack of ``tol`` on the norm."""
-        x = _check_vector(x, self.dim, "x")
-        return not outside_rows(self, x[None, :], tol)[0]
+        (m,) = regroup([x], [1], [self.dim], "x")
+        finite_rows(m, "x")
+        return not outside_rows(self, m, tol)[0]
 
     def norm(self, v: np.ndarray) -> float:
         """Length of ``v`` measured in this block's ``norm_x``."""
-        return float(self.norm_rows(np.asarray(v, dtype=np.float64).reshape(1, -1))[0])
+        (m,) = regroup([v], [1], [self.dim], "v")
+        return float(self.norm_rows(m)[0])
 
     def norm_rows(self, m: np.ndarray) -> np.ndarray:
         """Length of every row of ``m`` in ``norm_x``."""
@@ -127,8 +129,8 @@ def _fail_rows(bad: np.ndarray, message) -> None:
 class blame_blocks:
     """Context manager that re-raises a failed row check naming the block and step.
 
-    ``blocks[r]`` is the block index of row ``r`` of the stacked matrix.
-    Exceptions that carry no ``row`` pass through unchanged.
+    ``blocks[r]`` is the block index of row ``r`` of the stacked matrix. A rowless
+    `RowError` names the step only; other rowless exceptions pass through unchanged.
     """
 
     def __init__(self, step: str, blocks: Sequence[int]) -> None:
@@ -140,18 +142,10 @@ class blame_blocks:
 
     def __exit__(self, kind, exc, tb) -> bool:
         row = getattr(exc, "row", None)
-        if row is None or not isinstance(exc, (ValueError, RuntimeError)):
+        if not isinstance(exc, RowError if row is None else (ValueError, RuntimeError)):
             return False
-        raise type(exc)(f"{exc} (block {self.blocks[row]}, in {self.step})") from exc
-
-
-def _check_vector(v: np.ndarray, dim: int, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (dim,):
-        raise ValueError(f"{name} has shape {v.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
+        where = "" if row is None else f"block {self.blocks[row]}, "
+        raise type(exc)(f"{exc} ({where}in {self.step})") from exc
 
 
 def ball_groups(balls: Sequence[L1Ball]) -> list[tuple[L1Ball, np.ndarray]]:
@@ -164,27 +158,39 @@ def ball_groups(balls: Sequence[L1Ball]) -> list[tuple[L1Ball, np.ndarray]]:
     return [(balls[s], np.arange(s, e)) for s, e in zip(starts, starts[1:] + [len(balls)])]
 
 
-def stack_rows(blocks: Sequence[np.ndarray], idx: np.ndarray, dim: int, name: str) -> np.ndarray:
-    """Stack ``blocks[i]`` for ``i`` in ``idx`` into a float64 ``(len(idx), dim)`` matrix.
+def regroup(x: Sequence[np.ndarray], heights: Sequence[int], dims: Sequence[int],
+            name: str) -> list[np.ndarray]:
+    """Float64 ``(heights[t], dims[t])`` matrices of the blocks held in ``x``.
 
-    Raises `RowError` at the first block of the wrong shape, that does not
-    convert to float64, or with a non-finite entry.
+    ``x`` holds arrays whose rows, in turn, are the blocks (a 1-D array is one
+    block). A matrix inside one array of ``x`` shares its memory, else a stack.
+    `RowError` names the first block that does not convert to float64, else the
+    first misshapen one, by its index; it has no row if the block count is off.
     """
-    rows = [blocks[i] for i in idx.tolist()]
-    try:
-        m = np.array(rows, dtype=np.float64)
-    except (ValueError, TypeError):  # blocks of different shapes, or not numbers
-        m = None
-    if m is None or m.shape[1:] != (dim,):
-        for r, b in enumerate(rows):
-            if np.shape(b) != (dim,):
-                raise RowError(f"{name} has shape {np.shape(b)}, expected ({dim},)", r)
-            try:
-                np.asarray(b, dtype=np.float64)
-            except (ValueError, TypeError) as exc:
-                raise RowError(f"{name} does not convert to float64: {exc}", r) from exc
-    finite_rows(m, name)
-    return m
+    runs, count = [], 0
+    for a in x:
+        try:
+            a = np.asarray(a, dtype=np.float64)
+        except (ValueError, TypeError) as exc:  # not numbers, or ragged
+            raise RowError(f"{name} does not convert to float64: {exc}", count) from exc
+        runs.append(a[None] if a.ndim < 2 else a)
+        count += len(runs[-1])
+    if count != sum(heights):
+        raise RowError(f"{name} holds {count} blocks, expected {sum(heights)}")
+    mats, block, rest = [], 0, runs[::-1]  # rest[-1] starts at block number ``block``
+    for height, dim in zip(heights, dims):
+        pieces = []
+        while height > 0:
+            run = rest.pop()
+            if run.shape[1:] != (dim,):
+                raise RowError(f"{name} has shape {run.shape[1:]}, expected ({dim},)", block)
+            if len(run) > height:  # the rest of the run starts the next matrix
+                rest.append(run[height:])
+                run = run[:height]
+            pieces.append(run)
+            block, height = block + len(run), height - len(run)
+        mats.append(pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
+    return mats
 
 
 def finite_rows(m: np.ndarray, name: str) -> None:
@@ -209,8 +215,8 @@ def nnz_rows(m: np.ndarray, threshold: float = NNZ_THRESHOLD) -> np.ndarray:
 
 
 def outside_rows(ball: L1Ball, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:
-    """Rows lying outside the ball by more than ``tol`` in the l1 norm."""
-    return l1_rows(x) > ball.radius + tol
+    """Rows outside the ball by more than ``tol`` in the l1 norm; a row with a NaN is outside."""
+    return ~(l1_rows(x) <= ball.radius + tol)
 
 
 def _vertex_rows(ball: L1Ball, rows: np.ndarray, index: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -370,6 +376,7 @@ def in_face_step_cap_rows(
 
 def lmo(ball: L1Ball, g: np.ndarray) -> Vertex:
     """`lmo_rows` for one 1-D gradient: ``argmin { g @ x : ||x||_1 <= radius }``."""
-    g = _check_vector(g, ball.dim, "g")
-    index, sign, value = lmo_rows(ball, g[None, :])
+    (m,) = regroup([g], [1], [ball.dim], "g")
+    finite_rows(m, "g")
+    index, sign, value = lmo_rows(ball, m)
     return Vertex(index=int(index[0]), sign=int(sign[0]), value=value[0])

@@ -7,8 +7,8 @@ One iteration, starting from ``(x_k, y_k)``:
 2. Frank-Wolfe step per constrained block: move toward the oracle vertex
    with step ``alpha_i = g_tilde_i / c_bar_i`` (optionally clamped at 1),
    one `fw_step` call per group, a run of consecutive blocks sharing a ball;
-   `run` holds the iterate as one ``(n_rows, dim)`` matrix per group, and
-   problems see row views of them, which are in block order;
+   `run` holds the iterate as one ``(n_rows, dim)`` matrix per group, whose
+   rows in turn are the blocks, and hands problems these matrices themselves;
 3. steepest-descent step on the free block with step
    ``||h_hat||_* / (2 l_nabla)``;
 4. optionally, on a fresh batch evaluated at the post-step point, take an
@@ -35,6 +35,7 @@ from .geometry import (
     L1Ball,
     Norm,
     RowError,
+    _fail_rows,
     away_rows,
     ball_groups,
     blame_blocks,
@@ -43,7 +44,8 @@ from .geometry import (
     frank_wolfe_rows,
     in_face_step_cap_rows,
     nnz_rows,
-    stack_rows,
+    outside_rows,
+    regroup,
 )
 from .problems import GradientEstimate
 
@@ -122,11 +124,16 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class Iterate:
-    """Snapshot of the variables after ``k`` iterations."""
+    """Snapshot after ``k`` iterations: ``x`` is `run`'s group matrices (any cut will do)."""
 
-    x_blocks: tuple[np.ndarray, ...]
+    x: tuple[np.ndarray, ...]
     y: np.ndarray
     k: int
+
+    @property
+    def x_blocks(self) -> tuple[np.ndarray, ...]:
+        """Row views of ``x``, one 1-D array per block in block order."""
+        return tuple(row for m in self.x for row in np.atleast_2d(m))
 
 
 @dataclass(frozen=True)
@@ -203,7 +210,7 @@ def iterates_digest(iterates: Iterable[Iterate]) -> str:
     """SHA-256 over the raw little-endian float64 bytes of every iterate."""
     h = hashlib.sha256()
     for it in iterates:
-        _digest(h, it.x_blocks, it.y)
+        _digest(h, it.x, it.y)
     return h.hexdigest()
 
 
@@ -288,18 +295,13 @@ def _mean_gradient(problem, x_blocks, y, batch) -> GradientEstimate:
     return problem.gradient_mean(x_blocks, y, batch)
 
 
-def _block_rows(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Row views of the group matrices, one per block in block order."""
-    return [row for m in mats for row in m]
-
-
 def _in_block_order(parts: Sequence[np.ndarray]) -> tuple:
     """Per-group row values as one tuple of Python scalars in block order."""
     return tuple([v for p in parts for v in p.tolist()])
 
 
 def _digest(h, mats: Sequence[np.ndarray], y) -> None:
-    # one update per C-contiguous float64 matrix: the bytes of its rows in turn
+    # one update per C-contiguous float64 array: the bytes of its rows in turn
     for m in mats:
         h.update(np.ascontiguousarray(m, dtype=np.float64))
     h.update(np.ascontiguousarray(y, dtype=np.float64))
@@ -318,15 +320,13 @@ def run(
     then iterates: batch gradient, Frank-Wolfe step per group (a run of
     consecutive blocks sharing a ball), steepest descent on the free block,
     and (when configured) an away step per group on a fresh batch evaluated
-    at the freshly stepped point. The trace has one record per iteration; the
-    output iterate is drawn uniformly from the ``K + 1`` iterates via the
-    dedicated stream. A step's ``ValueError`` or ``RuntimeError`` is
-    re-raised as the same type, naming the iteration.
+    at the freshly stepped point. The problem gets the group matrices; ``x0_blocks``
+    and its gradients may come in any cut `regroup` reads. The trace has one record
+    per iteration; the output iterate is drawn uniformly from the ``K + 1``
+    iterates via the dedicated stream. A step's ``ValueError`` or
+    ``RuntimeError`` is re-raised as the same type, naming the iteration.
     """
     balls = tuple(balls)
-    n_blocks = len(balls)
-    if len(x0_blocks) != n_blocks or len(config.c_bar_per_block) != n_blocks:
-        raise ValueError("balls, x0_blocks and c_bar_per_block must align")
     if tuple(problem.block_dims) != tuple(b.dim for b in balls):
         raise ValueError("ball dimensions do not match the problem's blocks")
     y = np.array(y0, dtype=np.float64)
@@ -334,25 +334,27 @@ def run(
         raise ValueError(f"y0 has shape {y.shape}, expected ({problem.y_dim},)")
     if not np.all(np.isfinite(y)):
         raise ValueError("y0 contains non-finite entries")
-    for xb, ball in zip(x0_blocks, balls):
-        if not ball.contains(xb):
-            raise ValueError("x0 block is infeasible")
-    # validates c_bar_i >= 2 * l_nabla * diam^2 per block
+    # validates one c_bar_i >= 2 * l_nabla * diam^2 per block
     constants = GapConstants.from_blocks(config.l_nabla, config.c_bar_per_block, balls)
     groups = ball_groups(balls)
+    heights, dims = [len(idx) for _, idx in groups], [ball.dim for ball, _ in groups]
     c_bars = [np.asarray(config.c_bar_per_block, dtype=np.float64)[idx] for _, idx in groups]
     # the iterate: one matrix per group, never written after it is made
-    x = [stack_rows(x0_blocks, idx, ball.dim, "x") for ball, idx in groups]
+    x = regroup(x0_blocks, heights, dims, "x0")
+    for (ball, _), m in zip(groups, x):
+        _fail_rows(outside_rows(ball, m), "x0 block is infeasible")
 
-    def each_group(step, kernel, mats, grads, name):
+    def each_group(step, kernel, mats, blocks, name):
+        with blame_blocks(step, range(len(balls))):
+            grads = regroup(blocks, heights, dims, name)
         out = []
-        for (ball, idx), m, cg in zip(groups, mats, c_bars):
+        for (ball, idx), m, g, cg in zip(groups, mats, grads, c_bars):
             with blame_blocks(step, idx):
-                out.append(kernel(m, stack_rows(grads, idx, ball.dim, name), ball, cg, config))
+                out.append(kernel(m, g, ball, cg, config))
         return out
 
     def snapshot(k):
-        return Iterate(tuple(row.copy() for row in _block_rows(x)), y.copy(), k)
+        return Iterate(tuple(m.copy() for m in x), y.copy(), k)
 
     streams = derive_rng_streams(config.seed)
     k_total = config.iterations
@@ -367,7 +369,7 @@ def run(
         for k in range(k_total):
             b_k = config.batch_schedule.batch_size(k, k_total)
             batch = problem.draw(streams.data, b_k)
-            est = _mean_gradient(problem, _block_rows(x), y, batch)
+            est = _mean_gradient(problem, x, y, batch)
             objective = float(est.objective())
 
             steps = each_group("fw_step", fw_step, x, est.g_blocks, "g")
@@ -376,9 +378,9 @@ def run(
             gap_hat = float(sum(g_tildes)) * constants.scale + dual_norm(est.h, config.norm_y)
             y_next, alpha_sd = sd_step(y, est.h, config)
 
-            if config.alternative_directions and n_blocks > 0:
+            if config.alternative_directions and balls:
                 fresh = problem.draw(streams.alt_batches, b_k)
-                check = _mean_gradient(problem, _block_rows(x_bar), y_next, fresh)
+                check = _mean_gradient(problem, x_bar, y_next, fresh)
                 aways = each_group("alt_step", alt_step, x_bar, check.g_blocks, "g_check")
                 x = [s[0] for s in aways]
                 betas = _in_block_order([s[1].beta_bar for s in aways])

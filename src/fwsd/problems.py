@@ -32,8 +32,8 @@ class StochasticProblem(Protocol):
     ``draw`` produces ``n`` i.i.d. scenarios from the problem's own
     distribution (an empirical one samples indices with replacement).
     ``gradient_mean`` averages the per-scenario partial gradients over a
-    batch from ``draw``, one array per constrained block plus one for the
-    free block; one scenario's gradient is the mean over a batch of one.
+    batch from ``draw``, the blocks in any cut `fwsd.geometry.regroup` reads
+    plus the free block; one scenario's gradient is the mean over a batch of one.
     ``GradientEstimate.objective()`` returns the batch's mean objective from
     that pass's own intermediates. It is lazy, so a caller that needs only
     the gradient does not pay for it.
@@ -55,16 +55,25 @@ class StochasticProblem(Protocol):
 
 
 def _concat(x_blocks, y) -> np.ndarray:
-    parts = [np.asarray(b, dtype=np.float64) for b in x_blocks]
-    parts.append(np.asarray(y, dtype=np.float64))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return np.concatenate([*x_blocks, y], axis=None, dtype=np.float64)
+
+
+def _shaped_like(x_blocks, v: np.ndarray):
+    """``v`` cut into arrays shaped like those of ``x_blocks``, and the rest of it."""
+    parts = []
+    for b in x_blocks:
+        n = np.size(b)
+        parts.append(v[:n].reshape(np.shape(b)))
+        v = v[n:]
+    return parts, v
 
 
 @dataclass(frozen=True)
 class QuadraticInstance:
     """``F(x, y) = 0.5 * (v - v_star)' Q (v - v_star)`` with additive noise.
 
-    ``v`` stacks the constrained blocks followed by the free block. ``Q`` is
+    ``v`` stacks the constrained blocks, in any cut, followed by the free block;
+    gradients come back in the cut the blocks came in. ``Q`` is
     symmetric positive semidefinite with largest eigenvalue ``l_nabla``, so
     the gradient is ``l_nabla``-Lipschitz. A scenario is a Gaussian vector
     ``z`` with ``E||z||^2 = noise_sigma^2`` entering the per-scenario
@@ -85,20 +94,12 @@ class QuadraticInstance:
     def dim(self) -> int:
         return sum(self.block_dims) + self.y_dim
 
-    def _split(self, v: np.ndarray):
-        blocks = []
-        at = 0
-        for d in self.block_dims:
-            blocks.append(v[at:at + d])
-            at += d
-        return blocks, v[at:]
-
     def x_star_blocks(self):
         """The x part of the unconstrained minimizer, split into blocks."""
-        return self._split(self.minimizer)[0]
+        return np.split(self.minimizer, np.cumsum(self.block_dims))[:-1]
 
     def y_star(self) -> np.ndarray:
-        return self._split(self.minimizer)[1]
+        return self.minimizer[sum(self.block_dims):]
 
     def exact_objective(self, x_blocks, y) -> float:
         r = _concat(x_blocks, y) - self.minimizer
@@ -106,7 +107,7 @@ class QuadraticInstance:
 
     def exact_gradient(self, x_blocks, y):
         r = _concat(x_blocks, y) - self.minimizer
-        return self._split(self.q_matrix @ r)
+        return _shaped_like(x_blocks, self.q_matrix @ r)
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         scale = self.noise_sigma / np.sqrt(self.dim)
@@ -120,8 +121,8 @@ class QuadraticInstance:
         v = _concat(x_blocks, y)
         r = v - self.minimizer
         qr = self.q_matrix @ r
-        g_blocks, h = self._split(np.cumsum(qr[None, :] + batch, axis=0)[-1])
-        return GradientEstimate(tuple(g / n for g in g_blocks), h / n,
+        g_blocks, h = _shaped_like(x_blocks, np.cumsum(qr[None, :] + batch, axis=0)[-1] / n)
+        return GradientEstimate(tuple(g_blocks), h,
                                 lambda: 0.5 * float(r @ qr) + float(np.mean(batch @ v)))
 
 
@@ -175,32 +176,26 @@ def finite_difference_check(problem, x_blocks, y, epsilon: float = 1e-5) -> floa
     """Max mismatch between exact gradients and central differences.
 
     Every coordinate of every block (and of the free part) is perturbed by
-    ``+-epsilon``; the returned figure is the worst
-    ``|fd_i - g_i| / max(1, |g_i|)`` over all coordinates.
+    ``+-epsilon``; the returned figure is the worst ``|fd_i - g_i| / max(1, |g_i|)``
+    over all coordinates, walked flat, so blocks and gradients may differ in cut.
     """
     if not hasattr(problem, "exact_objective") or not hasattr(problem, "exact_gradient"):
         raise NotImplementedError("problem does not expose exact objective and gradient")
     x_blocks = [np.array(b, dtype=np.float64) for b in x_blocks]
     y = np.array(y, dtype=np.float64)
     g_blocks, h = problem.exact_gradient(x_blocks, y)
+    grads = iter(np.concatenate([np.ravel(g) for g in g_blocks] + [np.ravel(h)]).tolist())
     worst = 0.0
-
-    def central(vec, i, rebuild):
-        old = vec[i]
-        vec[i] = old + epsilon
-        f_hi = problem.exact_objective(*rebuild())
-        vec[i] = old - epsilon
-        f_lo = problem.exact_objective(*rebuild())
-        vec[i] = old
-        return (f_hi - f_lo) / (2.0 * epsilon)
-
-    for bi, block in enumerate(x_blocks):
-        for i in range(block.size):
-            fd = central(block, i, lambda: (x_blocks, y))
-            g = float(g_blocks[bi][i])
+    for vec in (*x_blocks, y):
+        flat = vec.reshape(-1)  # a view: writes perturb the point itself
+        for i in range(flat.size):
+            old = flat[i]
+            flat[i] = old + epsilon
+            f_hi = problem.exact_objective(x_blocks, y)
+            flat[i] = old - epsilon
+            f_lo = problem.exact_objective(x_blocks, y)
+            flat[i] = old
+            fd = (f_hi - f_lo) / (2.0 * epsilon)
+            g = next(grads)
             worst = max(worst, abs(fd - g) / max(1.0, abs(g)))
-    for i in range(y.size):
-        fd = central(y, i, lambda: (x_blocks, y))
-        g = float(h[i])
-        worst = max(worst, abs(fd - g) / max(1.0, abs(g)))
     return worst

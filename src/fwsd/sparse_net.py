@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import NNZ_THRESHOLD, L1Ball, Norm, nnz_rows
+from .geometry import NNZ_THRESHOLD, L1Ball, Norm, RowError, nnz_rows, regroup
 from .problems import GradientEstimate
 
 _DATASET_MAGIC = b"FWSDDATA"
@@ -127,10 +127,6 @@ class ParamLayout:
             y_dim += sum(spec.fan_out(l) for l in range(spec.n_layers))
         self.y_dim = y_dim
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_meta)
-
     def balls(self) -> tuple[L1Ball, ...]:
         """One l1 ball per block, radius taken from the block's layer."""
         return tuple(
@@ -145,11 +141,10 @@ class ParamLayout:
         """Split parameter arrays into ``(x_blocks, y)``.
 
         Works on anything params-shaped, so gradients pack the same way.
-        The blocks are row views of the constrained layers' float64 weight
-        matrices, not copies; ``y`` is a new array.
+        ``x_blocks`` holds each constrained layer's float64 weight matrix,
+        not a copy, whose rows are the layer's blocks; ``y`` is a new array.
         """
-        x_blocks = [row for l in self.spec.fw_layers
-                    for row in np.asarray(params[l].w, dtype=np.float64)]
+        x_blocks = [np.asarray(params[l].w, dtype=np.float64) for l in self.spec.fw_layers]
         parts = [np.asarray(params[l].w, dtype=np.float64).ravel()
                  for l in range(self.spec.n_layers) if l not in self.spec.fw_layers]
         if self.spec.bias:
@@ -159,21 +154,29 @@ class ParamLayout:
         return x_blocks, y
 
     def unpack(self, x_blocks, y) -> list[LayerParams]:
-        """Rebuild per-layer arrays from optimizer coordinates."""
+        """Rebuild per-layer arrays from optimizer coordinates, the blocks in any cut.
+
+        A constrained layer's weights are a `regroup` view where they can be.
+        """
         spec = self.spec
-        if len(x_blocks) != self.n_blocks:
-            raise ValueError(f"expected {self.n_blocks} blocks, got {len(x_blocks)}")
+        try:
+            fw = iter(regroup(x_blocks, [spec.fan_out(l) for l in spec.fw_layers],
+                              [spec.fan_in(l) for l in spec.fw_layers], "x_blocks"))
+        except RowError as exc:
+            if exc.row is None:
+                raise
+            layer, node = self.block_meta[exc.row]
+            raise ValueError(str(exc).replace(
+                "x_blocks", f"block {exc.row} (layer {layer}, node {node})", 1)) from exc
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.y_dim,):
             raise ValueError(f"free block has shape {y.shape}, expected ({self.y_dim},)")
         weights = []
         at = 0
-        block_at = 0
         for l in range(spec.n_layers):
             shape = (spec.fan_out(l), spec.fan_in(l))
             if l in spec.fw_layers:
-                w = self._stack_layer(x_blocks[block_at:block_at + shape[0]], l, block_at)
-                block_at += shape[0]
+                w = next(fw)
             else:
                 size = shape[0] * shape[1]
                 w = y[at:at + size].reshape(shape).copy()
@@ -189,21 +192,6 @@ class ParamLayout:
                 b = np.zeros(spec.fan_out(l))
             params.append(LayerParams(w=weights[l], b=b))
         return params
-
-    def _stack_layer(self, rows, layer: int, first: int) -> np.ndarray:
-        # one layer's weight matrix from its blocks; a misshapen block is named
-        fan_in = self.spec.fan_in(layer)
-        try:
-            w = np.array(rows, dtype=np.float64)
-        except ValueError as exc:  # blocks of different shapes, or not numbers
-            w, error = None, exc
-        if w is not None and w.shape[1:] == (fan_in,):
-            return w
-        for node, row in enumerate(rows):
-            if np.shape(row) != (fan_in,):
-                raise ValueError(f"block {first + node} (layer {layer}, node {node}) has shape "
-                                 f"{np.shape(row)}, expected ({fan_in},)")
-        raise error
 
 
 def forward(spec: MLPSpec, params: Sequence[LayerParams], x: np.ndarray) -> np.ndarray:
@@ -329,7 +317,10 @@ class MLPProblem:
         return rng.integers(0, self.n_samples, size=n)
 
     def gradient_mean(self, x_blocks, y, batch):
-        """Mean of the batch's per-sample gradients from one pass; the objective uses `forward`."""
+        """Mean of the batch's per-sample gradients from one pass; the objective uses `forward`.
+
+        The blocks come in any cut; the gradient comes back as `ParamLayout.pack` cuts it.
+        """
         idx = np.asarray(batch, dtype=np.int64)
         params = self.layout.unpack(x_blocks, y)
         X, T = self.data.features[idx], self.data.targets[idx]

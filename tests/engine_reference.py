@@ -21,7 +21,6 @@ from fwsd.geometry import (
     frank_wolfe_rows,
     in_face_step_cap_rows,
     nnz_rows,
-    stack_rows,
 )
 from fwsd.optimizer import (
     AltStepInfo,
@@ -40,6 +39,11 @@ def _digest_update(h, x_blocks, y):
     h.update(np.ascontiguousarray(y, dtype=np.float64).tobytes())
 
 
+def _rows(blocks, idx):
+    """Blocks ``idx`` as the rows of one float64 matrix."""
+    return np.array([blocks[i] for i in idx.tolist()], dtype=np.float64)
+
+
 def fw_step(x_blocks, g_hat_blocks, balls, config):
     """Frank-Wolfe step on every block; blocks sharing a ball are stepped row-wise."""
     c_bar = np.asarray(config.c_bar_per_block, dtype=np.float64)
@@ -48,8 +52,8 @@ def fw_step(x_blocks, g_hat_blocks, balls, config):
     alphas = np.empty(len(balls))
     for ball, idx in groups_by_ball(balls):
         with blame_blocks("fw_step", idx):
-            x = stack_rows(x_blocks, idx, ball.dim, "x")
-            g = stack_rows(g_hat_blocks, idx, ball.dim, "g")
+            x = _rows(x_blocks, idx)
+            g = _rows(g_hat_blocks, idx)
             v, gap = frank_wolfe_rows(ball, x, g)
             g_tilde = _clamp_g_tilde(gap, g)
         alpha = g_tilde / c_bar[idx]
@@ -72,8 +76,8 @@ def alt_step(x_bar_blocks, g_check_blocks, balls, config):
     a_values, alpha_stops, betas = np.zeros(n), np.zeros(n), np.zeros(n)
     for ball, idx in groups_by_ball(balls):
         with blame_blocks("alt_step", idx):
-            x = stack_rows(x_bar_blocks, idx, ball.dim, "x_bar")
-            g = stack_rows(g_check_blocks, idx, ball.dim, "g_check")
+            x = _rows(x_bar_blocks, idx)
+            g = _rows(g_check_blocks, idx)
             sign, on_boundary = face_rows(ball, x)
             d, ok, gd = away_rows(ball, x, g, sign, on_boundary, config.away_tol)
         stepped = x.copy()
@@ -156,7 +160,7 @@ def run(problem, balls, y0, x0_blocks, config):
             _digest_update(digest, x, y)
             nnz = np.empty(n_blocks, dtype=np.int64)
             for ball, idx in groups:
-                nnz[idx] = nnz_rows(stack_rows(x, idx, ball.dim, "x"))
+                nnz[idx] = nnz_rows(_rows(x, idx))
             trace.append(TraceRecord(
                 k=k,
                 objective_estimate=objective,

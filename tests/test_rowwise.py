@@ -1,7 +1,7 @@
 """Row-wise geometry against the per-block reference, bit for bit.
 
 `fw_step` and `alt_step` step the rows of one group of blocks sharing a ball,
-and `gap_estimate` stacks runs of consecutive such blocks itself; `_by_group`
+and `gap_estimate` regroups runs of consecutive such blocks itself; `_by_group`
 calls a kernel once per set of blocks with an equal ball, wherever they sit,
 so that the permuted layouts below still stack many rows per call.
 `geometry_reference` keeps the per-block loop they replaced. Hypothesis
@@ -34,7 +34,7 @@ from fwsd.geometry import (
     face_rows,
     in_face_step_cap_rows,
     lmo_rows,
-    stack_rows,
+    regroup,
 )
 from fwsd.optimizer import OptimizerConfig, alt_step, fw_step, run
 from fwsd.problems import GradientEstimate, make_quadratic
@@ -248,8 +248,8 @@ def test_ball_cap_rows_matches_reference_on_stacked_rows(case):
         idx = np.array([i for i in idx.tolist() if np.any(d[i] != 0.0)], dtype=np.int64)
         if idx.size == 0:
             continue
-        caps = ball_cap_rows(ball, stack_rows(x, idx, ball.dim, "x"),
-                             stack_rows(d, idx, ball.dim, "d"))
+        caps = ball_cap_rows(ball, np.array([x[i] for i in idx.tolist()]),
+                             np.array([d[i] for i in idx.tolist()]))
         assert ([_bits(float(c)) for c in caps]
                 == [_ref_bits(ref._ball_cap(ball, x[i], d[i])) for i in idx.tolist()])
 
@@ -378,9 +378,33 @@ def test_shape_error_names_block():
         _run_with_bad_gradient(3, 1, np.ones(3))
 
 
+class _BlockCount:
+    """Gradients of ones for blocks of width 3, ``count`` of them whatever the balls."""
+
+    block_dims, y_dim = (3, 3), 1
+
+    def __init__(self, count):
+        self.count = count
+
+    def draw(self, rng, n):
+        return n
+
+    def gradient_mean(self, x_blocks, y, batch):
+        return GradientEstimate((np.ones(3),) * self.count, np.zeros(1), lambda: 0.0)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_wrong_gradient_block_count_names_step_and_iteration(count):
+    balls = [L1Ball(3, 1.0)] * 2
+    config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(8.0, 8.0), iterations=1, seed=0)
+    with pytest.raises(ValueError, match=rf"^g holds {count} blocks, expected 2 "
+                                         r"\(in fw_step\) at iteration 0$"):
+        run(_BlockCount(count), balls, np.zeros(1), [np.zeros(3)] * 2, config)
+
+
 def test_non_numeric_gradient_names_block():
     with pytest.raises(RowError, match=r"^x does not convert to float64: ") as info:
-        stack_rows([np.array(["a", "b"])], np.array([0]), 2, "x")
+        regroup([np.array(["a", "b"])], [1], [2], "x")
     assert info.value.row == 0
     with pytest.raises(ValueError, match=r"^g does not convert to float64: .*"
                                          r"\(block 2, in fw_step\) at iteration 0$"):

@@ -102,7 +102,8 @@ def test_layout_round_trip():
         for _ in range(20):
             params = random_params(spec, rng)
             x_blocks, y = layout.pack(params)
-            assert len(x_blocks) == layout.n_blocks
+            assert [w.shape for w in x_blocks] == [(spec.fan_out(l), spec.fan_in(l))
+                                                   for l in spec.fw_layers]
             assert y.shape == (layout.y_dim,)
             back = layout.unpack(x_blocks, y)
             for orig, rebuilt in zip(params, back):
@@ -133,18 +134,22 @@ def test_layout_unpack_names_misshapen_block():
         layout.unpack([np.zeros(4), np.zeros(4)], y)
     # blocks count on across constrained layers; nodes restart per layer
     layout = ParamLayout(MLPSpec(layer_sizes=(2, 3, 2), fw_layers=(0, 1), deltas=(1.0, 1.0)))
-    blocks = [np.zeros(2)] * 3 + [np.zeros(3), np.zeros((3, 1))]
+    # and a matrix is a run of blocks, one per row
+    blocks = [np.zeros((3, 2)), np.zeros(3), np.zeros(2)]
     with pytest.raises(ValueError,
-                       match=r"^block 4 \(layer 1, node 1\) has shape \(3, 1\), expected \(3,\)$"):
+                       match=r"^block 4 \(layer 1, node 1\) has shape \(2,\), expected \(3,\)$"):
         layout.unpack(blocks, np.zeros(layout.y_dim))
 
 
 def test_layout_pack_returns_row_views():
     spec = MLPSpec(layer_sizes=(3, 2, 2), fw_layers=(0, 1), deltas=(1.0, 1.0))
     params = random_params(spec, np.random.default_rng(5))
-    x_blocks, _ = ParamLayout(spec).pack(params)
-    assert [b.base is params[l].w for b, l in zip(x_blocks, (0, 0, 1, 1))] == [True] * 4
-    np.testing.assert_array_equal(x_blocks[3], params[1].w[1])
+    layout = ParamLayout(spec)
+    x_blocks, y = layout.pack(params)
+    # each constrained layer's weight matrix as it is, and unpack reads it back as a view
+    assert [w is params[l].w for w, l in zip(x_blocks, (0, 1))] == [True] * 2
+    assert [np.shares_memory(layer.w, params[l].w)
+            for layer, l in zip(layout.unpack(x_blocks, y), (0, 1))] == [True] * 2
 
 
 # ---------------------------------------------------------------- forward
