@@ -39,7 +39,8 @@ print()
 # both points go through face_rows at once, one row each
 points = np.array([[0.3, -0.2, 0.0, 0.1, 0.0, 0.0],
                    [1.2, 0.0, -0.8, 0.0, 0.0, 0.0]])
-signs, on_boundary = face_rows(ball, points)
+faces = face_rows(ball, points)
+signs, on_boundary = faces.sign, faces.on_boundary
 for name, x, s, on in zip(("interior", "boundary"), points, signs, on_boundary):
     print(f"{name} point {x}")
     print(f"  ||x||_1 = {np.abs(x).sum():.2f}, on_boundary = {on}")
@@ -49,10 +50,10 @@ print()
 
 # --- the in-face oracle only sees the extreme points of the face -----------
 
-# the boundary point as a one-row matrix, with its sign mask and boundary flag
-boundary, face = points[1:], (signs[1:], on_boundary[1:])
+# the boundary point as a one-row matrix, with its face record
+boundary, face = points[1:], faces[1:]
 c = rng.standard_normal(6)
-(index,), (sign,), _ = in_face_lmo_rows(ball, face[0], c[None, :])
+(index,), (sign,), _ = in_face_lmo_rows(ball, face.sign, c[None, :])
 print("in-face oracle on the boundary point above:")
 print(f"  cost vector     {np.round(c, 3)}")
 print(f"  face extreme pt {sign:+d} * {ball.radius} * e_{index}")
@@ -62,7 +63,7 @@ print()
 
 g_check = rng.standard_normal(6)
 # 1e-12 is the strict-descent threshold OptimizerConfig.away_tol defaults to
-d, accepted, _ = away_rows(ball, boundary, g_check[None, :], *face, 1e-12)
+d, accepted, _ = away_rows(ball, boundary, g_check[None, :], face, 1e-12)
 print("away direction from the boundary point:")
 print(f"  direction {np.round(d[0], 3)}")
 print(f"  accepted as strict descent: {accepted[0]}")
@@ -71,7 +72,7 @@ print()
 # --- step caps: plain feasibility vs staying inside the face ---------------
 
 cap_ball = ball_cap_rows(ball, boundary, d)[0]
-cap_face, binding = in_face_step_cap_rows(ball, boundary, d, *face)
+cap_face, binding = in_face_step_cap_rows(ball, boundary, d, face)
 binding = tuple(np.flatnonzero(binding[0]).tolist())
 print(f"feasibility cap along d: {cap_ball:.4f}")
 print(f"in-face cap along d:     {cap_face[0]:.4f} (binding coordinates {binding})")
@@ -80,4 +81,4 @@ print(f"in-face cap along d:     {cap_face[0]:.4f} (binding coordinates {binding
 landed = boundary + cap_face[:, None] * d
 landed[0, list(binding)] = 0.0
 print(f"point at the cap        {np.round(landed[0], 6)}")
-print(f"still on the boundary:  {face_rows(ball, landed)[1][0]}")
+print(f"still on the boundary:  {face_rows(ball, landed).on_boundary[0]}")

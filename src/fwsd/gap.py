@@ -26,10 +26,10 @@ from .geometry import (
     L1Ball,
     Norm,
     _fail_rows,
-    ball_groups,
     blame_blocks,
     finite_rows,
     frank_wolfe_rows,
+    group_layout,
     outside_rows,
     regroup,
 )
@@ -154,8 +154,7 @@ def gap_estimate(
     run of consecutive blocks sharing a ball. The total gap is
     ``sum_i g_tilde_i * scale + dual_norm(h_hat)``.
     """
-    groups = ball_groups(balls)
-    heights, dims = [len(idx) for _, idx in groups], [ball.dim for ball, _ in groups]
+    groups, heights, dims = group_layout(tuple(balls))
     with blame_blocks("gap_estimate", range(len(balls))):
         xs = regroup(x_blocks, heights, dims, "x")
         gs = regroup(g_hat_blocks, heights, dims, "g")

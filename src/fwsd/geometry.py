@@ -14,7 +14,7 @@ rows are blocks sharing one ball (same ``dim``, ``radius`` and ``norm_x``);
 views where it can; a single block is a one-row matrix (`lmo` is that case of
 `lmo_rows`).
 Each row of a row-wise result is bit for bit what the per-block formula gives, so
-grouping blocks never moves an iterate digest. That rests on four rules:
+grouping blocks never moves an iterate digest. That rests on five rules:
 
 - row dots are ``np.matmul(a[:, None, :], b[:, :, None])``, which rounds like
   the 1-D ``a @ b``; ``(a * b).sum(1)`` and ``einsum`` differ in the last bits;
@@ -22,7 +22,11 @@ grouping blocks never moves an iterate digest. That rests on four rules:
   1-D ``np.sum(np.abs(x))``;
 - the signed sum of the in-face cap is a sequential fold,
   ``np.cumsum(..., axis=1)[:, -1]``;
-- argmax and argmin along axis 1 break ties to the lowest index, as in 1-D.
+- argmax and argmin along axis 1 break ties to the lowest index, as in 1-D;
+- batch sums (`batch_sum`) are the left fold ``a[0] + a[1] + ...``: ``np.add.reduce``
+  adds the rows of a C-contiguous ``(n, width)`` view in turn, except at width 1,
+  which numpy sums pairwise and so keeps ``np.cumsum(..., axis=0)[-1]``; its
+  ``initial=-0.0`` keeps a batch of one's ``-0.0`` from turning into ``+0.0``.
 
 A failed row check raises `RowError`, which carries the offending row so a
 caller that stacked the rows can name the block (see `blame_blocks`).
@@ -31,6 +35,7 @@ caller that stacked the rows can name the block (see `blame_blocks`).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -110,6 +115,23 @@ class Vertex:
     value: np.ndarray = field(repr=False)
 
 
+@dataclass(eq=False)
+class Face:
+    """`face_rows` of a matrix ``x``, indexable by rows; `away_rows` adds ``d_norm1``.
+
+    Sign masks in {-1, 0, 1}, boundary flags, ``l1_rows(x)`` and ``l1_rows(d)``.
+    """
+
+    sign: np.ndarray
+    on_boundary: np.ndarray
+    norm1: np.ndarray
+    d_norm1: np.ndarray | None = None
+
+    def __getitem__(self, rows) -> "Face":
+        d_norm1 = None if self.d_norm1 is None else self.d_norm1[rows]
+        return Face(self.sign[rows], self.on_boundary[rows], self.norm1[rows], d_norm1)
+
+
 class RowError(ValueError):
     """A row-wise check failed; ``row`` is the first offending row, if known."""
 
@@ -120,8 +142,8 @@ class RowError(ValueError):
 
 def _fail_rows(bad: np.ndarray, message) -> None:
     # raise RowError at the first flagged row; ``message`` may be a callable
-    # of that row
-    if bad.any():
+    # of that row (count_nonzero costs less per call than any)
+    if np.count_nonzero(bad):
         r = int(np.argmax(bad))
         raise RowError(message(r) if callable(message) else message, r)
 
@@ -156,6 +178,13 @@ def ball_groups(balls: Sequence[L1Ball]) -> list[tuple[L1Ball, np.ndarray]]:
     keys = [(b.dim, b.radius, b.norm_x) for b in balls]  # faster to compare than the dataclass
     starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
     return [(balls[s], np.arange(s, e)) for s, e in zip(starts, starts[1:] + [len(balls)])]
+
+
+@functools.lru_cache(maxsize=32)
+def group_layout(balls: tuple[L1Ball, ...]):
+    """`ball_groups` of a tuple of balls with the groups' heights and widths, memoized."""
+    groups = tuple(ball_groups(balls))
+    return groups, tuple(len(idx) for _, idx in groups), tuple(b.dim for b, _ in groups)
 
 
 def regroup(x: Sequence[np.ndarray], heights: Sequence[int], dims: Sequence[int],
@@ -195,7 +224,7 @@ def regroup(x: Sequence[np.ndarray], heights: Sequence[int], dims: Sequence[int]
 
 def finite_rows(m: np.ndarray, name: str) -> None:
     """Raise `RowError` at the first row of ``m`` with a non-finite entry."""
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) < m.size:
         _fail_rows(~np.isfinite(m).all(axis=1), f"{name} contains non-finite entries")
 
 
@@ -209,6 +238,14 @@ def l1_rows(m: np.ndarray) -> np.ndarray:
     return np.abs(m).sum(axis=1)
 
 
+def batch_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of ``a`` over axis 0, rounded like the left fold ``a[0] + a[1] + ...``."""
+    flat = np.ascontiguousarray(a).reshape(len(a), -1)
+    if flat.shape[1] == 1:  # numpy sums a lone column pairwise
+        return np.cumsum(flat, axis=0)[-1].reshape(a.shape[1:])
+    return np.add.reduce(flat, axis=0, initial=-0.0).reshape(a.shape[1:])
+
+
 def nnz_rows(m: np.ndarray, threshold: float = NNZ_THRESHOLD) -> np.ndarray:
     """Count of entries with magnitude at least ``threshold`` in every row."""
     return np.count_nonzero(np.abs(m) >= threshold, axis=1)
@@ -219,41 +256,42 @@ def outside_rows(ball: L1Ball, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> n
     return ~(l1_rows(x) <= ball.radius + tol)
 
 
-def _vertex_rows(ball: L1Ball, rows: np.ndarray, index: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    value = np.zeros((len(rows), ball.dim))
-    value[rows, index] = sign * ball.radius
-    return value
+def _minus_vertex(ball: L1Ball, x: np.ndarray, rows: np.ndarray, index: np.ndarray,
+                  sign: np.ndarray) -> np.ndarray:
+    # x - v for the vertices v = sign * radius * e_index, bit for bit: one coordinate per row moves
+    d = x.copy()
+    d[rows, index] -= sign * ball.radius
+    return d
 
 
 def lmo_rows(ball: L1Ball, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index, sign and vertex of ``argmin { g[r] @ x : ||x||_1 <= radius }`` per row.
 
     The vertex is ``-sign(g[r, j]) * radius * e_j`` at a maximal ``|g[r, j]|``;
-    ties go to the lowest index, and ``g[r, j] == 0`` to the positive vertex.
+    ties go to the lowest index, and ``g[r, j] == 0`` to the positive vertex:
+    `in_face_lmo_rows` over the face whose sign is ``-sign(g)`` (``+1`` at zeros).
     """
-    rows = np.arange(len(g))
-    index = np.abs(g).argmax(axis=1)
-    sign = np.where(g[rows, index] <= 0.0, 1, -1)
-    return index, sign, _vertex_rows(ball, rows, index, sign)
+    return in_face_lmo_rows(ball, np.where(g <= 0.0, 1.0, -1.0), g)
 
 
 def frank_wolfe_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle vertices ``v`` and Frank-Wolfe gaps ``g[r] @ (x[r] - v[r])``."""
-    v = lmo_rows(ball, g)[2]
-    return v, row_dot(g, x - v)
+    """Directions ``x[r] - v[r]`` to the oracle vertices and gaps ``g[r] @ (x[r] - v[r])``."""
+    rows, index = np.arange(len(g)), np.abs(g).argmax(axis=1)
+    fw = _minus_vertex(ball, x, rows, index, np.where(g[rows, index] <= 0.0, 1, -1))
+    return fw, row_dot(g, fw)
 
 
-def face_rows(ball: L1Ball, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal face of every row: sign masks in {-1, 0, 1} and boundary flags.
+def face_rows(ball: L1Ball, x: np.ndarray) -> Face:
+    """Minimal face of every row: sign masks in {-1, 0, 1}, boundary flags and l1 norms.
 
     Both are classified at ``FACE_TOL``; an interior row's face is the whole
-    ball. Rows more than ``IN_FACE_TOL`` outside the ball raise.
+    ball. Rows more than ``IN_FACE_TOL`` outside the ball, or with a NaN, raise.
     """
     norm1 = l1_rows(x)
-    _fail_rows(norm1 > ball.radius + IN_FACE_TOL,
+    _fail_rows(~(norm1 <= ball.radius + IN_FACE_TOL),
                lambda r: f"point is infeasible: ||x||_1 = {float(norm1[r])} > {ball.radius}")
     sign = (x > FACE_TOL).astype(np.float64) - (x < -FACE_TOL)
-    return sign, np.abs(norm1 - ball.radius) <= FACE_TOL
+    return Face(sign, np.abs(norm1 - ball.radius) <= FACE_TOL, norm1)
 
 
 def in_face_lmo_rows(ball: L1Ball, sign: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,112 +303,99 @@ def in_face_lmo_rows(ball: L1Ball, sign: np.ndarray, c: np.ndarray) -> tuple[np.
     rows = np.arange(len(sign))
     index = np.where(sign != 0.0, sign * c, np.inf).argmin(axis=1)
     s = sign[rows, index].astype(np.int64)
-    return index, s, _vertex_rows(ball, rows, index, s)
+    value = np.zeros(sign.shape)
+    value[rows, index] = s * ball.radius
+    return index, s, value
 
 
-def away_rows(
-    ball: L1Ball, x: np.ndarray, g: np.ndarray, sign: np.ndarray, on_boundary: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def away_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray, face: Face,
+              tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Away directions ``d = x - argmax_face g @ x`` with acceptance and ``g @ d`` per row.
 
-    A row is accepted when ``g @ d < -tol`` and ``d`` is no longer than the
-    diameter; the faces are the ones `face_rows` gave.
+    A row is accepted when ``g @ d < -tol`` and ``d`` is no longer than the diameter;
+    ``face`` is `face_rows` of ``x`` and gets ``d_norm1``. One argmax over signed
+    vertices serves every row, as `lmo_rows` is `in_face_lmo_rows` on a full face.
     """
-    in_face = on_boundary & sign.any(axis=1)
-    c = -g
-    v = lmo_rows(ball, c)[2]
-    if in_face.any():
-        v[in_face] = in_face_lmo_rows(ball, sign[in_face], c[in_face])[2]
-    d = x - v
+    in_face = face.on_boundary & face.sign.any(axis=1)
+    sign = np.where(in_face[:, None], face.sign, np.where(g >= 0.0, 1.0, -1.0))
+    rows, index = np.arange(len(x)), np.where(sign != 0.0, sign * g, -np.inf).argmax(axis=1)
+    d = _minus_vertex(ball, x, rows, index, sign[rows, index])
+    face.d_norm1 = l1_rows(d)
     gd = row_dot(g, d)
-    return d, (gd < -tol) & (ball.norm_rows(d) <= ball.diameter()), gd
+    norm = face.d_norm1 if ball.norm_x is Norm.L1 else ball.norm_rows(d)
+    return d, (gd < -tol) & (norm <= ball.diameter()), gd
 
 
-def ball_cap_rows(ball: L1Ball, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+def ball_cap_rows(ball: L1Ball, x: np.ndarray, d: np.ndarray,
+                  face: Face | None = None) -> np.ndarray:
     """Largest ``a`` with ``||x[r] + a d[r]||_1 <= radius``, per row.
 
     The norm along the ray is piecewise linear with kinks where coordinates
     cross zero. It is evaluated at every kink of every row at once, and the
     cap is interpolated exactly on the segment that crosses the radius;
     past the last kink every term grows with slope ``||d||_1``. Rows must be
-    feasible within tolerance and ``d`` nonzero.
+    feasible within tolerance and ``d`` nonzero; ``face`` may hold both l1 norms.
     """
     delta = ball.radius
+    if face is None:
+        face = Face(None, None, l1_rows(x), l1_rows(d))
     # the start of the ray, feasible within tol by precondition
-    start = np.minimum(l1_rows(x), delta)
-    slope = l1_rows(d)
+    start = np.minimum(face.norm1, delta)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = -x / d
     valid = (t > 0.0) & np.isfinite(t)
     count = valid.sum(axis=1)
     width = int(count.max())
     if width == 0:  # no coordinate crosses zero on any ray
-        return 0.0 + (delta - start) / slope
-    kinks = np.sort(np.where(valid, t, np.inf), axis=1)[:, :width]
+        return 0.0 + (delta - start) / face.d_norm1
     real = np.arange(width) < count[:, None]
-    kinks = np.where(real, kinks, 0.0)
-    phi = l1_rows((x[:, None, :] + kinks[:, :, None] * d[:, None, :]).reshape(-1, ball.dim))
-    over = (phi.reshape(kinks.shape) > delta) & real
     # column 0 of the padded arrays is the start of the ray
-    kinks = np.concatenate([np.zeros((len(x), 1)), kinks], axis=1)
-    phi = np.concatenate([start[:, None], phi.reshape(-1, width)], axis=1)
+    kinks = np.zeros((len(x), width + 1))
+    kinks[:, 1:] = np.where(real, np.sort(np.where(valid, t, np.inf), axis=1)[:, :width], 0.0)
+    phi = np.empty(kinks.shape)
+    phi[:, 0] = start
+    phi[:, 1:] = l1_rows((x[:, None, :] + kinks[:, 1:, None] * d[:, None, :]).reshape(-1, ball.dim)
+                         ).reshape(-1, width)
+    over = (phi[:, 1:] > delta) & real
     crosses = over.any(axis=1)
     last = np.where(crosses, over.argmax(axis=1), count)
     rows = np.arange(len(x))
     nxt = np.minimum(last + 1, width)
     prev, phi_prev = kinks[rows, last], phi[rows, last]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inside = prev + (delta - phi_prev) * (kinks[rows, nxt] - prev) / (phi[rows, nxt] - phi_prev)
-    return np.where(crosses, inside, prev + (delta - phi_prev) / slope)
+    # on the crossing segment, or past the last kink with slope ||d||_1 (times 1.0, exactly)
+    t_span = np.where(crosses, kinks[rows, nxt] - prev, 1.0)
+    phi_span = np.where(crosses, phi[rows, nxt] - phi_prev, face.d_norm1)
+    return prev + (delta - phi_prev) * t_span / phi_span
 
 
-def sign_cap_rows(x: np.ndarray, d: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First step at which a supported coordinate moving against its sign reaches zero.
+def in_face_step_cap_rows(ball: L1Ball, x: np.ndarray, d: np.ndarray,
+                          face: Face) -> tuple[np.ndarray, np.ndarray]:
+    """Cap and binding mask per row along in-face directions; ``face`` is `face_rows` of ``x``.
 
-    Returns the step per row (``inf`` when nothing moves against its sign)
-    and the mask of every coordinate binding there.
+    A boundary row caps at its first sign crossing on the support and marks the
+    coordinates that land on zero there, or at 0 if ``d`` points out of the ball
+    (a positive fold ``sum_j sign_j d_j`` in index order); an interior row's cap is
+    `ball_cap_rows`, with no binding coordinates. ``face`` may hold ``l1_rows(d)``.
     """
-    toward = (sign != 0.0) & (((x > 0.0) & (d < 0.0)) | ((x < 0.0) & (d > 0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        caps = np.where(toward, -x / d, np.inf)
-    alpha = caps.min(axis=1)
-    return alpha, toward & (caps == alpha[:, None])
-
-
-def points_out_rows(sign: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Rows whose in-face direction leaves the ball at once.
-
-    The signed sum ``sum_j sign_j d_j`` is a sequential fold in index order.
-    """
-    signed = np.cumsum(sign * d, axis=1)[:, -1]
-    return signed > IN_FACE_TOL * np.maximum(1.0, l1_rows(d))
-
-
-def in_face_step_cap_rows(
-    ball: L1Ball, x: np.ndarray, d: np.ndarray, sign: np.ndarray, on_boundary: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cap and binding mask per row along in-face directions, faces from `face_rows`.
-
-    A boundary row caps at its first sign crossing on the support and marks
-    the coordinates that land on zero there (cap 0 if ``d`` points out);
-    an interior row's cap is `ball_cap_rows`, with no binding coordinates.
-    """
-    _fail_rows(~d.any(axis=1), "direction is identically zero")
-    _fail_rows(outside_rows(ball, x, IN_FACE_TOL), "x_bar is infeasible")
-    _fail_rows(on_boundary & ((np.abs(d) > IN_FACE_TOL) & (sign == 0.0)).any(axis=1),
-               "in-face direction must vanish on the zero set of x_bar")
-    alpha = np.empty(len(x))
+    if face.d_norm1 is None:
+        face = Face(face.sign, face.on_boundary, face.norm1, l1_rows(d))
+    _fail_rows(face.d_norm1 == 0.0, "direction is identically zero")
+    on_boundary, sign = face.on_boundary, face.sign
+    n_boundary = np.count_nonzero(on_boundary)
+    # on every row; the boundary rows' values are replaced below
+    alpha = ball_cap_rows(ball, x, d, face) if n_boundary < len(x) else np.empty(len(x))
     binding = np.zeros(x.shape, dtype=bool)
-    interior = ~on_boundary
-    if interior.any():
-        alpha[interior] = ball_cap_rows(ball, x[interior], d[interior])
-    if on_boundary.any():
-        xb, db, sb = x[on_boundary], d[on_boundary], sign[on_boundary]
-        out = points_out_rows(sb, db)
-        cap, bind = sign_cap_rows(xb, db, sb)
-        alpha[on_boundary] = np.where(out, 0.0, cap)
-        binding[on_boundary] = bind & ~out[:, None]
+    if n_boundary:
+        _fail_rows(on_boundary & ((np.abs(d) > IN_FACE_TOL) & (sign == 0.0)).any(axis=1),
+                   "in-face direction must vanish on the zero set of x_bar")
+        # every row at once: a supported coordinate moving against its sign has sign * d < 0
+        signed = sign * d
+        out = np.cumsum(signed, axis=1)[:, -1] > IN_FACE_TOL * np.maximum(1.0, face.d_norm1)
+        toward = signed < 0.0
+        caps = np.divide(-x, d, out=np.full(x.shape, np.inf), where=toward)
+        cap = caps.min(axis=1)
+        alpha = np.where(on_boundary, np.where(out, 0.0, cap), alpha)
+        binding = toward & (caps == cap[:, None]) & (on_boundary & ~out)[:, None]
     return alpha, binding
 
 

@@ -37,11 +37,11 @@ from .geometry import (
     RowError,
     _fail_rows,
     away_rows,
-    ball_groups,
     blame_blocks,
     face_rows,
     finite_rows,
     frank_wolfe_rows,
+    group_layout,
     in_face_step_cap_rows,
     nnz_rows,
     outside_rows,
@@ -225,12 +225,13 @@ def fw_step(x: np.ndarray, g: np.ndarray, ball: L1Ball, c_bar: np.ndarray,
     """
     finite_rows(x, "x")
     finite_rows(g, "g")
-    v, gap = frank_wolfe_rows(ball, x, g)
+    fw, gap = frank_wolfe_rows(ball, x, g)
     g_tilde = _clamp_g_tilde(gap, g)
     alpha = g_tilde / c_bar
     if config.alpha_clamp:
         alpha = np.where(alpha > 1.0, 1.0, alpha)
-    return x + alpha[:, None] * (v - x), g_tilde, alpha
+    # x + alpha * (v - x) to the bit: v - x is -(x - v) but for zeros, where x is unchanged
+    return x - alpha[:, None] * fw, g_tilde, alpha
 
 
 def sd_step(y: np.ndarray, h_hat: np.ndarray, config: OptimizerConfig):
@@ -270,23 +271,25 @@ def alt_step(x_bar: np.ndarray, g_check: np.ndarray, ball: L1Ball, c_bar: np.nda
     """
     finite_rows(x_bar, "x_bar")
     finite_rows(g_check, "g_check")
-    sign, on_boundary = face_rows(ball, x_bar)
-    d, ok, gd = away_rows(ball, x_bar, g_check, sign, on_boundary, config.away_tol)
-    x_next = x_bar.copy()
+    face = face_rows(ball, x_bar)
+    d, ok, gd = away_rows(ball, x_bar, g_check, face, config.away_tol)
     a_value, alpha_stop, beta = np.zeros((3, len(x_bar)))
-    if ok.any():
-        try:
-            cap, binding = in_face_step_cap_rows(ball, x_bar[ok], d[ok], sign[ok], on_boundary[ok])
-        except RowError as exc:  # the cap sees the accepted rows only
-            exc.row = int(np.flatnonzero(ok)[exc.row])
-            raise
-        a = -gd[ok]
-        quotient = a / np.asarray(c_bar, dtype=np.float64)[ok]
-        step = np.where(cap < quotient, cap, quotient)
-        rows = x_bar[ok] + step[:, None] * d[ok]
-        rows[binding & (step == cap)[:, None]] = 0.0
-        x_next[ok] = rows
-        a_value[ok], alpha_stop[ok], beta[ok] = a, cap, step
+    rows = slice(None) if np.count_nonzero(ok) == len(ok) else ok  # all rows step: views
+    x_ok, d_ok = x_bar[rows], d[rows]
+    try:
+        cap, binding = in_face_step_cap_rows(ball, x_ok, d_ok, face[rows])
+    except RowError as exc:  # the cap sees the accepted rows only
+        exc.row = int(np.flatnonzero(ok)[exc.row])
+        raise
+    a = -gd[rows]
+    quotient = a / np.asarray(c_bar, dtype=np.float64)[rows]
+    step = np.where(cap < quotient, cap, quotient)
+    x_next = x_ok + step[:, None] * d_ok
+    x_next[binding & (step == cap)[:, None]] = 0.0
+    if rows is ok:
+        x_next, stepped = x_bar.copy(), x_next
+        x_next[ok] = stepped
+    a_value[rows], alpha_stop[rows], beta[rows] = a, cap, step
     return x_next, AltStepInfos(taken=ok, a_value=a_value, alpha_stop=alpha_stop, beta_bar=beta)
 
 
@@ -336,8 +339,7 @@ def run(
         raise ValueError("y0 contains non-finite entries")
     # validates one c_bar_i >= 2 * l_nabla * diam^2 per block
     constants = GapConstants.from_blocks(config.l_nabla, config.c_bar_per_block, balls)
-    groups = ball_groups(balls)
-    heights, dims = [len(idx) for _, idx in groups], [ball.dim for ball, _ in groups]
+    groups, heights, dims = group_layout(balls)
     c_bars = [np.asarray(config.c_bar_per_block, dtype=np.float64)[idx] for _, idx in groups]
     # the iterate: one matrix per group, never written after it is made
     x = regroup(x0_blocks, heights, dims, "x0")

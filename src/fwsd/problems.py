@@ -15,6 +15,8 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from .geometry import batch_sum
+
 
 @dataclass(frozen=True, eq=False)
 class GradientEstimate:
@@ -114,14 +116,14 @@ class QuadraticInstance:
         return rng.standard_normal((n, self.dim)) * scale
 
     def gradient_mean(self, x_blocks, y, batch) -> GradientEstimate:
-        """Mean of ``Q r + z`` over the batch's rows in row order; the objective reuses ``Q r``."""
+        """Mean of ``Q r + z`` over the batch by `batch_sum`; the objective reuses ``Q r``."""
         n = len(batch)
         if n == 0:
             raise ValueError("empty batch")
         v = _concat(x_blocks, y)
         r = v - self.minimizer
         qr = self.q_matrix @ r
-        g_blocks, h = _shaped_like(x_blocks, np.cumsum(qr[None, :] + batch, axis=0)[-1] / n)
+        g_blocks, h = _shaped_like(x_blocks, batch_sum(qr[None, :] + batch) / n)
         return GradientEstimate(tuple(g_blocks), h,
                                 lambda: 0.5 * float(r @ qr) + float(np.mean(batch @ v)))
 

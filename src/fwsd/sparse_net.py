@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import NNZ_THRESHOLD, L1Ball, Norm, RowError, nnz_rows, regroup
+from .geometry import NNZ_THRESHOLD, L1Ball, Norm, RowError, batch_sum, nnz_rows, regroup
 from .problems import GradientEstimate
 
 _DATASET_MAGIC = b"FWSDDATA"
@@ -250,10 +250,11 @@ def loss_value(spec: MLPSpec, pred: np.ndarray, target: np.ndarray) -> float:
 def _backprop(spec: MLPSpec, params: Sequence[LayerParams], X: np.ndarray, T: np.ndarray):
     """Mean over the rows of ``X``/``T`` of each sample's per-layer ``(grad_w, grad_b)``.
 
-    Every product is a per-row matrix-vector product and the batch sum is a
-    sequential fold in row order, so the result equals, bit for bit, adding
-    the single-sample gradients one at a time and dividing by the count.
-    Rows go through in chunks of ``_CHUNK_ROWS`` to bound memory.
+    Every product is a per-row matrix-vector product and the batch sum is
+    `batch_sum`'s left fold in row order, so the result equals, bit for bit,
+    adding the single-sample gradients one at a time and dividing by the count.
+    Rows go through in chunks of ``_CHUNK_ROWS`` to bound memory; each chunk's
+    fold starts from the running sum.
     """
     n = X.shape[0]
     if n == 0:
@@ -276,8 +277,7 @@ def _backprop(spec: MLPSpec, params: Sequence[LayerParams], X: np.ndarray, T: np
         for s, g in zip(sums, grads):  # carry the running sum into this chunk's fold
             g.w[0] += s.w
             g.b[0] += s.b
-        sums = [LayerParams(w=np.cumsum(g.w, axis=0)[-1], b=np.cumsum(g.b, axis=0)[-1])
-                for g in grads]
+        sums = [LayerParams(w=batch_sum(g.w), b=batch_sum(g.b)) for g in grads]
     return [LayerParams(w=s.w / n, b=s.b / n) for s in sums]
 
 

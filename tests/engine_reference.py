@@ -18,9 +18,10 @@ from fwsd.geometry import (
     away_rows,
     blame_blocks,
     face_rows,
-    frank_wolfe_rows,
     in_face_step_cap_rows,
+    lmo_rows,
     nnz_rows,
+    row_dot,
 )
 from fwsd.optimizer import (
     AltStepInfo,
@@ -54,7 +55,8 @@ def fw_step(x_blocks, g_hat_blocks, balls, config):
         with blame_blocks("fw_step", idx):
             x = _rows(x_blocks, idx)
             g = _rows(g_hat_blocks, idx)
-            v, gap = frank_wolfe_rows(ball, x, g)
+            v = lmo_rows(ball, g)[2]
+            gap = row_dot(g, x - v)
             g_tilde = _clamp_g_tilde(gap, g)
         alpha = g_tilde / c_bar[idx]
         if config.alpha_clamp:
@@ -78,14 +80,13 @@ def alt_step(x_bar_blocks, g_check_blocks, balls, config):
         with blame_blocks("alt_step", idx):
             x = _rows(x_bar_blocks, idx)
             g = _rows(g_check_blocks, idx)
-            sign, on_boundary = face_rows(ball, x)
-            d, ok, gd = away_rows(ball, x, g, sign, on_boundary, config.away_tol)
+            face = face_rows(ball, x)
+            d, ok, gd = away_rows(ball, x, g, face, config.away_tol)
         stepped = x.copy()
         if ok.any():
             moved = idx[ok]
             with blame_blocks("alt_step", moved):
-                alpha_stop, binding = in_face_step_cap_rows(ball, x[ok], d[ok], sign[ok],
-                                                            on_boundary[ok])
+                alpha_stop, binding = in_face_step_cap_rows(ball, x[ok], d[ok], face[ok])
             a_value = -gd[ok]
             quotient = a_value / c_bar[moved]
             beta = np.where(alpha_stop < quotient, alpha_stop, quotient)

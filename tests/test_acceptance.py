@@ -95,7 +95,8 @@ def test_criterion_01_oracles_match_brute_force_enumeration():
             assert float(g @ vertex) == best[0]
 
             x = _random_boundary_point(rng, dim, radius)
-            (face,), (on_boundary,) = face_rows(ball, x[None, :])
+            faces = face_rows(ball, x[None, :])
+            (face,), (on_boundary,) = faces.sign, faces.on_boundary
             assert on_boundary
             c = rng.standard_normal(dim)
             (index,), (vertex_sign,), (vertex,) = in_face_lmo_rows(ball, face[None, :],
@@ -283,7 +284,8 @@ def test_criterion_06_away_steps_preserve_signed_support():
         radius = float(rng.uniform(0.5, 2.0))
         ball = L1Ball(dim, radius)
         x = _random_boundary_point(rng, dim, radius)
-        (before,), (on_boundary,) = face_rows(ball, x[None, :])
+        faces = face_rows(ball, x[None, :])
+        (before,), (on_boundary,) = faces.sign, faces.on_boundary
         assert on_boundary
         g = rng.standard_normal(dim)
         # alternate the step constant so the in-face cap binds often
@@ -296,7 +298,7 @@ def test_criterion_06_away_steps_preserve_signed_support():
             assert np.array_equal(x_new, x)
             continue
         taken += 1
-        (after,), _ = face_rows(ball, x_new[None, :])
+        (after,) = face_rows(ball, x_new[None, :]).sign
         assert np.all(before[after > 0.0] > 0.0)
         assert np.all(before[after < 0.0] < 0.0)
         if info.beta_bar == info.alpha_stop:

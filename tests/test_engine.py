@@ -6,8 +6,9 @@ Hypothesis draws layouts of 1-6 blocks from up to three balls of widths 1-8
 with two radii and both norms, so that in about a third of the draws a ball
 recurs after a different one (blocks 0 and 2 share a ball, block 1 has
 another): `run` steps its blocks in separate runs, the reference in one
-group. Quadratic problems with and without noise, feasible start points,
-away steps on and off, and clamped and unclamped steps. The two runs
+group. Quadratic problems with and without noise, feasible start points
+(vertices among them), away steps on and off with thresholds that reject no,
+some or every row of a group, and clamped and unclamped steps. The two runs
 must agree in the iterates digest, the trace records with every float in
 hex, the output index, and the bytes of the output and final iterates.
 """
@@ -17,8 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import engine_reference as ref
-from fwsd.geometry import L1Ball, Norm
-from fwsd.optimizer import BatchSchedule, OptimizerConfig, run
+from fwsd.geometry import L1Ball, Norm, face_rows
+from fwsd.optimizer import BatchSchedule, OptimizerConfig, alt_step, run
 from fwsd.problems import make_quadratic
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None,
@@ -41,6 +42,9 @@ def runs(draw):
     for ball in balls:
         x = rng.uniform(-1.0, 1.0, ball.dim) if rng.random() < 0.5 else np.zeros(ball.dim)
         x0.append(x * ball.radius * rng.uniform(0.0, 1.0) / max(np.sum(np.abs(x)), 1.0))
+        if rng.random() < 0.3:  # a vertex: no away step leaves it until a step moves it
+            x0[-1] = np.zeros(ball.dim)
+            x0[-1][rng.integers(ball.dim)] = rng.choice([-1.0, 1.0]) * ball.radius
     q = int(rng.integers(1, 4))
     problem = make_quadratic(seed=int(rng.integers(10_000)), p=tuple(b.dim for b in balls), q=q,
                              l_nabla=1.0, noise_sigma=float(rng.choice([0.0, 1.0])))
@@ -52,6 +56,7 @@ def runs(draw):
         batch_schedule=BatchSchedule.constant(int(rng.integers(1, 4))),
         alternative_directions=draw(st.booleans()),
         alpha_clamp=draw(st.booleans()),
+        away_tol=float(rng.choice([1e-12, 1e-2, 1e-1, 1.0])),  # rejects some or all rows
     )
     return problem, balls, rng.uniform(-1.0, 1.0, q), x0, config
 
@@ -89,8 +94,21 @@ def _interleaved(balls):
     return len(runs) != len(set(runs))
 
 
-def test_sampler_draws_interleaved_groups_and_away_steps():
-    seen = {"interleaved": 0, "contiguous": 0, "away": 0, "taken": 0}
+def test_sampler_draws_interleaved_groups_and_away_steps(monkeypatch):
+    # besides the layouts, `alt_step`'s branches: groups where every row, no row
+    # and some rows step, and groups that mix boundary and interior rows
+    seen = dict.fromkeys(["interleaved", "contiguous", "away", "taken", "all rows step",
+                          "no row steps", "some rows step", "boundary and interior"], 0)
+
+    def counting_alt_step(x_bar, g_check, ball, c_bar, config):
+        out = alt_step(x_bar, g_check, ball, c_bar, config)
+        taken, on_boundary = out[1].taken, face_rows(ball, x_bar).on_boundary
+        seen["all rows step" if taken.all() else
+             "some rows step" if taken.any() else "no row steps"] += len(taken) > 1
+        seen["boundary and interior"] += bool(on_boundary.any() and not on_boundary.all())
+        return out
+
+    monkeypatch.setattr("fwsd.optimizer.alt_step", counting_alt_step)
     for case in _examples(40):
         problem, balls, y0, x0, config = case
         interleaved = _interleaved(balls)

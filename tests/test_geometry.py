@@ -69,13 +69,13 @@ def random_boundary_point(rng, ball, support_size):
 
 def away(ball, x, g):
     """Away directions and acceptance of the rows of ``x``, as `alt_step` gets them."""
-    d, ok, _ = away_rows(ball, x, g, *face_rows(ball, x), AWAY_TOL)
+    d, ok, _ = away_rows(ball, x, g, face_rows(ball, x), AWAY_TOL)
     return d, ok
 
 
 def in_face_cap(ball, x, d):
     """In-face caps and binding masks of the rows of ``x``, as `alt_step` gets them."""
-    return in_face_step_cap_rows(ball, x, d, *face_rows(ball, x))
+    return in_face_step_cap_rows(ball, x, d, face_rows(ball, x))
 
 
 class TestL1Ball:
@@ -157,17 +157,19 @@ class TestLMO:
 
 class TestMinimalFace:
     def test_boundary_point_classification(self):
-        sign, on_boundary = face_rows(L1Ball(3, 1.0), np.array([[0.5, -0.5, 0.0]]))
+        face = face_rows(L1Ball(3, 1.0), np.array([[0.5, -0.5, 0.0]]))
+        sign, on_boundary = face.sign, face.on_boundary
         assert sign.tolist() == [[1.0, -1.0, 0.0]]
         assert on_boundary.tolist() == [True]
         assert np.flatnonzero(sign[0]).tolist() == [0, 1]
 
     def test_interior_point_is_whole_ball(self):
-        _, on_boundary = face_rows(L1Ball(2, 1.0), np.array([[0.1, 0.1]]))
+        on_boundary = face_rows(L1Ball(2, 1.0), np.array([[0.1, 0.1]])).on_boundary
         assert on_boundary.tolist() == [False]
 
     def test_vertex_face_has_single_support_index(self):
-        sign, on_boundary = face_rows(L1Ball(3, 2.0), np.array([[0.0, -2.0, 0.0]]))
+        face = face_rows(L1Ball(3, 2.0), np.array([[0.0, -2.0, 0.0]]))
+        sign, on_boundary = face.sign, face.on_boundary
         assert on_boundary.tolist() == [True]
         assert np.flatnonzero(sign[0]).tolist() == [1]
         assert sign[0, 1] == -1.0
@@ -183,7 +185,7 @@ class TestMinimalFace:
         ball = L1Ball(6, 1.0)
         x = np.array([rng.uniform(-0.3, 0.3, size=6) for _ in range(200)])
         x = x[[ball.contains(row) for row in x]]
-        sign, _ = face_rows(ball, x)
+        sign = face_rows(ball, x).sign
         assert set(np.unique(sign).tolist()) <= {-1.0, 0.0, 1.0}
         np.testing.assert_array_equal(sign > 0.0, x > FACE_TOL)
         np.testing.assert_array_equal(sign < 0.0, x < -FACE_TOL)
@@ -192,7 +194,7 @@ class TestMinimalFace:
 class TestInFaceLMO:
     def test_picks_most_negative_signed_cost(self):
         ball = L1Ball(3, 1.0)
-        sign, _ = face_rows(ball, np.array([[0.5, -0.5, 0.0]]))
+        sign = face_rows(ball, np.array([[0.5, -0.5, 0.0]])).sign
         index, s, value = in_face_lmo_rows(ball, sign, np.array([[-1.0, 2.0, 0.0]]))
         assert (index[0], s[0]) == (1, -1)
         np.testing.assert_array_equal(value[0], [0.0, -1.0, 0.0])
@@ -202,7 +204,8 @@ class TestInFaceLMO:
         # from the global oracle, not from the in-face oracle over its support
         ball = L1Ball(2, 1.0)
         x = np.array([[0.1, 0.1]])
-        sign, on_boundary = face_rows(ball, x)
+        face = face_rows(ball, x)
+        sign, on_boundary = face.sign, face.on_boundary
         assert on_boundary.tolist() == [False] and sign.all()
         d, ok = away(ball, x, np.array([[-1.0, 0.0]]))
         np.testing.assert_array_equal(d[0], x[0] - [-1.0, 0.0])
@@ -216,7 +219,8 @@ class TestInFaceLMO:
             k = int(rng.integers(1, 9))
             x.append(random_boundary_point(rng, ball, k))
             c.append(rng.standard_normal(8))
-        sign, on_boundary = face_rows(ball, np.array(x))
+        face = face_rows(ball, np.array(x))
+        sign, on_boundary = face.sign, face.on_boundary
         assert on_boundary.all()
         c = np.array(c)
         index, s, _ = in_face_lmo_rows(ball, sign, c)
@@ -231,7 +235,7 @@ class TestInFaceLMO:
         for _ in range(200):
             x.append(random_boundary_point(rng, ball, int(rng.integers(1, 7))))
             c.append(rng.standard_normal(6))
-        sign, _ = face_rows(ball, np.array(x))
+        sign = face_rows(ball, np.array(x)).sign
         index, s, _ = in_face_lmo_rows(ball, sign, np.array(c))
         rows = np.arange(len(x))
         assert (sign[rows, index] != 0.0).all()
@@ -239,7 +243,7 @@ class TestInFaceLMO:
 
     def test_both_oracles_return_integer_signs(self):
         ball = L1Ball(3, 1.0)
-        sign, _ = face_rows(ball, np.array([[0.5, -0.5, 0.0]]))
+        sign = face_rows(ball, np.array([[0.5, -0.5, 0.0]])).sign
         c = np.array([[-1.0, 2.0, 0.0]])
         assert lmo_rows(ball, c)[1].dtype == np.int64
         assert in_face_lmo_rows(ball, sign, c)[1].dtype == np.int64
@@ -291,7 +295,7 @@ class TestAwayDirection:
             x.append(random_boundary_point(rng, ball, int(rng.integers(1, 6))))
             g.append(rng.standard_normal(5))
         x, g = np.array(x), np.array(g)
-        sign, _ = face_rows(ball, x)
+        sign = face_rows(ball, x).sign
         d, _ = away(ball, x, g)
         for r in range(len(x)):
             best = max(float(g[r] @ _face_vertex(ball, sign[r], j))
@@ -385,7 +389,7 @@ class TestMaxFeasibleStep:
             x, d = np.array(x), np.array(d)
             if in_face:
                 alphas = in_face_cap(ball, x, d)[0]
-                sign = face_rows(ball, x)[0]
+                sign = face_rows(ball, x).sign
             else:
                 alphas = ball_cap_rows(ball, x, d)
             for r, alpha in enumerate(alphas):

@@ -214,12 +214,12 @@ def test_one_row_api_matches_reference(case):
         assert (index[0], sign[0], _bits(value[0])) == (want.index, want.sign,
                                                         _bits(want.value))
         face = face_rows(ball, xb[None, :])
-        assert ref.Face.from_rows(face[0][0], face[1][0]) == ref.minimal_face(ball, xb)
-        d, ok, _ = away_rows(ball, xb[None, :], gb[None, :], *face, config.away_tol)
+        assert ref.Face.from_rows(face.sign[0], face.on_boundary[0]) == ref.minimal_face(ball, xb)
+        d, ok, _ = away_rows(ball, xb[None, :], gb[None, :], face, config.away_tol)
         want_d, want_ok = ref.away_direction(ball, xb, gb, config.away_tol)
         assert (_bits(d[0]), bool(ok[0])) == (_bits(want_d), want_ok)
         if ok[0]:
-            cap = _outcome(in_face_step_cap_rows, ball, xb[None, :], d, *face)
+            cap = _outcome(in_face_step_cap_rows, ball, xb[None, :], d, face)
             want_cap = _outcome(ref.in_face_step_cap, ball, xb, d[0])
             _assert_same_failure(cap[1], want_cap[1])
             if cap[1] is None:
@@ -348,8 +348,9 @@ def test_kernels_name_the_row_with_non_finite_gradient(kernel):
 
 
 def test_in_face_cap_failure_names_the_group_row(monkeypatch):
-    # the cap sees only the accepted rows; its row 0 is the group's row 1
-    def failing_cap(ball, x, d, sign, on_boundary):
+    # the cap sees only the accepted rows and their face record; its row 0 is the group's row 1
+    def failing_cap(ball, x, d, face):
+        assert x.tolist() == [[0.5, -0.5]] and face.sign.tolist() == [[1.0, -1.0]]
         raise RowError("cap failed", 0)
 
     monkeypatch.setattr("fwsd.optimizer.in_face_step_cap_rows", failing_cap)
