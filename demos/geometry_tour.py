@@ -2,7 +2,7 @@
 
 Runs through the closed-form pieces the optimizer is built from: the
 linear minimization oracle, minimal faces, the in-face oracle, away
-directions, and the step caps that keep a step inside the ball or inside
+directions, and the away cap that keeps a step inside the ball or inside
 a face. Each kernel works on a matrix whose rows share one ball; a single
 point is a one-row matrix. Everything is printed; nothing is plotted.
 """
@@ -11,11 +11,10 @@ import numpy as np
 
 from fwsd.geometry import (
     L1Ball,
+    away_cap_rows,
     away_rows,
-    ball_cap_rows,
     face_rows,
     in_face_lmo_rows,
-    in_face_step_cap_rows,
     lmo_rows,
 )
 
@@ -50,10 +49,8 @@ print()
 
 # --- the in-face oracle only sees the extreme points of the face -----------
 
-# the boundary point as a one-row matrix, with its face record
-boundary, face = points[1:], faces[1:]
 c = rng.standard_normal(6)
-(index,), (sign,), _ = in_face_lmo_rows(ball, face.sign, c[None, :])
+(index,), (sign,), _ = in_face_lmo_rows(ball, signs[1:], c[None, :])
 print("in-face oracle on the boundary point above:")
 print(f"  cost vector     {np.round(c, 3)}")
 print(f"  face extreme pt {sign:+d} * {ball.radius} * e_{index}")
@@ -61,24 +58,23 @@ print()
 
 # --- away directions back off the worst vertex of the face -----------------
 
-g_check = rng.standard_normal(6)
-# 1e-12 is the strict-descent threshold OptimizerConfig.away_tol defaults to
-d, accepted, _ = away_rows(ball, boundary, g_check[None, :], face, 1e-12)
-print("away direction from the boundary point:")
-print(f"  direction {np.round(d[0], 3)}")
-print(f"  accepted as strict descent: {accepted[0]}")
+g_check = np.tile(rng.standard_normal(6), (2, 1))
+# both points at once; 1e-12 is the strict-descent threshold OptimizerConfig.away_tol defaults to
+d, accepted, _, index = away_rows(ball, points, g_check, faces, 1e-12)
+for name, row, ok in zip(("interior", "boundary"), d, accepted):
+    print(f"away direction from the {name} point:")
+    print(f"  direction {np.round(row, 3)}")
+    print(f"  accepted as strict descent: {ok}")
 print()
 
-# --- step caps: plain feasibility vs staying inside the face ---------------
+# --- the away cap: only the away vertex's coordinate can cross zero --------
 
-cap_ball = ball_cap_rows(ball, boundary, d)[0]
-cap_face, binding = in_face_step_cap_rows(ball, boundary, d, face)
-binding = tuple(np.flatnonzero(binding[0]).tolist())
-print(f"feasibility cap along d: {cap_ball:.4f}")
-print(f"in-face cap along d:     {cap_face[0]:.4f} (binding coordinates {binding})")
+cap, binds = away_cap_rows(ball, points, d, faces, index)
+print(f"interior cap along d: {cap[0]:.4f} (where the ray leaves the ball)")
+print(f"in-face cap along d:  {cap[1]:.4f} (coordinate {index[1]} binds: {binds[1]})")
 
 # stepping exactly to the in-face cap zeroes the binding coordinate exactly
-landed = boundary + cap_face[:, None] * d
-landed[0, list(binding)] = 0.0
+landed = points[1:] + cap[1] * d[1:]
+landed[0, index[1]] = 0.0
 print(f"point at the cap        {np.round(landed[0], 6)}")
 print(f"still on the boundary:  {face_rows(ball, landed).on_boundary[0]}")

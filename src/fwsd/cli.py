@@ -614,8 +614,7 @@ def _train_quadratic(config: ExperimentConfig) -> TrainOutcome:
         raise ConfigError("quadratic problems need one delta per block")
     problem = make_quadratic(config.seed, blocks, y_dim,
                              l_nabla=config.l_nabla, noise_sigma=config.quad_sigma)
-    balls = tuple(L1Ball(dim=d, radius=r, norm_x=Norm.L1)
-                  for d, r in zip(blocks, config.deltas))
+    balls = tuple(L1Ball(dim=d, radius=r) for d, r in zip(blocks, config.deltas))
     x0_blocks = [np.zeros(d) for d in blocks]
     result, metrics = _run_budgeted(config, problem, balls, np.zeros(y_dim), x0_blocks, None)
     out = result.output_iterate

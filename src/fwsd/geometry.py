@@ -3,30 +3,37 @@
 The feasible sets handled here are cross-polytopes ``{x : ||x||_1 <= delta}``.
 Everything a Frank-Wolfe style method needs from such a set is closed form:
 the linear minimization oracle picks a signed vertex, the minimal face of a
-boundary point is read off the signed support, and line searches against the
-constraint reduce to scanning the breakpoints of a piecewise linear function.
-No numerical solver is involved anywhere in this module.
+boundary point is read off the signed support, and an away direction
+``d = x - v`` from a signed vertex ``v`` moves one coordinate off the ray
+``(1 + a) x``, so its step cap has at most one breakpoint. No numerical
+solver is involved anywhere in this module.
 
 Every oracle is written once, row-wise, for an ``(n_rows, dim)`` matrix whose
-rows are blocks sharing one ball (same ``dim``, ``radius`` and ``norm_x``);
+rows are blocks sharing one ball (same ``dim`` and ``radius``);
 `ball_groups` cuts a list of blocks into runs of consecutive such blocks, and
 `regroup` cuts whatever arrays hold the blocks' rows into the runs' matrices, as
 views where it can; a single block is a one-row matrix (`lmo` is that case of
 `lmo_rows`).
 Each row of a row-wise result is bit for bit what the per-block formula gives, so
-grouping blocks never moves an iterate digest. That rests on five rules:
+grouping blocks never moves an iterate digest. That rests on six rules:
 
 - row dots are ``np.matmul(a[:, None, :], b[:, :, None])``, which rounds like
   the 1-D ``a @ b``; ``(a * b).sum(1)`` and ``einsum`` differ in the last bits;
 - l1 norms are ``np.abs(m).sum(axis=1)``, the same pairwise sum per row as the
   1-D ``np.sum(np.abs(x))``;
-- the signed sum of the in-face cap is a sequential fold,
+- the signed sum of the in-face cap's points-out test is a sequential fold,
   ``np.cumsum(..., axis=1)[:, -1]``;
 - argmax and argmin along axis 1 break ties to the lowest index, as in 1-D;
 - batch sums (`batch_sum`) are the left fold ``a[0] + a[1] + ...``: ``np.add.reduce``
   adds the rows of a C-contiguous ``(n, width)`` view in turn, except at width 1,
   which numpy sums pairwise and so keeps ``np.cumsum(..., axis=0)[-1]``; its
-  ``initial=-0.0`` keeps a batch of one's ``-0.0`` from turning into ``+0.0``.
+  ``initial=-0.0`` keeps a batch of one's ``-0.0`` from turning into ``+0.0``;
+- the away cap keeps the expression order of the breakpoint scan along
+  ``x + a d`` it replaced: ``d_k = x_k`` off ``j = index(v)``, so the one kink
+  is ``t = -x_j / d_j`` (if finite and positive), and with ``start =
+  min(||x||_1, r)`` and ``phi = ||x + t d||_1`` an interior row caps at
+  ``(r - start) * t / (phi - start)`` if ``phi > r``, else ``t + (r - phi) /
+  ||d||_1``, and at ``(r - start) / ||d||_1`` without a kink.
 
 A failed row check raises `RowError`, which carries the offending row so a
 caller that stacked the rows can name the block (see `blame_blocks`).
@@ -56,7 +63,7 @@ IN_FACE_TOL = 1e-9
 
 
 class Norm(enum.Enum):
-    """Norm choice attached to a variable block."""
+    """Norm of the free block ``y`` (`OptimizerConfig.norm_y`)."""
 
     L1 = "l1"
     L2 = "l2"
@@ -64,15 +71,10 @@ class Norm(enum.Enum):
 
 @dataclass(frozen=True)
 class L1Ball:
-    """A scaled l1 ball ``{x in R^dim : ||x||_1 <= radius}``.
-
-    ``norm_x`` is the norm the ambient block is measured in when step sizes
-    and diameters are computed; it does not change the feasible set itself.
-    """
+    """A scaled l1 ball ``{x in R^dim : ||x||_1 <= radius}``."""
 
     dim: int
     radius: float
-    norm_x: Norm = Norm.L1
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -81,7 +83,7 @@ class L1Ball:
             raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
 
     def diameter(self) -> float:
-        """Diameter of the ball in ``norm_x``.
+        """Diameter of the ball in the l1 norm.
 
         The farthest pair is a vertex and its negation, at distance
         ``2 * radius`` in the l1 norm and in the l2 norm alike.
@@ -93,17 +95,6 @@ class L1Ball:
         (m,) = regroup([x], [1], [self.dim], "x")
         finite_rows(m, "x")
         return not outside_rows(self, m, tol)[0]
-
-    def norm(self, v: np.ndarray) -> float:
-        """Length of ``v`` measured in this block's ``norm_x``."""
-        (m,) = regroup([v], [1], [self.dim], "v")
-        return float(self.norm_rows(m)[0])
-
-    def norm_rows(self, m: np.ndarray) -> np.ndarray:
-        """Length of every row of ``m`` in ``norm_x``."""
-        if self.norm_x is Norm.L1:
-            return l1_rows(m)
-        return np.sqrt(row_dot(m, m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +108,7 @@ class Vertex:
 
 @dataclass(eq=False)
 class Face:
-    """`face_rows` of a matrix ``x``, indexable by rows; `away_rows` adds ``d_norm1``.
+    """`face_rows` of a matrix ``x``; `away_rows` adds ``d_norm1``.
 
     Sign masks in {-1, 0, 1}, boundary flags, ``l1_rows(x)`` and ``l1_rows(d)``.
     """
@@ -126,10 +117,6 @@ class Face:
     on_boundary: np.ndarray
     norm1: np.ndarray
     d_norm1: np.ndarray | None = None
-
-    def __getitem__(self, rows) -> "Face":
-        d_norm1 = None if self.d_norm1 is None else self.d_norm1[rows]
-        return Face(self.sign[rows], self.on_boundary[rows], self.norm1[rows], d_norm1)
 
 
 class RowError(ValueError):
@@ -175,7 +162,7 @@ def ball_groups(balls: Sequence[L1Ball]) -> list[tuple[L1Ball, np.ndarray]]:
 
     ``idx`` is ascending and contiguous, so the runs' rows in turn are the blocks in order.
     """
-    keys = [(b.dim, b.radius, b.norm_x) for b in balls]  # faster to compare than the dataclass
+    keys = [(b.dim, b.radius) for b in balls]  # faster to compare than the dataclass
     starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
     return [(balls[s], np.arange(s, e)) for s, e in zip(starts, starts[1:] + [len(balls)])]
 
@@ -309,12 +296,14 @@ def in_face_lmo_rows(ball: L1Ball, sign: np.ndarray, c: np.ndarray) -> tuple[np.
 
 
 def away_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray, face: Face,
-              tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Away directions ``d = x - argmax_face g @ x`` with acceptance and ``g @ d`` per row.
+              tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Away directions ``d = x - argmax_face g @ x``, acceptance, ``g @ d`` and vertex index.
 
-    A row is accepted when ``g @ d < -tol`` and ``d`` is no longer than the diameter;
+    A row is accepted when ``g @ d < -tol`` and ``||d||_1`` is at most the diameter;
     ``face`` is `face_rows` of ``x`` and gets ``d_norm1``. One argmax over signed
     vertices serves every row, as `lmo_rows` is `in_face_lmo_rows` on a full face.
+    An accepted boundary row with an empty support (radius at most ``(dim + 1) *
+    FACE_TOL``) raises if its whole-ball vertex moves a zero coordinate too far.
     """
     in_face = face.on_boundary & face.sign.any(axis=1)
     sign = np.where(in_face[:, None], face.sign, np.where(g >= 0.0, 1.0, -1.0))
@@ -322,81 +311,45 @@ def away_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray, face: Face,
     d = _minus_vertex(ball, x, rows, index, sign[rows, index])
     face.d_norm1 = l1_rows(d)
     gd = row_dot(g, d)
-    norm = face.d_norm1 if ball.norm_x is Norm.L1 else ball.norm_rows(d)
-    return d, (gd < -tol) & (norm <= ball.diameter()), gd
-
-
-def ball_cap_rows(ball: L1Ball, x: np.ndarray, d: np.ndarray,
-                  face: Face | None = None) -> np.ndarray:
-    """Largest ``a`` with ``||x[r] + a d[r]||_1 <= radius``, per row.
-
-    The norm along the ray is piecewise linear with kinks where coordinates
-    cross zero. It is evaluated at every kink of every row at once, and the
-    cap is interpolated exactly on the segment that crosses the radius;
-    past the last kink every term grows with slope ``||d||_1``. Rows must be
-    feasible within tolerance and ``d`` nonzero; ``face`` may hold both l1 norms.
-    """
-    delta = ball.radius
-    if face is None:
-        face = Face(None, None, l1_rows(x), l1_rows(d))
-    # the start of the ray, feasible within tol by precondition
-    start = np.minimum(face.norm1, delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -x / d
-    valid = (t > 0.0) & np.isfinite(t)
-    count = valid.sum(axis=1)
-    width = int(count.max())
-    if width == 0:  # no coordinate crosses zero on any ray
-        return 0.0 + (delta - start) / face.d_norm1
-    real = np.arange(width) < count[:, None]
-    # column 0 of the padded arrays is the start of the ray
-    kinks = np.zeros((len(x), width + 1))
-    kinks[:, 1:] = np.where(real, np.sort(np.where(valid, t, np.inf), axis=1)[:, :width], 0.0)
-    phi = np.empty(kinks.shape)
-    phi[:, 0] = start
-    phi[:, 1:] = l1_rows((x[:, None, :] + kinks[:, 1:, None] * d[:, None, :]).reshape(-1, ball.dim)
-                         ).reshape(-1, width)
-    over = (phi[:, 1:] > delta) & real
-    crosses = over.any(axis=1)
-    last = np.where(crosses, over.argmax(axis=1), count)
-    rows = np.arange(len(x))
-    nxt = np.minimum(last + 1, width)
-    prev, phi_prev = kinks[rows, last], phi[rows, last]
-    # on the crossing segment, or past the last kink with slope ||d||_1 (times 1.0, exactly)
-    t_span = np.where(crosses, kinks[rows, nxt] - prev, 1.0)
-    phi_span = np.where(crosses, phi[rows, nxt] - phi_prev, face.d_norm1)
-    return prev + (delta - phi_prev) * t_span / phi_span
-
-
-def in_face_step_cap_rows(ball: L1Ball, x: np.ndarray, d: np.ndarray,
-                          face: Face) -> tuple[np.ndarray, np.ndarray]:
-    """Cap and binding mask per row along in-face directions; ``face`` is `face_rows` of ``x``.
-
-    A boundary row caps at its first sign crossing on the support and marks the
-    coordinates that land on zero there, or at 0 if ``d`` points out of the ball
-    (a positive fold ``sum_j sign_j d_j`` in index order); an interior row's cap is
-    `ball_cap_rows`, with no binding coordinates. ``face`` may hold ``l1_rows(d)``.
-    """
-    if face.d_norm1 is None:
-        face = Face(face.sign, face.on_boundary, face.norm1, l1_rows(d))
-    _fail_rows(face.d_norm1 == 0.0, "direction is identically zero")
-    on_boundary, sign = face.on_boundary, face.sign
-    n_boundary = np.count_nonzero(on_boundary)
-    # on every row; the boundary rows' values are replaced below
-    alpha = ball_cap_rows(ball, x, d, face) if n_boundary < len(x) else np.empty(len(x))
-    binding = np.zeros(x.shape, dtype=bool)
-    if n_boundary:
-        _fail_rows(on_boundary & ((np.abs(d) > IN_FACE_TOL) & (sign == 0.0)).any(axis=1),
+    ok = (gd < -tol) & (face.d_norm1 <= ball.diameter())
+    bare = face.on_boundary & ~in_face
+    if np.count_nonzero(bare):  # off j, |d_k| = |x_k| <= FACE_TOL on the zero set
+        _fail_rows(ok & bare & (np.abs(d[rows, index]) > IN_FACE_TOL),
                    "in-face direction must vanish on the zero set of x_bar")
-        # every row at once: a supported coordinate moving against its sign has sign * d < 0
-        signed = sign * d
-        out = np.cumsum(signed, axis=1)[:, -1] > IN_FACE_TOL * np.maximum(1.0, face.d_norm1)
-        toward = signed < 0.0
-        caps = np.divide(-x, d, out=np.full(x.shape, np.inf), where=toward)
-        cap = caps.min(axis=1)
-        alpha = np.where(on_boundary, np.where(out, 0.0, cap), alpha)
-        binding = toward & (caps == cap[:, None]) & (on_boundary & ~out)[:, None]
-    return alpha, binding
+    return d, ok, gd, index
+
+
+def away_cap_rows(ball: L1Ball, x: np.ndarray, d: np.ndarray, face: Face,
+                  index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step cap per row along `away_rows`' directions ``d``, and the rows where it binds.
+
+    An interior row caps where ``||x + a d||_1`` reaches the radius (see the module
+    docstring). A boundary row caps at 0 if ``d`` points out (a fold ``sum_k sign_k
+    d_k`` above ``IN_FACE_TOL * max(1, ||d||_1)``), else at ``t = -x_j / d_j`` if
+    ``x_j`` moves against its sign (it binds: lands on zero), else at ``inf``; off
+    ``j``, ``sign_k d_k = |x_k| >= 0``. A rejected row's cap is silent and meaningless.
+    """
+    delta, rows = ball.radius, np.arange(len(x))
+    on_boundary, d_norm1, d_j = face.on_boundary, face.d_norm1, d[rows, index]
+    n_boundary = np.count_nonzero(on_boundary)
+    cap, binds = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -x[rows, index] / d_j
+        if n_boundary < len(x):
+            start = np.minimum(face.norm1, delta)
+            cap = (delta - start) / d_norm1
+            kink = (t > 0.0) & np.isfinite(t)
+            if np.count_nonzero(kink):
+                phi = l1_rows(x + np.where(kink, t, 0.0)[:, None] * d)
+                cap = np.where(kink, np.where(phi > delta, (delta - start) * t / (phi - start),
+                                              t + (delta - phi) / d_norm1), cap)
+        if n_boundary:
+            toward = face.sign[rows, index] * d_j < 0.0
+            out = np.cumsum(face.sign * d, axis=1)[:, -1] > IN_FACE_TOL * np.maximum(1.0, d_norm1)
+            edge = np.where(out, 0.0, np.where(toward, t, np.inf))
+            cap = edge if n_boundary == len(x) else np.where(on_boundary, edge, cap)
+            binds = on_boundary & toward & ~out
+    return cap, binds
 
 
 def lmo(ball: L1Ball, g: np.ndarray) -> Vertex:

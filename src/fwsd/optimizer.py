@@ -34,15 +34,14 @@ from .gap import GapConstants, _clamp_g_tilde, dual_norm
 from .geometry import (
     L1Ball,
     Norm,
-    RowError,
     _fail_rows,
+    away_cap_rows,
     away_rows,
     blame_blocks,
     face_rows,
     finite_rows,
     frank_wolfe_rows,
     group_layout,
-    in_face_step_cap_rows,
     nnz_rows,
     outside_rows,
     regroup,
@@ -264,33 +263,27 @@ def alt_step(x_bar: np.ndarray, g_check: np.ndarray, ball: L1Ball, c_bar: np.nda
     direction from a fresh gradient, and if it is a strict descent direction
     (``g_check @ d < -away_tol``) step ``beta = min(a / c_bar, alpha_stop)``
     along it, where ``a = -g_check @ d`` and ``alpha_stop`` is the in-face
-    cap. When the cap binds, the binding coordinates are set to exactly
-    zero, so supports shrink exactly rather than to rounding dust. Returns
-    ``(x_next, infos)``; rows not taken keep their values and read zeros in
-    `AltStepInfos`. Row checks name the group row, as in `fw_step`.
+    cap (`away_cap_rows`, on every row of the group). When the cap binds, the
+    coordinate it binds on is set to exactly zero, so supports shrink exactly
+    rather than to rounding dust. Returns ``(x_next, infos)``; rows not taken
+    keep their bytes and read zeros in `AltStepInfos`. Row checks name the
+    group row, as in `fw_step`.
     """
     finite_rows(x_bar, "x_bar")
     finite_rows(g_check, "g_check")
     face = face_rows(ball, x_bar)
-    d, ok, gd = away_rows(ball, x_bar, g_check, face, config.away_tol)
-    a_value, alpha_stop, beta = np.zeros((3, len(x_bar)))
-    rows = slice(None) if np.count_nonzero(ok) == len(ok) else ok  # all rows step: views
-    x_ok, d_ok = x_bar[rows], d[rows]
-    try:
-        cap, binding = in_face_step_cap_rows(ball, x_ok, d_ok, face[rows])
-    except RowError as exc:  # the cap sees the accepted rows only
-        exc.row = int(np.flatnonzero(ok)[exc.row])
-        raise
-    a = -gd[rows]
-    quotient = a / np.asarray(c_bar, dtype=np.float64)[rows]
-    step = np.where(cap < quotient, cap, quotient)
-    x_next = x_ok + step[:, None] * d_ok
-    x_next[binding & (step == cap)[:, None]] = 0.0
-    if rows is ok:
-        x_next, stepped = x_bar.copy(), x_next
-        x_next[ok] = stepped
-    a_value[rows], alpha_stop[rows], beta[rows] = a, cap, step
-    return x_next, AltStepInfos(taken=ok, a_value=a_value, alpha_stop=alpha_stop, beta_bar=beta)
+    d, ok, gd, index = away_rows(ball, x_bar, g_check, face, config.away_tol)
+    cap, binds = away_cap_rows(ball, x_bar, d, face, index)
+    a = -gd
+    quotient = a / c_bar
+    step = np.where(cap < quotient, cap, quotient)  # a rejected row's NaN cap loses: finite
+    x_next = x_bar + step[:, None] * d
+    drop = np.flatnonzero(binds & (step == cap))
+    x_next[drop, index[drop]] = 0.0
+    if np.count_nonzero(ok) < len(ok):
+        x_next = np.where(ok[:, None], x_next, x_bar)
+        a, cap, step = (np.where(ok, v, 0.0) for v in (a, cap, step))
+    return x_next, AltStepInfos(taken=ok, a_value=a, alpha_stop=cap, beta_bar=step)
 
 
 def _mean_gradient(problem, x_blocks, y, batch) -> GradientEstimate:

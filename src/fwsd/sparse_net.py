@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import NNZ_THRESHOLD, L1Ball, Norm, RowError, batch_sum, nnz_rows, regroup
+from .geometry import NNZ_THRESHOLD, L1Ball, RowError, batch_sum, nnz_rows, regroup
 from .problems import GradientEstimate
 
 _DATASET_MAGIC = b"FWSDDATA"
@@ -129,10 +129,8 @@ class ParamLayout:
 
     def balls(self) -> tuple[L1Ball, ...]:
         """One l1 ball per block, radius taken from the block's layer."""
-        return tuple(
-            L1Ball(dim=self.spec.fan_in(l), radius=self.spec.delta_for(l), norm_x=Norm.L1)
-            for l, _ in self.block_meta
-        )
+        return tuple(L1Ball(dim=self.spec.fan_in(l), radius=self.spec.delta_for(l))
+                     for l, _ in self.block_meta)
 
     def blocks_for_layer(self, layer: int) -> list[int]:
         return [i for i, (l, _) in enumerate(self.block_meta) if l == layer]

@@ -14,15 +14,7 @@ import hashlib
 import numpy as np
 
 from fwsd.gap import GapConstants, _clamp_g_tilde, dual_norm
-from fwsd.geometry import (
-    away_rows,
-    blame_blocks,
-    face_rows,
-    in_face_step_cap_rows,
-    lmo_rows,
-    nnz_rows,
-    row_dot,
-)
+from fwsd.geometry import away_rows, blame_blocks, face_rows, lmo_rows, nnz_rows, row_dot
 from fwsd.optimizer import (
     AltStepInfo,
     Iterate,
@@ -31,7 +23,7 @@ from fwsd.optimizer import (
     derive_rng_streams,
     sd_step,
 )
-from geometry_reference import groups_by_ball
+from geometry_reference import groups_by_ball, in_face_step_cap
 
 
 def _digest_update(h, x_blocks, y):
@@ -81,12 +73,16 @@ def alt_step(x_bar_blocks, g_check_blocks, balls, config):
             x = _rows(x_bar_blocks, idx)
             g = _rows(g_check_blocks, idx)
             face = face_rows(ball, x)
-            d, ok, gd = away_rows(ball, x, g, face, config.away_tol)
+            d, ok, gd, _ = away_rows(ball, x, g, face, config.away_tol)
         stepped = x.copy()
         if ok.any():
             moved = idx[ok]
-            with blame_blocks("alt_step", moved):
-                alpha_stop, binding = in_face_step_cap_rows(ball, x[ok], d[ok], face[ok])
+            # each accepted row's cap and binding coordinates from the per-block scan
+            caps = [in_face_step_cap(ball, x[r], d[r]) for r in np.flatnonzero(ok).tolist()]
+            alpha_stop = np.array([cap for cap, _ in caps], dtype=np.float64)
+            binding = np.zeros((len(caps), ball.dim), dtype=bool)
+            for r, (_, bound) in enumerate(caps):
+                binding[r, list(bound)] = True
             a_value = -gd[ok]
             quotient = a_value / c_bar[moved]
             beta = np.where(alpha_stop < quotient, alpha_stop, quotient)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fwsd.geometry import L1Ball, Norm, Vertex
+from fwsd.geometry import L1Ball, Vertex
 from fwsd.optimizer import AltStepInfo
 
 G_TILDE_SLACK = 1e-12
@@ -72,12 +72,6 @@ def groups_by_ball(balls):
 def _contains(ball: L1Ball, x, tol: float = FEASIBILITY_TOL) -> bool:
     x = _check_vector(x, ball.dim, "x")
     return float(np.sum(np.abs(x))) <= ball.radius + tol
-
-
-def _norm(ball: L1Ball, v) -> float:
-    if ball.norm_x is Norm.L1:
-        return float(np.sum(np.abs(v)))
-    return float(np.linalg.norm(v))
 
 
 def _clamp_g_tilde(value: float, g) -> float:
@@ -165,7 +159,7 @@ def away_direction(
     ``x_check`` maximizes ``g_check @ x`` over the face (over the whole ball
     when ``x_bar`` is interior); the face is classified at ``FACE_TOL``. The
     direction is accepted only when it is a strict descent direction,
-    ``g_check @ d < -tol``, and no longer than the set diameter in the block
+    ``g_check @ d < -tol``, and no longer than the set diameter in the l1
     norm. Rejected directions are returned anyway so the caller can log them.
     """
     x_bar = _check_vector(x_bar, ball.dim, "x_bar")
@@ -177,7 +171,7 @@ def away_direction(
         x_check = lmo(ball, -g_check).value
     d = x_bar - x_check
     descent = float(g_check @ d) < -tol
-    accepted = descent and _norm(ball, d) <= ball.diameter()
+    accepted = descent and float(np.sum(np.abs(d))) <= ball.diameter()
     return d, accepted
 
 

@@ -24,7 +24,8 @@ from fwsd.cli import (
     save_net_checkpoint,
     smoothed_series,
 )
-from fwsd.sparse_net import Dataset, LayerParams, MLPProblem, MLPSpec, ParamLayout
+from fwsd.optimizer import BatchSchedule, OptimizerConfig, run
+from fwsd.sparse_net import Dataset, LayerParams, MLPProblem, MLPSpec, ParamLayout, init_params
 
 
 def run_cli(*argv):
@@ -400,6 +401,44 @@ def test_epoch_sampling_keeps_one_cursor_per_generator():
         shared.draw(other, 5)
     assert np.array_equal(np.concatenate(drawn), np.concatenate(expected)), \
         "draws from a second generator leave the first one's sequence unchanged"
+
+
+class _RecordDraws:
+    """Delegates to a problem and records each batch under the generator it came from."""
+
+    def __init__(self, problem):
+        self._problem, self.draws = problem, {}
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def draw(self, rng, n):
+        batch = self._problem.draw(rng, n)
+        self.draws.setdefault(rng, []).append(np.asarray(batch).tolist())
+        return batch
+
+
+@pytest.mark.parametrize("epoch_sampling", [False, True])
+def test_away_steps_leave_the_data_stream_alone(epoch_sampling):
+    # every iteration draws its data batch first, so the first generator recorded
+    # is the data stream; the away steps' fresh batches come from a stream of their own
+    spec = MLPSpec(layer_sizes=(3, 4, 1), fw_layers=(0,), deltas=(1.0,))
+    rng = np.random.default_rng(5)
+    data = Dataset(features=rng.standard_normal((7, 3)), targets=rng.standard_normal((7, 1)))
+    layout = ParamLayout(spec)
+    x0, y0 = layout.pack(init_params(spec, 0))
+    data_draws = []
+    for away in (False, True):
+        problem = MLPProblem(spec=spec, layout=layout, data=data)
+        problem = _RecordDraws(EpochSampling(problem) if epoch_sampling else problem)
+        config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(10.0,) * 4, iterations=20, seed=3,
+                                 batch_schedule=BatchSchedule.constant(3),
+                                 alternative_directions=away)
+        run(problem, layout.balls(), y0, x0, config)
+        streams = list(problem.draws.values())
+        assert len(streams) == 1 + away
+        data_draws.append(streams[0])
+    assert len(data_draws[0]) == 20 and data_draws[1] == data_draws[0]
 
 
 # ---------------------------------------------------------------- synth

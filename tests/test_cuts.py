@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fwsd.gap import GapConstants, gap_estimate
-from fwsd.geometry import L1Ball, Norm, ball_groups, regroup
+from fwsd.geometry import L1Ball, ball_groups, regroup
 from fwsd.problems import make_quadratic
 from fwsd.sparse_net import Dataset, LayerParams, MLPProblem, MLPSpec, ParamLayout
 
@@ -45,8 +45,7 @@ def _outcome(problem, x, y, batch, balls):
 @given(st.integers(0, 2**32 - 1))
 def test_quadratic_results_do_not_depend_on_the_cut(seed):
     rng = np.random.default_rng(seed)
-    palette = [L1Ball(int(rng.integers(1, 6)), float(rng.choice([1.0, 0.3])),
-                      Norm.L1 if rng.random() < 0.5 else Norm.L2)
+    palette = [L1Ball(int(rng.integers(1, 6)), float(rng.choice([1.0, 0.3])))
                for _ in range(rng.integers(1, 4))]
     balls = [palette[i] for i in rng.integers(0, len(palette), size=rng.integers(1, 7))]
     blocks = [rng.uniform(-1.0, 1.0, b.dim) * b.radius / b.dim for b in balls]

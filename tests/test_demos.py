@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 STDOUT_SHA256 = {
-    "geometry_tour.py": "ce81e2cb002c3a44b290dd277242a1bccf2b67a81f266baf2c44097ef6781822",
+    "geometry_tour.py": "f127db3414241ddb8231945b87d42a299cc8e1059ac4476878b52adb1c20ace7",
     "quadratic_convergence.py": "f866e84a0bbbb9df0a415845e5f30d60da482488017f3652d0037234629fb71e",
 }
 

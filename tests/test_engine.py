@@ -3,7 +3,7 @@
 `fwsd.optimizer.run` keeps one matrix per run of consecutive blocks sharing a
 ball; `engine_reference.run` keeps one array per block and regroups every step.
 Hypothesis draws layouts of 1-6 blocks from up to three balls of widths 1-8
-with two radii and both norms, so that in about a third of the draws a ball
+with two radii, so that in about a third of the draws a ball
 recurs after a different one (blocks 0 and 2 share a ball, block 1 has
 another): `run` steps its blocks in separate runs, the reference in one
 group. Quadratic problems with and without noise, feasible start points
@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import engine_reference as ref
-from fwsd.geometry import L1Ball, Norm, face_rows
+from fwsd.geometry import L1Ball, face_rows
 from fwsd.optimizer import BatchSchedule, OptimizerConfig, alt_step, run
 from fwsd.problems import make_quadratic
 
@@ -34,8 +34,7 @@ def runs(draw):
     so multi-group layouts are as common as one-ball ones.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    palette = [L1Ball(int(rng.integers(1, 9)), float(rng.choice([1.0, 0.3])),
-                      Norm.L1 if rng.random() < 0.5 else Norm.L2)
+    palette = [L1Ball(int(rng.integers(1, 9)), float(rng.choice([1.0, 0.3])))
                for _ in range(rng.integers(1, 4))]
     balls = [palette[i] for i in rng.integers(0, len(palette), size=rng.integers(1, 7))]
     x0 = []

@@ -14,12 +14,10 @@ import pytest
 from fwsd.geometry import (
     FACE_TOL,
     L1Ball,
-    Norm,
+    away_cap_rows,
     away_rows,
-    ball_cap_rows,
     face_rows,
     in_face_lmo_rows,
-    in_face_step_cap_rows,
     lmo,
     lmo_rows,
 )
@@ -69,13 +67,15 @@ def random_boundary_point(rng, ball, support_size):
 
 def away(ball, x, g):
     """Away directions and acceptance of the rows of ``x``, as `alt_step` gets them."""
-    d, ok, _ = away_rows(ball, x, g, face_rows(ball, x), AWAY_TOL)
+    d, ok, _, _ = away_rows(ball, x, g, face_rows(ball, x), AWAY_TOL)
     return d, ok
 
 
-def in_face_cap(ball, x, d):
-    """In-face caps and binding masks of the rows of ``x``, as `alt_step` gets them."""
-    return in_face_step_cap_rows(ball, x, d, face_rows(ball, x))
+def away_cap(ball, x, g):
+    """Away directions, acceptance, caps and binding flags of the rows of ``x``, as in `alt_step`."""
+    face = face_rows(ball, x)
+    d, ok, _, index = away_rows(ball, x, g, face, AWAY_TOL)
+    return (d, ok, *away_cap_rows(ball, x, d, face, index))
 
 
 class TestL1Ball:
@@ -88,16 +88,18 @@ class TestL1Ball:
             L1Ball(dim=3, radius=-2.0)
 
     def test_diameter_is_twice_radius_for_both_norms(self):
-        assert L1Ball(3, 2.5, Norm.L1).diameter() == 5.0
-        assert L1Ball(3, 2.5, Norm.L2).diameter() == 5.0
+        # a vertex and its negation are 2 * radius apart in the l1 and l2 norms alike
+        ball = L1Ball(3, 2.5)
+        assert ball.diameter() == 5.0
+        gap = np.array([2.5, 0.0, 0.0]) - np.array([-2.5, 0.0, 0.0])
+        assert np.sum(np.abs(gap)) == np.linalg.norm(gap) == ball.diameter()
 
     def test_diameter_matches_vertex_enumeration(self):
-        # farthest pair of vertices, measured in each block norm
-        for norm in (Norm.L1, Norm.L2):
-            ball = L1Ball(4, 1.75, norm)
-            verts = [v for _, _, v in enumerate_vertices(ball)]
-            best = max(ball.norm(u - v) for u in verts for v in verts)
-            assert best == pytest.approx(ball.diameter(), abs=1e-14)
+        # farthest pair of vertices in the l1 norm
+        ball = L1Ball(4, 1.75)
+        verts = [v for _, _, v in enumerate_vertices(ball)]
+        best = max(np.sum(np.abs(u - v)) for u in verts for v in verts)
+        assert best == pytest.approx(ball.diameter(), abs=1e-14)
 
     def test_contains(self):
         ball = L1Ball(2, 1.0)
@@ -270,21 +272,20 @@ class TestAwayDirection:
 
     def test_accepted_directions_descend_and_fit_the_ball(self):
         rng = np.random.default_rng(33)
-        for norm in (Norm.L1, Norm.L2):
-            ball = L1Ball(7, 2.0, norm)
-            x, g = [], []
-            for _ in range(500):
-                if rng.uniform() < 0.5:
-                    x.append(random_boundary_point(rng, ball, int(rng.integers(1, 8))))
-                else:
-                    x.append(rng.uniform(-0.2, 0.2, size=7))
-                g.append(rng.standard_normal(7))
-            g = np.array(g)
-            d, ok = away(ball, np.array(x), g)
-            for r in np.flatnonzero(ok):
-                assert float(g[r] @ d[r]) < 0.0
-                assert ball.norm(d[r]) <= ball.diameter() + 1e-12
-            assert ok.sum() > 100  # the sweep exercises the accepted branch
+        ball = L1Ball(7, 2.0)
+        x, g = [], []
+        for _ in range(500):
+            if rng.uniform() < 0.5:
+                x.append(random_boundary_point(rng, ball, int(rng.integers(1, 8))))
+            else:
+                x.append(rng.uniform(-0.2, 0.2, size=7))
+            g.append(rng.standard_normal(7))
+        g = np.array(g)
+        d, ok = away(ball, np.array(x), g)
+        for r in np.flatnonzero(ok):
+            assert float(g[r] @ d[r]) < 0.0
+            assert np.sum(np.abs(d[r])) <= ball.diameter() + 1e-12
+        assert ok.sum() > 100  # the sweep exercises the accepted branch
 
     def test_away_point_maximizes_over_face(self):
         # d = x - v where v attains max g @ v over the face's extreme points
@@ -311,48 +312,60 @@ def _face_vertex(ball, sign, j):
 
 
 class TestMaxFeasibleStep:
+    """The away cap: only the vertex's coordinate of ``x + a d`` can cross zero."""
+
     def test_in_face_cap_stops_at_first_sign_crossing(self):
+        # away from the face vertex -e_1: x_1 reaches zero at a = 1 and binds
         ball = L1Ball(3, 1.0)
-        x = np.array([[0.5, -0.5, 0.0]])
-        d = np.array([[0.5, 0.5, 0.0]])
-        alpha, binding = in_face_cap(ball, x, d)
-        assert alpha.tolist() == [1.0]
-        assert np.flatnonzero(binding[0]).tolist() == [1]
+        d, ok, alpha, binds = away_cap(ball, np.array([[0.5, -0.5, 0.0]]),
+                                       np.array([[0.0, -1.0, 0.0]]))
+        np.testing.assert_array_equal(d, [[0.5, 0.5, 0.0]])
+        assert ok.tolist() == [True] and alpha.tolist() == [1.0] and binds.tolist() == [True]
 
     def test_crossing_the_ball_from_one_side_to_the_other(self):
+        # away from e_0 an interior point passes zero at a = 1 and the far sphere at a = 3
         ball = L1Ball(2, 1.0)
-        alpha = ball_cap_rows(ball, np.array([[1.0, 0.0]]), np.array([[-2.0, 0.0]]))
-        assert alpha.tolist() == [1.0]
+        d, ok, alpha, binds = away_cap(ball, np.array([[0.5, 0.0]]), np.array([[1.0, 0.0]]))
+        np.testing.assert_array_equal(d, [[-0.5, 0.0]])
+        assert ok.tolist() == [True] and alpha.tolist() == [3.0] and binds.tolist() == [False]
 
     def test_zero_direction_rejected(self):
+        # at a vertex whose away vertex is itself d is 0: rejected, and its cap
+        # is computed without a float warning
         ball = L1Ball(2, 1.0)
-        with pytest.raises(ValueError, match="direction is identically zero"):
-            in_face_cap(ball, np.array([[0.1, 0.0]]), np.zeros((1, 2)))
+        x = np.array([[1.0, 0.0], [0.1, 0.0]])  # the interior row makes the interior formulas run
+        with np.errstate(all="raise"):
+            d, ok, _, _ = away_cap(ball, x, np.array([[1.0, 0.0], [1.0, 0.0]]))
+        np.testing.assert_array_equal(d[0], [0.0, 0.0])
+        assert ok.tolist() == [False, True]
 
     def test_direction_touching_zero_set_rejected_in_face(self):
-        ball = L1Ball(3, 1.0)
-        x = np.array([[0.5, -0.5, 0.0]])
+        # a boundary point with every coordinate within FACE_TOL of zero has an
+        # empty support; the whole-ball vertex it backs off moves a zero coordinate
+        ball = L1Ball(2000, 2e-9)
+        x = np.full((1, 2000), 0.9999e-12)
+        assert face_rows(ball, x).on_boundary.tolist() == [True]
         with pytest.raises(ValueError, match="must vanish on the zero set"):
-            in_face_cap(ball, x, np.array([[0.5, 0.5, 0.3]]))
+            away_cap(ball, x, -np.ones((1, 2000)))
 
     def test_outward_in_face_direction_caps_at_zero(self):
+        # a direction whose sign fold is positive leaves the ball at once; an
+        # away direction's fold is ||x||_1 - radius, so only rounding can get it here
         ball = L1Ball(2, 1.0)
-        alpha, binding = in_face_cap(ball, np.array([[0.5, 0.5]]), np.array([[1.0, 1.0]]))
-        assert alpha.tolist() == [0.0]
-        assert not binding.any()
+        x, d = np.array([[0.5, 0.5]]), np.array([[1.0, 1.0]])
+        face = face_rows(ball, x)
+        face.d_norm1 = np.abs(d).sum(axis=1)
+        alpha, binds = away_cap_rows(ball, x, d, face, np.array([1]))
+        assert alpha.tolist() == [0.0] and binds.tolist() == [False]
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(44)
         ball = L1Ball(6, 1.5)
-        x, d = [], []
-        for _ in range(400):
-            point = rng.uniform(-0.25, 0.25, size=6)
-            if not ball.contains(point, tol=0.0):
-                continue
-            x.append(point)
-            d.append(rng.standard_normal(6))
-        alphas = ball_cap_rows(ball, np.array(x), np.array(d))
-        for xr, dr, alpha in zip(x, d, alphas):
+        x = rng.uniform(-0.25, 0.25, size=(400, 6))
+        x = x[[ball.contains(row, tol=0.0) for row in x]]
+        d, ok, alphas, _ = away_cap(ball, x, rng.standard_normal(x.shape))
+        assert ok.sum() > 100
+        for xr, dr, alpha in zip(x[ok], d[ok], alphas[ok]):
             # bisection on ||x + a d||_1 - radius
             lo, hi = 0.0, 1.0
             while np.sum(np.abs(xr + hi * dr)) <= ball.radius:
@@ -366,33 +379,21 @@ class TestMaxFeasibleStep:
             assert alpha == pytest.approx(lo, rel=1e-12, abs=1e-12)
 
     def test_step_is_maximal(self):
-        # feasible at the cap, infeasible (or sign-violating) just beyond it;
-        # in-face trials go through the in-face cap, the others through the
-        # plain feasibility cap
+        # feasible at the cap, infeasible (or sign-violating) just beyond it,
+        # from boundary points (in-face caps) and interior points alike
         rng = np.random.default_rng(45)
         ball = L1Ball(5, 1.0)
-        trials = {True: ([], []), False: ([], [])}
-        for _ in range(400):
-            in_face = rng.uniform() < 0.5
+        for in_face in (True, False):
             if in_face:
-                x = random_boundary_point(rng, ball, int(rng.integers(2, 6)))
-                d, ok = away(ball, x[None, :], rng.standard_normal(5)[None, :])
-                if not ok[0]:
-                    continue
-                d = d[0]
+                x = np.array([random_boundary_point(rng, ball, int(rng.integers(2, 6)))
+                              for _ in range(200)])
             else:
-                x = rng.uniform(-0.15, 0.15, size=5)
-                d = rng.standard_normal(5)
-            trials[in_face][0].append(x)
-            trials[in_face][1].append(d)
-        for in_face, (x, d) in trials.items():
-            x, d = np.array(x), np.array(d)
-            if in_face:
-                alphas = in_face_cap(ball, x, d)[0]
-                sign = face_rows(ball, x).sign
-            else:
-                alphas = ball_cap_rows(ball, x, d)
-            for r, alpha in enumerate(alphas):
+                x = rng.uniform(-0.15, 0.15, size=(200, 5))
+            d, ok, alphas, _ = away_cap(ball, x, rng.standard_normal((200, 5)))
+            sign = face_rows(ball, x).sign
+            assert ok.sum() > 50
+            for r in np.flatnonzero(ok):
+                alpha = alphas[r]
                 assert np.isfinite(alpha) and alpha >= 0.0
                 assert ball.contains(x[r] + alpha * d[r], tol=1e-10)
                 beyond = x[r] + (alpha + 1e-6) * d[r]

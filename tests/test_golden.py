@@ -9,7 +9,7 @@ CHANGES.md.
 The net runs go through ``fwsd train`` and pin the iterates digest and the
 SHA-256 of the trace CSV, the checkpoint and the report (less the lines
 that echo output paths). The quadratic run calls
-``fwsd.run`` with away steps on blocks of mixed width, radius and norm, so
+``fwsd.run`` with away steps on blocks of mixed width and radius, so
 that grouping blocks by ball and putting results back in block order are
 both exercised; its trace records are hashed with every float in hex, and
 its output and final iterates byte for byte.
@@ -20,7 +20,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fwsd import BatchSchedule, L1Ball, Norm, OptimizerConfig, make_quadratic, run
+from fwsd import BatchSchedule, L1Ball, OptimizerConfig, make_quadratic, run
 from fwsd.cli import main
 
 
@@ -114,9 +114,9 @@ def _iterate_sha(iterate):
 
 
 def test_mixed_block_quadratic_run_matches_golden():
-    # blocks 0 and 3 share a ball; block 1 differs only in its norm, block 2
-    # in its width, block 4 only in its radius
-    balls = [L1Ball(20, 1.0), L1Ball(20, 1.0, Norm.L2), L1Ball(7, 1.0),
+    # blocks 0, 1 and 3 share a ball; block 2 differs in its width, block 4
+    # only in its radius
+    balls = [L1Ball(20, 1.0), L1Ball(20, 1.0), L1Ball(7, 1.0),
              L1Ball(20, 1.0), L1Ball(20, 2.0)]
     inst = make_quadratic(seed=4, p=tuple(b.dim for b in balls), q=5,
                           l_nabla=1.0, noise_sigma=1.0)

@@ -7,7 +7,7 @@ so that the permuted layouts below still stack many rows per call.
 `geometry_reference` keeps the per-block loop they replaced. Hypothesis
 draws block sets of widths 1-600 and 1-50 rows per ball (at most 6000
 coordinates per ball, so a 600-wide ball gets up to 10 rows), with mixed
-radii and norms, interleaved block order, interior points, boundary points,
+radii, interleaved block order, interior points, boundary points,
 points within 1e-12 of the sphere, exact vertices, -0.0 entries, gradients
 with ties in |g|, and zero gradients (whose away directions are rejected).
 Arrays must agree in their bytes and scalars in their hex form and Python
@@ -24,15 +24,15 @@ from hypothesis import strategies as st
 import geometry_reference as ref
 from fwsd.gap import GapConstants, InternalConsistencyError, gap_estimate
 from fwsd.geometry import (
+    FACE_TOL,
+    IN_FACE_TOL,
     L1Ball,
-    Norm,
     RowError,
+    away_cap_rows,
     away_rows,
-    ball_cap_rows,
     ball_groups,
     blame_blocks,
     face_rows,
-    in_face_step_cap_rows,
     lmo_rows,
     regroup,
 )
@@ -56,7 +56,7 @@ def block_sets(draw):
             dim = draw(st.integers(1, 600))
         rows = min(draw(st.integers(1, 50)), max(1, 6000 // dim))
         radius = draw(st.sampled_from([1.0, 0.5, 2.5, 1e-3, 37.0]))
-        balls += [L1Ball(dim, radius, draw(st.sampled_from(list(Norm))))] * rows
+        balls += [L1Ball(dim, radius)] * rows
     order = draw(st.permutations(range(len(balls))))
     return [balls[i] for i in order], draw(st.integers(0, 2**32 - 1))
 
@@ -207,7 +207,6 @@ def test_one_row_api_matches_reference(case):
     # each kernel on a one-row matrix is the per-block loop on that block
     balls, seed = case
     x, g, config = _inputs(balls, seed)
-    rng = np.random.default_rng(seed + 1)
     for ball, xb, gb in list(zip(balls, x, g))[:8]:
         index, sign, value = lmo_rows(ball, gb[None, :])
         want = ref.lmo(ball, gb)
@@ -215,43 +214,39 @@ def test_one_row_api_matches_reference(case):
                                                         _bits(want.value))
         face = face_rows(ball, xb[None, :])
         assert ref.Face.from_rows(face.sign[0], face.on_boundary[0]) == ref.minimal_face(ball, xb)
-        d, ok, _ = away_rows(ball, xb[None, :], gb[None, :], face, config.away_tol)
+        d, ok, _, index = away_rows(ball, xb[None, :], gb[None, :], face, config.away_tol)
         want_d, want_ok = ref.away_direction(ball, xb, gb, config.away_tol)
         assert (_bits(d[0]), bool(ok[0])) == (_bits(want_d), want_ok)
         if ok[0]:
-            cap = _outcome(in_face_step_cap_rows, ball, xb[None, :], d, face)
-            want_cap = _outcome(ref.in_face_step_cap, ball, xb, d[0])
-            _assert_same_failure(cap[1], want_cap[1])
-            if cap[1] is None:
-                (alpha,), (binding,) = cap[0]
-                assert ((_bits(float(alpha)), tuple(np.flatnonzero(binding).tolist()))
-                        == (_ref_bits(want_cap[0][0]), want_cap[0][1]))
-        # a general direction: many kinks for the interior breakpoint scan
-        direction = _gradient(rng, ball.dim)
-        if np.any(direction != 0.0):
-            got = ball_cap_rows(ball, xb[None, :], direction[None, :])[0]
-            assert _bits(float(got)) == _ref_bits(ref._ball_cap(ball, xb, direction))
+            (alpha,), (binds,) = away_cap_rows(ball, xb[None, :], d, face, index)
+            want_alpha, want_binding = ref.in_face_step_cap(ball, xb, d[0])
+            assert ((_bits(float(alpha)), (int(index[0]),) if binds else ())
+                    == (_ref_bits(want_alpha), want_binding))
 
 
 @SETTINGS
 @given(block_sets())
-def test_ball_cap_rows_matches_reference_on_stacked_rows(case):
-    # general directions cross zero at a different number of kinks in each
-    # row, so rows of one stack pad their kink columns differently, and a
-    # row whose norm never passes the radius at a kink extrapolates from
-    # its own last kink
+def test_away_cap_rows_matches_reference_on_stacked_rows(case):
+    # the closed form against the per-block breakpoint scan on every accepted
+    # row of a stack; about a quarter of the rows are first pushed between
+    # FACE_TOL and IN_FACE_TOL outside the sphere, where an interior row's ray
+    # starts past the radius
     balls, seed = case
-    x, _, _ = _inputs(balls, seed)
+    x, g, config = _inputs(balls, seed)
     rng = np.random.default_rng(seed + 2)
-    d = [_gradient(rng, b.dim) for b in balls]
+    for i, ball in enumerate(balls):
+        norm1 = np.sum(np.abs(x[i]))
+        if norm1 > 0.0 and rng.random() < 0.25:
+            x[i] = x[i] * ((ball.radius + rng.uniform(2.0 * FACE_TOL, 0.9 * IN_FACE_TOL)) / norm1)
     for ball, idx in ref.groups_by_ball(balls):
-        idx = np.array([i for i in idx.tolist() if np.any(d[i] != 0.0)], dtype=np.int64)
-        if idx.size == 0:
-            continue
-        caps = ball_cap_rows(ball, np.array([x[i] for i in idx.tolist()]),
-                             np.array([d[i] for i in idx.tolist()]))
-        assert ([_bits(float(c)) for c in caps]
-                == [_ref_bits(ref._ball_cap(ball, x[i], d[i])) for i in idx.tolist()])
+        x_m, g_m = (np.array([v[i] for i in idx.tolist()]) for v in (x, g))
+        face = face_rows(ball, x_m)
+        d, ok, _, index = away_rows(ball, x_m, g_m, face, config.away_tol)
+        caps, binds = away_cap_rows(ball, x_m, d, face, index)
+        got = [(_bits(float(caps[r])), (int(index[r]),) if binds[r] else ())
+               for r in np.flatnonzero(ok).tolist()]
+        want = [ref.in_face_step_cap(ball, x_m[r], d[r]) for r in np.flatnonzero(ok).tolist()]
+        assert got == [(_ref_bits(cap), binding) for cap, binding in want]
 
 
 def test_sampler_reaches_every_branch():
@@ -270,6 +265,22 @@ def test_sampler_reaches_every_branch():
             seen["quotient"] += info.taken and info.beta_bar < info.alpha_stop
             seen["interior"] += info.taken and abs(np.sum(np.abs(xb)) - 1.0) > 1e-12
     assert min(seen.values()) > 0, seen
+
+
+def test_alt_step_mixes_rejected_vertex_rows_silently():
+    # row 0 is a vertex whose away vertex is itself (d == 0, rejected), row 1
+    # an interior point and row 2 a boundary point whose cap binds; the cap runs
+    # on every row without a float warning, and the vertex keeps its bytes
+    ball = L1Ball(3, 1.0)
+    x = np.array([[-0.0, 1.0, -0.0], [0.1, -0.2, 0.0], [0.5, -0.5, 0.0]])
+    g = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(1.0,) * 3, iterations=1, seed=0)
+    with np.errstate(all="raise"):
+        x_next, infos = alt_step(x, g, ball, np.full(3, 0.1), config)
+    assert infos.taken.tolist() == [False, True, True]
+    assert x_next[0].tobytes() == x[0].tobytes()
+    assert infos.beta_bar[2] == infos.alpha_stop[2] == 1.0 and x_next[2, 1] == 0.0
+    assert [infos.a_value[0], infos.alpha_stop[0], infos.beta_bar[0]] == [0.0, 0.0, 0.0]
 
 
 # ------------------------------------------------------- loud failures
@@ -347,20 +358,18 @@ def test_kernels_name_the_row_with_non_finite_gradient(kernel):
             kernel(np.zeros((3, 3)), g, L1Ball(3, 1.0), np.full(3, 8.0), config)
 
 
-def test_in_face_cap_failure_names_the_group_row(monkeypatch):
-    # the cap sees only the accepted rows and their face record; its row 0 is the group's row 1
-    def failing_cap(ball, x, d, face):
-        assert x.tolist() == [[0.5, -0.5]] and face.sign.tolist() == [[1.0, -1.0]]
-        raise RowError("cap failed", 0)
-
-    monkeypatch.setattr("fwsd.optimizer.in_face_step_cap_rows", failing_cap)
-    ball = L1Ball(2, 1.0)
-    x = np.array([[1.0, 0.0], [0.5, -0.5]])  # a vertex pulled outward, then an accepted row
-    g = np.array([[-1.0, 0.0], [2.0, -1.0]])
+def test_in_face_cap_failure_names_the_group_row():
+    # row 1 is a boundary point with every coordinate within FACE_TOL of zero:
+    # its accepted away direction moves a zero coordinate, and the error names
+    # the group row, which blame_blocks turns into the block
+    ball = L1Ball(2000, 2e-9)
+    x = np.zeros((2, 2000))
+    x[1] = 0.9999e-12
     config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(8.0, 8.0), iterations=1, seed=0)
-    with pytest.raises(RowError, match=r"^cap failed \(block 7, in alt_step\)$"):
+    with pytest.raises(RowError, match=r"^in-face direction must vanish on the zero set of "
+                                       r"x_bar \(block 7, in alt_step\)$"):
         with blame_blocks("alt_step", [5, 7]):
-            alt_step(x, g, ball, np.array(config.c_bar_per_block), config)
+            alt_step(x, -np.ones((2, 2000)), ball, np.array(config.c_bar_per_block), config)
 
 
 def test_negative_gap_names_block():
@@ -413,7 +422,7 @@ def test_non_numeric_gradient_names_block():
 
 
 def test_ball_groups_are_runs_of_equal_balls():
-    a, b = L1Ball(3, 1.0), L1Ball(3, 1.0, Norm.L2)
+    a, b = L1Ball(3, 1.0), L1Ball(3, 2.0)
     groups = ball_groups([a, a, b, a])
     assert [(ball, idx.tolist()) for ball, idx in groups] == [(a, [0, 1]), (b, [2]), (a, [3])]
     # equal balls built separately are one run when adjacent

@@ -7,7 +7,6 @@ import struct
 import numpy as np
 import pytest
 
-from fwsd.geometry import Norm
 from fwsd.optimizer import GradientEstimate, _mean_gradient
 from fwsd.problems import StochasticProblem, finite_difference_check
 from fwsd.sparse_net import (
@@ -85,7 +84,7 @@ def test_layout_block_structure():
     assert layout.y_dim == 8 + 6
     balls = layout.balls()
     assert len(balls) == 4
-    assert all(b.dim == 3 and b.radius == 1.5 and b.norm_x is Norm.L1 for b in balls)
+    assert all(b.dim == 3 and b.radius == 1.5 for b in balls)
     assert layout.blocks_for_layer(0) == [0, 1, 2, 3]
 
 
