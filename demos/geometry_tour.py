@@ -1,22 +1,16 @@
 """Tour of the l1-ball geometry kernels.
 
 Runs through the closed-form pieces the optimizer is built from: the
-linear minimization oracle, minimal faces, the in-face oracle, away
-directions, and the away cap that keeps a step inside the ball or inside
-a face. Each kernel works on a matrix whose rows share one ball; a single
-point is a one-row matrix. Everything is printed; nothing is plotted.
+linear minimization oracle, minimal faces, and the away step's geometry,
+which backs off the worst vertex of a point's minimal face and caps the
+step so it stays inside the ball or inside the face. The row kernels work
+on a matrix whose rows share one ball; a single point is a one-row matrix.
+Everything is printed; nothing is plotted.
 """
 
 import numpy as np
 
-from fwsd.geometry import (
-    L1Ball,
-    away_cap_rows,
-    away_rows,
-    face_rows,
-    in_face_lmo_rows,
-    lmo_rows,
-)
+from fwsd.geometry import L1Ball, away_rows, face_rows, lmo
 
 rng = np.random.default_rng(0)
 ball = L1Ball(dim=6, radius=2.0)
@@ -27,10 +21,10 @@ print()
 # --- the linear minimization oracle picks a signed vertex ------------------
 
 g = rng.standard_normal(6)
-(index,), (sign,), (vertex,) = lmo_rows(ball, g[None, :])
+vertex = lmo(ball, g)
 print("gradient        ", np.round(g, 3))
-print(f"oracle vertex    {sign:+d} * {ball.radius} * e_{index}")
-print(f"linear value     {g @ vertex:.4f}  (most negative over the ball)")
+print(f"oracle vertex    {vertex.sign:+d} * {ball.radius} * e_{vertex.index}")
+print(f"linear value     {g @ vertex.value:.4f}  (most negative over the ball)")
 print()
 
 # --- minimal faces are read off the signed support -------------------------
@@ -47,29 +41,21 @@ for name, x, s, on in zip(("interior", "boundary"), points, signs, on_boundary):
           f"negative support {tuple(np.flatnonzero(s < 0).tolist())}")
 print()
 
-# --- the in-face oracle only sees the extreme points of the face -----------
-
-c = rng.standard_normal(6)
-(index,), (sign,), _ = in_face_lmo_rows(ball, signs[1:], c[None, :])
-print("in-face oracle on the boundary point above:")
-print(f"  cost vector     {np.round(c, 3)}")
-print(f"  face extreme pt {sign:+d} * {ball.radius} * e_{index}")
-print()
-
 # --- away directions back off the worst vertex of the face -----------------
 
 g_check = np.tile(rng.standard_normal(6), (2, 1))
 # both points at once; 1e-12 is the strict-descent threshold OptimizerConfig.away_tol defaults to
-d, accepted, _, index = away_rows(ball, points, g_check, faces, 1e-12)
-for name, row, ok in zip(("interior", "boundary"), d, accepted):
+d, accepted, _, index, cap, binds = away_rows(ball, points, g_check, 1e-12)
+for name, x, row, j, ok in zip(("interior", "boundary"), points, d, index, accepted):
+    # d = x - v moves only coordinate j, so x_j - d_j carries the vertex's sign
     print(f"away direction from the {name} point:")
+    print(f"  away vertex {int(np.sign(x[j] - row[j])):+d} * {ball.radius} * e_{j}")
     print(f"  direction {np.round(row, 3)}")
     print(f"  accepted as strict descent: {ok}")
 print()
 
 # --- the away cap: only the away vertex's coordinate can cross zero --------
 
-cap, binds = away_cap_rows(ball, points, d, faces, index)
 print(f"interior cap along d: {cap[0]:.4f} (where the ray leaves the ball)")
 print(f"in-face cap along d:  {cap[1]:.4f} (coordinate {index[1]} binds: {binds[1]})")
 

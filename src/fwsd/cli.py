@@ -90,7 +90,6 @@ class ExperimentConfig:
     l_nabla: float = 1.0
     c_bar_scale: float = 1.0
     norm_y: str = OptimizerConfig.norm_y.value
-    alpha_clamp: bool = OptimizerConfig.alpha_clamp
     away_tol: float = OptimizerConfig.away_tol
     smoothing_window: int = 50
     epoch_sampling: bool = False
@@ -513,7 +512,6 @@ def _run_budgeted(config: ExperimentConfig, problem, balls, y0, x0_blocks,
         batch_schedule=BatchSchedule(config.batch_schedule, config.batch_size),
         alternative_directions=config.method == "sfw-if",
         norm_y=Norm(config.norm_y),
-        alpha_clamp=config.alpha_clamp,
         away_tol=config.away_tol,
     )
     result = run(problem, balls, y0, x0_blocks, opt)
@@ -851,6 +849,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ConfigError("--thetas expects comma-separated numbers") from None
         if not thetas:
             raise ConfigError("--thetas expects at least one value")
+        if not all(0.0 <= t <= 100.0 for t in thetas):  # NaN fails too
+            raise ConfigError("--thetas values must be within [0, 100]")
         return cmd_threshold_eval(args.checkpoint, args.dataset, thetas, args.out)
     return cmd_gap_trace(args.trace, args.window, args.out)
 

@@ -13,17 +13,16 @@ rows are blocks sharing one ball (same ``dim`` and ``radius``);
 `ball_groups` cuts a list of blocks into runs of consecutive such blocks, and
 `regroup` cuts whatever arrays hold the blocks' rows into the runs' matrices, as
 views where it can; a single block is a one-row matrix (`lmo` is that case of
-`lmo_rows`).
+`lmo_rows`). The engine runs two oracles per group: `frank_wolfe_rows`, built on
+`lmo_rows`, and `away_rows`, which returns the away direction and its step cap.
 Each row of a row-wise result is bit for bit what the per-block formula gives, so
-grouping blocks never moves an iterate digest. That rests on six rules:
+grouping blocks never moves an iterate digest. That rests on five rules:
 
 - row dots are ``np.matmul(a[:, None, :], b[:, :, None])``, which rounds like
   the 1-D ``a @ b``; ``(a * b).sum(1)`` and ``einsum`` differ in the last bits;
 - l1 norms are ``np.abs(m).sum(axis=1)``, the same pairwise sum per row as the
   1-D ``np.sum(np.abs(x))``;
-- the signed sum of the in-face cap's points-out test is a sequential fold,
-  ``np.cumsum(..., axis=1)[:, -1]``;
-- argmax and argmin along axis 1 break ties to the lowest index, as in 1-D;
+- argmax along axis 1 breaks ties to the lowest index, as in 1-D;
 - batch sums (`batch_sum`) are the left fold ``a[0] + a[1] + ...``: ``np.add.reduce``
   adds the rows of a C-contiguous ``(n, width)`` view in turn, except at width 1,
   which numpy sums pairwise and so keeps ``np.cumsum(..., axis=0)[-1]``; its
@@ -35,6 +34,14 @@ grouping blocks never moves an iterate digest. That rests on six rules:
   ``(r - start) * t / (phi - start)`` if ``phi > r``, else ``t + (r - phi) /
   ||d||_1``, and at ``(r - start) / ||d||_1`` without a kink.
 
+A boundary row caps at ``t`` where ``sign_j * d_j < 0`` (the cap binds: ``x_j``
+lands on zero) and at ``inf`` otherwise; ``d`` never points out of the face. On
+an in-face row ``j`` is in the support, so ``sign_k * d_k = |x_k|`` off ``j`` and
+``sign_j * d_j = |x_j| - r``: the fold ``sum_k sign_k * d_k`` is ``||x||_1 - r``
+less the mass within ``FACE_TOL`` of zero, at most ``FACE_TOL`` plus rounding
+(0 on an empty support), and its rounding reaches ``IN_FACE_TOL * max(1,
+||d||_1)`` only at radii of order 1e5 or widths of order 1e6.
+
 A failed row check raises `RowError`, which carries the offending row so a
 caller that stacked the rows can name the block (see `blame_blocks`).
 """
@@ -44,7 +51,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +64,7 @@ FEASIBILITY_TOL = 1e-10
 #: zero and boundary tolerance of minimal faces (coordinates and ||x||_1 - radius)
 FACE_TOL = 1e-12
 
-#: slack of the in-face checks: feasibility of a face's point, an in-face
-#: direction on the zero set, and the points-out test
+#: slack of the in-face checks: a face's point's norm and a direction on the zero set
 IN_FACE_TOL = 1e-9
 
 
@@ -106,17 +112,12 @@ class Vertex:
     value: np.ndarray = field(repr=False)
 
 
-@dataclass(eq=False)
-class Face:
-    """`face_rows` of a matrix ``x``; `away_rows` adds ``d_norm1``.
-
-    Sign masks in {-1, 0, 1}, boundary flags, ``l1_rows(x)`` and ``l1_rows(d)``.
-    """
+class Face(NamedTuple):
+    """`face_rows` of a matrix ``x``: sign masks in {-1, 0, 1}, boundary flags, ``l1_rows(x)``."""
 
     sign: np.ndarray
     on_boundary: np.ndarray
     norm1: np.ndarray
-    d_norm1: np.ndarray | None = None
 
 
 class RowError(ValueError):
@@ -243,28 +244,26 @@ def outside_rows(ball: L1Ball, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> n
     return ~(l1_rows(x) <= ball.radius + tol)
 
 
-def _minus_vertex(ball: L1Ball, x: np.ndarray, rows: np.ndarray, index: np.ndarray,
-                  sign: np.ndarray) -> np.ndarray:
+def _minus_vertex(ball: L1Ball, x: np.ndarray, index: np.ndarray, sign: np.ndarray) -> np.ndarray:
     # x - v for the vertices v = sign * radius * e_index, bit for bit: one coordinate per row moves
     d = x.copy()
-    d[rows, index] -= sign * ball.radius
+    d[np.arange(len(x)), index] -= sign * ball.radius
     return d
 
 
-def lmo_rows(ball: L1Ball, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index, sign and vertex of ``argmin { g[r] @ x : ||x||_1 <= radius }`` per row.
+def lmo_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and sign of the vertex ``argmin { g[r] @ x : ||x||_1 <= radius }`` per row.
 
     The vertex is ``-sign(g[r, j]) * radius * e_j`` at a maximal ``|g[r, j]|``;
-    ties go to the lowest index, and ``g[r, j] == 0`` to the positive vertex:
-    `in_face_lmo_rows` over the face whose sign is ``-sign(g)`` (``+1`` at zeros).
+    ties go to the lowest index, and ``g[r, j] == 0`` to the positive vertex.
     """
-    return in_face_lmo_rows(ball, np.where(g <= 0.0, 1.0, -1.0), g)
+    index = np.abs(g).argmax(axis=1)
+    return index, np.where(g[np.arange(len(g)), index] <= 0.0, 1, -1)
 
 
 def frank_wolfe_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Directions ``x[r] - v[r]`` to the oracle vertices and gaps ``g[r] @ (x[r] - v[r])``."""
-    rows, index = np.arange(len(g)), np.abs(g).argmax(axis=1)
-    fw = _minus_vertex(ball, x, rows, index, np.where(g[rows, index] <= 0.0, 1, -1))
+    """Directions ``x[r] - v[r]`` to the `lmo_rows` vertices and gaps ``g[r] @ (x[r] - v[r])``."""
+    fw = _minus_vertex(ball, x, *lmo_rows(g))
     return fw, row_dot(g, fw)
 
 
@@ -281,57 +280,32 @@ def face_rows(ball: L1Ball, x: np.ndarray) -> Face:
     return Face(sign, np.abs(norm1 - ball.radius) <= FACE_TOL, norm1)
 
 
-def in_face_lmo_rows(ball: L1Ball, sign: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize ``c[r] @ x`` over the boundary face given by ``sign[r]``.
+def away_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray, tol: float):
+    """Away step geometry of every row: ``(d, ok, gd, index, cap, binds)``.
 
-    The face's vertices are ``sign[r, j] * radius * e_j`` on its (nonempty)
-    support; the smallest ``sign[r, j] * c[r, j]`` wins, ties to the lowest index.
+    ``d = x - v`` backs off the vertex ``v`` of the minimal face (`face_rows`)
+    that maximizes ``g @ v``, the vertex at ``index``; on an interior row, or a
+    boundary row with an empty support (radius at most ``(dim + 1) * FACE_TOL``),
+    the face is the whole ball. A row is accepted (``ok``) when ``gd = g @ d <
+    -tol`` and ``||d||_1`` is at most the diameter; an accepted row with an empty
+    support raises if its vertex moves a zero coordinate too far. ``cap`` is the
+    step cap along ``d`` (see the module docstring) and ``binds`` flags the rows
+    whose cap lands ``x_j`` on zero. A rejected row's cap is silent and meaningless.
     """
-    rows = np.arange(len(sign))
-    index = np.where(sign != 0.0, sign * c, np.inf).argmin(axis=1)
-    s = sign[rows, index].astype(np.int64)
-    value = np.zeros(sign.shape)
-    value[rows, index] = s * ball.radius
-    return index, s, value
-
-
-def away_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray, face: Face,
-              tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Away directions ``d = x - argmax_face g @ x``, acceptance, ``g @ d`` and vertex index.
-
-    A row is accepted when ``g @ d < -tol`` and ``||d||_1`` is at most the diameter;
-    ``face`` is `face_rows` of ``x`` and gets ``d_norm1``. One argmax over signed
-    vertices serves every row, as `lmo_rows` is `in_face_lmo_rows` on a full face.
-    An accepted boundary row with an empty support (radius at most ``(dim + 1) *
-    FACE_TOL``) raises if its whole-ball vertex moves a zero coordinate too far.
-    """
-    in_face = face.on_boundary & face.sign.any(axis=1)
+    face = face_rows(ball, x)
+    on_boundary, rows = face.on_boundary, np.arange(len(x))
+    in_face = on_boundary & face.sign.any(axis=1)
     sign = np.where(in_face[:, None], face.sign, np.where(g >= 0.0, 1.0, -1.0))
-    rows, index = np.arange(len(x)), np.where(sign != 0.0, sign * g, -np.inf).argmax(axis=1)
-    d = _minus_vertex(ball, x, rows, index, sign[rows, index])
-    face.d_norm1 = l1_rows(d)
+    index = np.where(sign != 0.0, sign * g, -np.inf).argmax(axis=1)
+    d = _minus_vertex(ball, x, index, sign[rows, index])
+    d_norm1, d_j = l1_rows(d), d[rows, index]
     gd = row_dot(g, d)
-    ok = (gd < -tol) & (face.d_norm1 <= ball.diameter())
-    bare = face.on_boundary & ~in_face
+    ok = (gd < -tol) & (d_norm1 <= ball.diameter())
+    bare = on_boundary & ~in_face
     if np.count_nonzero(bare):  # off j, |d_k| = |x_k| <= FACE_TOL on the zero set
-        _fail_rows(ok & bare & (np.abs(d[rows, index]) > IN_FACE_TOL),
+        _fail_rows(ok & bare & (np.abs(d_j) > IN_FACE_TOL),
                    "in-face direction must vanish on the zero set of x_bar")
-    return d, ok, gd, index
-
-
-def away_cap_rows(ball: L1Ball, x: np.ndarray, d: np.ndarray, face: Face,
-                  index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Step cap per row along `away_rows`' directions ``d``, and the rows where it binds.
-
-    An interior row caps where ``||x + a d||_1`` reaches the radius (see the module
-    docstring). A boundary row caps at 0 if ``d`` points out (a fold ``sum_k sign_k
-    d_k`` above ``IN_FACE_TOL * max(1, ||d||_1)``), else at ``t = -x_j / d_j`` if
-    ``x_j`` moves against its sign (it binds: lands on zero), else at ``inf``; off
-    ``j``, ``sign_k d_k = |x_k| >= 0``. A rejected row's cap is silent and meaningless.
-    """
-    delta, rows = ball.radius, np.arange(len(x))
-    on_boundary, d_norm1, d_j = face.on_boundary, face.d_norm1, d[rows, index]
-    n_boundary = np.count_nonzero(on_boundary)
+    delta, n_boundary = ball.radius, np.count_nonzero(on_boundary)
     cap, binds = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = -x[rows, index] / d_j
@@ -344,17 +318,17 @@ def away_cap_rows(ball: L1Ball, x: np.ndarray, d: np.ndarray, face: Face,
                 cap = np.where(kink, np.where(phi > delta, (delta - start) * t / (phi - start),
                                               t + (delta - phi) / d_norm1), cap)
         if n_boundary:
-            toward = face.sign[rows, index] * d_j < 0.0
-            out = np.cumsum(face.sign * d, axis=1)[:, -1] > IN_FACE_TOL * np.maximum(1.0, d_norm1)
-            edge = np.where(out, 0.0, np.where(toward, t, np.inf))
+            binds = on_boundary & (face.sign[rows, index] * d_j < 0.0)
+            edge = np.where(binds, t, np.inf)
             cap = edge if n_boundary == len(x) else np.where(on_boundary, edge, cap)
-            binds = on_boundary & toward & ~out
-    return cap, binds
+    return d, ok, gd, index, cap, binds
 
 
 def lmo(ball: L1Ball, g: np.ndarray) -> Vertex:
     """`lmo_rows` for one 1-D gradient: ``argmin { g @ x : ||x||_1 <= radius }``."""
     (m,) = regroup([g], [1], [ball.dim], "g")
     finite_rows(m, "g")
-    index, sign, value = lmo_rows(ball, m)
-    return Vertex(index=int(index[0]), sign=int(sign[0]), value=value[0])
+    (index,), (sign,) = lmo_rows(m)
+    value = np.zeros(ball.dim)
+    value[index] = sign * ball.radius
+    return Vertex(index=int(index), sign=int(sign), value=value)

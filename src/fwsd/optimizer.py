@@ -5,7 +5,7 @@ One iteration, starting from ``(x_k, y_k)``:
 1. draw a batch, average per-scenario gradients into ``(g_hat, h_hat)``
    and take the batch's mean objective from the same pass;
 2. Frank-Wolfe step per constrained block: move toward the oracle vertex
-   with step ``alpha_i = g_tilde_i / c_bar_i`` (optionally clamped at 1),
+   with step ``alpha_i = min(g_tilde_i / c_bar_i, 1)``,
    one `fw_step` call per group, a run of consecutive blocks sharing a ball;
    `run` holds the iterate as one ``(n_rows, dim)`` matrix per group, whose
    rows in turn are the blocks, and hands problems these matrices themselves;
@@ -35,10 +35,8 @@ from .geometry import (
     L1Ball,
     Norm,
     _fail_rows,
-    away_cap_rows,
     away_rows,
     blame_blocks,
-    face_rows,
     finite_rows,
     frank_wolfe_rows,
     group_layout,
@@ -95,9 +93,7 @@ class OptimizerConfig:
     """Everything a run needs besides the problem and the feasible sets.
 
     ``c_bar_per_block`` must dominate ``2 * l_nabla * diameter^2`` of the
-    matching ball; this is validated when a run starts. ``alpha_clamp``
-    caps the Frank-Wolfe step at 1 so the iterate stays a convex
-    combination even when the gap estimate is large.
+    matching ball; this is validated when a run starts.
     """
 
     l_nabla: float
@@ -107,7 +103,6 @@ class OptimizerConfig:
     batch_schedule: BatchSchedule = BatchSchedule.constant(1)
     alternative_directions: bool = False
     norm_y: Norm = Norm.L2
-    alpha_clamp: bool = True
     away_tol: float = 1e-12
 
     def __post_init__(self) -> None:
@@ -219,16 +214,15 @@ def fw_step(x: np.ndarray, g: np.ndarray, ball: L1Ball, c_bar: np.ndarray,
 
     ``x`` and ``g`` are ``(n_rows, dim)``; ``c_bar`` holds the rows' constants.
     Returns ``(x_bar, g_tilde, alpha)``: ``x_bar[r] = x[r] + alpha[r] * (v[r] - x[r])``
-    for the oracle vertex ``v[r]``, ``alpha[r] = g_tilde[r] / c_bar[r]`` (clamped at 1
-    when configured). Row checks raise naming the row; `blame_blocks` names the block.
+    for the oracle vertex ``v[r]`` and ``alpha[r] = min(g_tilde[r] / c_bar[r], 1)``, so
+    the iterate stays a convex combination even when the gap estimate is large. Row
+    checks raise naming the row; `blame_blocks` names the block.
     """
     finite_rows(x, "x")
     finite_rows(g, "g")
     fw, gap = frank_wolfe_rows(ball, x, g)
     g_tilde = _clamp_g_tilde(gap, g)
-    alpha = g_tilde / c_bar
-    if config.alpha_clamp:
-        alpha = np.where(alpha > 1.0, 1.0, alpha)
+    alpha = np.minimum(g_tilde / c_bar, 1.0)
     # x + alpha * (v - x) to the bit: v - x is -(x - v) but for zeros, where x is unchanged
     return x - alpha[:, None] * fw, g_tilde, alpha
 
@@ -259,11 +253,11 @@ def alt_step(x_bar: np.ndarray, g_check: np.ndarray, ball: L1Ball, c_bar: np.nda
              config: OptimizerConfig):
     """Away step inside the minimal face of each row of one group sharing ``ball``.
 
-    Per row: classify the minimal face at ``FACE_TOL``, build the away
-    direction from a fresh gradient, and if it is a strict descent direction
-    (``g_check @ d < -away_tol``) step ``beta = min(a / c_bar, alpha_stop)``
-    along it, where ``a = -g_check @ d`` and ``alpha_stop`` is the in-face
-    cap (`away_cap_rows`, on every row of the group). When the cap binds, the
+    One `away_rows` call classifies every row's minimal face at ``FACE_TOL``,
+    builds the away direction ``d`` from a fresh gradient and caps it. A row
+    whose ``d`` is a strict descent direction (``g_check @ d < -away_tol``)
+    steps ``beta = min(a / c_bar, alpha_stop)`` along it, where ``a = -g_check @
+    d`` and ``alpha_stop`` is the in-face cap. When the cap binds, the
     coordinate it binds on is set to exactly zero, so supports shrink exactly
     rather than to rounding dust. Returns ``(x_next, infos)``; rows not taken
     keep their bytes and read zeros in `AltStepInfos`. Row checks name the
@@ -271,9 +265,7 @@ def alt_step(x_bar: np.ndarray, g_check: np.ndarray, ball: L1Ball, c_bar: np.nda
     """
     finite_rows(x_bar, "x_bar")
     finite_rows(g_check, "g_check")
-    face = face_rows(ball, x_bar)
-    d, ok, gd, index = away_rows(ball, x_bar, g_check, face, config.away_tol)
-    cap, binds = away_cap_rows(ball, x_bar, d, face, index)
+    d, ok, gd, index, cap, binds = away_rows(ball, x_bar, g_check, config.away_tol)
     a = -gd
     quotient = a / c_bar
     step = np.where(cap < quotient, cap, quotient)  # a rejected row's NaN cap loses: finite

@@ -2,9 +2,10 @@
 
 `run` holds the iterate as one array per block. Every step regroups the
 blocks by ball (every block with an equal ball, wherever it sits, as
-`geometry_reference.groups_by_ball` does), stacks the group's rows, calls
-one row-wise kernel and scatters the rows back into block order; the digest
-hashes block by block.
+`geometry_reference.groups_by_ball` does), stacks the group's rows, takes
+each row's vertex, away direction and step cap from the per-block oracles of
+`geometry_reference` (none from `fwsd.geometry`), steps the stacked rows and
+scatters them back into block order; the digest hashes block by block.
 `fwsd.optimizer.run` has to match it bit for bit (digest, trace, output
 index, output and final iterates), which `test_engine.py` checks.
 """
@@ -14,7 +15,7 @@ import hashlib
 import numpy as np
 
 from fwsd.gap import GapConstants, _clamp_g_tilde, dual_norm
-from fwsd.geometry import away_rows, blame_blocks, face_rows, lmo_rows, nnz_rows, row_dot
+from fwsd.geometry import blame_blocks, nnz_rows, row_dot
 from fwsd.optimizer import (
     AltStepInfo,
     Iterate,
@@ -23,7 +24,7 @@ from fwsd.optimizer import (
     derive_rng_streams,
     sd_step,
 )
-from geometry_reference import groups_by_ball, in_face_step_cap
+from geometry_reference import away_direction, groups_by_ball, in_face_step_cap, lmo
 
 
 def _digest_update(h, x_blocks, y):
@@ -47,12 +48,10 @@ def fw_step(x_blocks, g_hat_blocks, balls, config):
         with blame_blocks("fw_step", idx):
             x = _rows(x_blocks, idx)
             g = _rows(g_hat_blocks, idx)
-            v = lmo_rows(ball, g)[2]
+            v = np.array([lmo(ball, row).value for row in g])
             gap = row_dot(g, x - v)
             g_tilde = _clamp_g_tilde(gap, g)
-        alpha = g_tilde / c_bar[idx]
-        if config.alpha_clamp:
-            alpha = np.where(alpha > 1.0, 1.0, alpha)
+        alpha = np.minimum(g_tilde / c_bar[idx], 1.0)
         stepped = x + alpha[:, None] * (v - x)
         for i, row in zip(idx.tolist(), stepped):
             x_bar[i] = row
@@ -72,8 +71,9 @@ def alt_step(x_bar_blocks, g_check_blocks, balls, config):
         with blame_blocks("alt_step", idx):
             x = _rows(x_bar_blocks, idx)
             g = _rows(g_check_blocks, idx)
-            face = face_rows(ball, x)
-            d, ok, gd, _ = away_rows(ball, x, g, face, config.away_tol)
+            aways = [away_direction(ball, xr, gr, config.away_tol) for xr, gr in zip(x, g)]
+        d = np.array([dr for dr, _ in aways])
+        ok = np.array([accepted for _, accepted in aways], dtype=bool)
         stepped = x.copy()
         if ok.any():
             moved = idx[ok]
@@ -83,7 +83,7 @@ def alt_step(x_bar_blocks, g_check_blocks, balls, config):
             binding = np.zeros((len(caps), ball.dim), dtype=bool)
             for r, (_, bound) in enumerate(caps):
                 binding[r, list(bound)] = True
-            a_value = -gd[ok]
+            a_value = -row_dot(g[ok], d[ok])
             quotient = a_value / c_bar[moved]
             beta = np.where(alpha_stop < quotient, alpha_stop, quotient)
             rows = x[ok] + beta[:, None] * d[ok]

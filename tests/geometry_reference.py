@@ -219,11 +219,13 @@ def in_face_step_cap(
 ) -> tuple[float, tuple[int, ...]]:
     """Step cap along an in-face direction, with the indices that bind.
 
-    For a boundary point the cap is the first sign crossing on the support;
-    the returned indices are the coordinates that land exactly on zero
-    there, which lets a caller zero them out explicitly. For an interior
-    point the minimal face is the whole ball and the cap is the plain
-    feasibility cap (no binding indices).
+    For a boundary point the cap is the first sign crossing on the support
+    (``inf`` if no supported coordinate moves against its sign); the returned
+    indices are the coordinates that land exactly on zero there, which lets a
+    caller zero them out explicitly. An away direction never points out of
+    the face, so no outward test runs. For an interior point the minimal face
+    is the whole ball and the cap is the plain feasibility cap (no binding
+    indices).
     """
     x_bar = _check_vector(x_bar, ball.dim, "x_bar")
     d = _check_vector(d, ball.dim, "d")
@@ -236,11 +238,7 @@ def in_face_step_cap(
         return _ball_cap(ball, x_bar, d), ()
     if any(abs(d[j]) > tol for j in face.j_zero):
         raise ValueError("in-face direction must vanish on the zero set of x_bar")
-    signed = sum(face.sign_of(j) * d[j] for j in face.support)
-    if signed > tol * max(1.0, float(np.sum(np.abs(d)))):
-        return 0.0, ()  # direction points out of the ball immediately
-    alpha, binding = _sign_cap(x_bar, d, face.support)
-    return alpha, binding
+    return _sign_cap(x_bar, d, face.support)
 
 
 def fw_step(x_blocks, g_hat_blocks, balls, config):
@@ -248,9 +246,7 @@ def fw_step(x_blocks, g_hat_blocks, balls, config):
     for x, g, ball, c_bar in zip(x_blocks, g_hat_blocks, balls, config.c_bar_per_block):
         v = lmo(ball, g)
         g_tilde = _clamp_g_tilde(float(np.asarray(g) @ (x - v.value)), g)
-        alpha = g_tilde / c_bar
-        if config.alpha_clamp and alpha > 1.0:
-            alpha = 1.0
+        alpha = min(g_tilde / c_bar, 1.0)
         x_bar.append(x + alpha * (v.value - x))
         g_tildes.append(g_tilde)
         alphas.append(alpha)

@@ -21,7 +21,7 @@ import numpy as np
 import quadratic_reference
 from fwsd import cli
 from fwsd.gap import GapConstants, exact_gap, gap_estimate
-from fwsd.geometry import L1Ball, Norm, face_rows, in_face_lmo_rows, lmo_rows
+from fwsd.geometry import L1Ball, Norm, away_rows, face_rows, frank_wolfe_rows
 from fwsd.optimizer import (
     BatchSchedule,
     OptimizerConfig,
@@ -73,7 +73,13 @@ def _random_interior_point(rng, dim: int, radius: float, fill: float) -> np.ndar
 
 
 def test_criterion_01_oracles_match_brute_force_enumeration():
-    """lmo_rows and in_face_lmo_rows agree exactly with vertex enumeration, dims 1-8."""
+    """The vertices of frank_wolfe_rows and away_rows agree exactly with enumeration, dims 1-8.
+
+    The Frank-Wolfe vertex minimizes ``g @ v`` over the ball's 2 * dim signed
+    vertices; the away vertex of a boundary point maximizes ``g @ v`` over the
+    signed vertices of its minimal face. Both kernels return ``x - v``, which
+    has to equal ``x - v`` for the enumerated ``v`` to the bit.
+    """
     started = time.perf_counter()
     rng = np.random.default_rng(20260814)
     for dim in range(1, 9):
@@ -81,8 +87,9 @@ def test_criterion_01_oracles_match_brute_force_enumeration():
             radius = float(rng.uniform(0.5, 4.0))
             ball = L1Ball(dim, radius)
 
+            x = _random_interior_point(rng, dim, radius, float(rng.uniform(0.0, 1.0)))
             g = rng.standard_normal(dim)
-            (index,), (vertex_sign,), (vertex,) = lmo_rows(ball, g[None, :])
+            (fw,), (gap,) = frank_wolfe_rows(ball, x[None, :], g[None, :])
             best = None
             for j in range(dim):
                 for sign in (1, -1):
@@ -90,28 +97,27 @@ def test_criterion_01_oracles_match_brute_force_enumeration():
                     value[j] = sign * radius
                     obj = float(g @ value)
                     if best is None or obj < best[0]:
-                        best = (obj, j, sign)
-            assert (index, vertex_sign) == (best[1], best[2])
-            assert float(g @ vertex) == best[0]
+                        best = (obj, value)
+            assert np.array_equal(fw, x - best[1])
+            assert gap == float(g @ (x - best[1]))
 
             x = _random_boundary_point(rng, dim, radius)
             faces = face_rows(ball, x[None, :])
             (face,), (on_boundary,) = faces.sign, faces.on_boundary
             assert on_boundary
-            c = rng.standard_normal(dim)
-            (index,), (vertex_sign,), (vertex,) = in_face_lmo_rows(ball, face[None, :],
-                                                                   c[None, :])
+            g = rng.standard_normal(dim)
+            (d,), _, _, (index,), _, _ = away_rows(ball, x[None, :], g[None, :], 1e-12)
             best = None
             for j in np.flatnonzero(face).tolist():
                 value = np.zeros(dim)
                 value[j] = face[j] * radius
-                obj = float(c @ value)
-                if best is None or obj < best[0]:
-                    best = (obj, j, face[j])
-            assert (index, vertex_sign) == (best[1], best[2])
-            assert float(c @ vertex) == best[0]
+                obj = float(g @ value)
+                if best is None or obj > best[0]:
+                    best = (obj, j, value)
+            assert index == best[1]
+            assert np.array_equal(d, x - best[2])
     _elapsed_under(started, 5.0)
-    print("criterion 01: PASS (8000 lmo_rows and 8000 in_face_lmo_rows calls match enumeration)")
+    print("criterion 01: PASS (8000 frank_wolfe_rows and 8000 away_rows calls match enumeration)")
 
 
 # ------------------------------------------------------------- criterion 2

@@ -66,7 +66,7 @@ def test_load_config_types_and_defaults(tmp_path):
         "method = sgd\n"
         "seed = 7\n"
         "l_nabla = 2.5\n"
-        "alpha_clamp = false\n"
+        "bias = false\n"
         "layer_sizes = 6,5,1\n"
         "deltas = 0.5,1.5\n"
     )
@@ -74,7 +74,7 @@ def test_load_config_types_and_defaults(tmp_path):
     assert config.method == "sgd"
     assert config.seed == 7
     assert config.l_nabla == 2.5
-    assert config.alpha_clamp is False
+    assert config.bias is False
     assert config.layer_sizes == (6, 5, 1)
     assert config.deltas == (0.5, 1.5)
     assert config.batch_size == 1, "untouched keys keep their defaults"
@@ -94,7 +94,8 @@ def test_load_config_rejections(tmp_path):
         "mystery = 1\n",
         "seed = notanint\n",
         "method = adam\n",
-        "alpha_clamp = yes\n",
+        "bias = yes\n",
+        "alpha_clamp = true\n",
         "iterations = 5\nepochs = 5\n",
         "c_bar_scale = 0.5\n",
         "batch_size = 0\n",
@@ -109,7 +110,7 @@ def test_load_config_rejections(tmp_path):
 
 def test_config_echo_round_trips():
     config = ExperimentConfig(method="sfw-if", seed=3, iterations=40,
-                              deltas=(0.25, 4.0), alpha_clamp=False)
+                              deltas=(0.25, 4.0), bias=False)
     lines = [l.removeprefix("config.") for l in config_echo_lines(config)]
     again = load_config(None, dict(parse_config_text("\n".join(lines))))
     assert again == config
@@ -522,6 +523,15 @@ def test_threshold_eval_shape_mismatch_is_runtime_error(tmp_path, capsys):
                    "--dataset", str(wide))
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("thetas", ["150", "nan"])
+def test_threshold_eval_rejects_thetas_out_of_range_before_reading(tmp_path, capsys, thetas):
+    # a configuration error (exit 1), raised before the missing files are looked at
+    code = run_cli("threshold-eval", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                   "--dataset", str(tmp_path / "absent.bin"), "--thetas", f"50,{thetas}")
+    assert code == 1
+    assert "within [0, 100]" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- gap-trace

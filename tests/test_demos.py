@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 STDOUT_SHA256 = {
-    "geometry_tour.py": "f127db3414241ddb8231945b87d42a299cc8e1059ac4476878b52adb1c20ace7",
+    "geometry_tour.py": "dc74c740314c74526f60a4ff88ecbc9d6322a7fbf04031eb1e227ede3afd3386",
     "quadratic_convergence.py": "f866e84a0bbbb9df0a415845e5f30d60da482488017f3652d0037234629fb71e",
 }
 

@@ -7,10 +7,10 @@ with two radii, so that in about a third of the draws a ball
 recurs after a different one (blocks 0 and 2 share a ball, block 1 has
 another): `run` steps its blocks in separate runs, the reference in one
 group. Quadratic problems with and without noise, feasible start points
-(vertices among them), away steps on and off with thresholds that reject no,
-some or every row of a group, and clamped and unclamped steps. The two runs
-must agree in the iterates digest, the trace records with every float in
-hex, the output index, and the bytes of the output and final iterates.
+(vertices among them), and away steps on and off with thresholds that reject
+no, some or every row of a group. The two runs must agree in the iterates
+digest, the trace records with every float in hex, the output index, and the
+bytes of the output and final iterates.
 """
 
 import numpy as np
@@ -54,7 +54,6 @@ def runs(draw):
         seed=int(rng.integers(1000)),
         batch_schedule=BatchSchedule.constant(int(rng.integers(1, 4))),
         alternative_directions=draw(st.booleans()),
-        alpha_clamp=draw(st.booleans()),
         away_tol=float(rng.choice([1e-12, 1e-2, 1e-1, 1.0])),  # rejects some or all rows
     )
     return problem, balls, rng.uniform(-1.0, 1.0, q), x0, config

@@ -14,10 +14,8 @@ import pytest
 from fwsd.geometry import (
     FACE_TOL,
     L1Ball,
-    away_cap_rows,
     away_rows,
     face_rows,
-    in_face_lmo_rows,
     lmo,
     lmo_rows,
 )
@@ -43,14 +41,14 @@ def brute_lmo(ball, g):
     return best
 
 
-def brute_face_minimizer(ball, sign, c):
+def brute_face_maximizer(ball, sign, g):
     best = None
     for j in np.flatnonzero(sign).tolist():
         s = int(sign[j])
         v = np.zeros(ball.dim)
         v[j] = s * ball.radius
-        val = float(c @ v)
-        if best is None or val < best[0]:
+        val = float(g @ v)
+        if best is None or val > best[0]:
             best = (val, j, s, v)
     return best
 
@@ -67,15 +65,14 @@ def random_boundary_point(rng, ball, support_size):
 
 def away(ball, x, g):
     """Away directions and acceptance of the rows of ``x``, as `alt_step` gets them."""
-    d, ok, _, _ = away_rows(ball, x, g, face_rows(ball, x), AWAY_TOL)
+    d, ok, *_ = away_rows(ball, x, g, AWAY_TOL)
     return d, ok
 
 
 def away_cap(ball, x, g):
     """Away directions, acceptance, caps and binding flags of the rows of ``x``, as in `alt_step`."""
-    face = face_rows(ball, x)
-    d, ok, _, index = away_rows(ball, x, g, face, AWAY_TOL)
-    return (d, ok, *away_cap_rows(ball, x, d, face, index))
+    d, ok, _, _, cap, binds = away_rows(ball, x, g, AWAY_TOL)
+    return d, ok, cap, binds
 
 
 class TestL1Ball:
@@ -140,18 +137,18 @@ class TestLMO:
         for dim in range(1, 7):
             ball = L1Ball(dim, 1.5)
             g = np.array([rng.standard_normal(dim) for _ in range(200)])
-            index, sign, value = lmo_rows(ball, g)
+            index, sign = lmo_rows(g)
             for r in range(len(g)):
                 val, j, s, v = brute_lmo(ball, g[r])
                 assert (index[r], sign[r]) == (j, s)
-                assert float(g[r] @ value[r]) == val
+                assert float(g[r] @ lmo(ball, g[r]).value) == val
 
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(8)
         ball = L1Ball(5, 1.0)
         g = np.array([rng.integers(-2, 3, size=5).astype(float)  # many exact ties
                       for _ in range(300)])
-        index, sign, _ = lmo_rows(ball, g)
+        index, sign = lmo_rows(g)
         for r in range(len(g)):
             val, j, s, v = brute_lmo(ball, g[r])
             assert (index[r], sign[r]) == (j, s)
@@ -194,12 +191,15 @@ class TestMinimalFace:
 
 
 class TestInFaceLMO:
+    """The in-face oracle is the away vertex: ``argmax g @ v`` over the face's extreme points."""
+
     def test_picks_most_negative_signed_cost(self):
+        # the largest g @ v over the face vertices e_0 and -e_1 is -e_1's 2
         ball = L1Ball(3, 1.0)
-        sign = face_rows(ball, np.array([[0.5, -0.5, 0.0]])).sign
-        index, s, value = in_face_lmo_rows(ball, sign, np.array([[-1.0, 2.0, 0.0]]))
-        assert (index[0], s[0]) == (1, -1)
-        np.testing.assert_array_equal(value[0], [0.0, -1.0, 0.0])
+        x = np.array([[0.5, -0.5, 0.0]])
+        d, _, _, index, _, _ = away_rows(ball, x, np.array([[1.0, -2.0, 0.0]]), AWAY_TOL)
+        assert index.tolist() == [1]
+        np.testing.assert_array_equal(x[0] - d[0], [0.0, -1.0, 0.0])
 
     def test_interior_face_rejected(self):
         # an interior point's face is the whole ball: its away vertex comes
@@ -221,14 +221,15 @@ class TestInFaceLMO:
             k = int(rng.integers(1, 9))
             x.append(random_boundary_point(rng, ball, k))
             c.append(rng.standard_normal(8))
-        face = face_rows(ball, np.array(x))
+        x, c = np.array(x), np.array(c)
+        face = face_rows(ball, x)
         sign, on_boundary = face.sign, face.on_boundary
         assert on_boundary.all()
-        c = np.array(c)
-        index, s, _ = in_face_lmo_rows(ball, sign, c)
+        d, _, _, index, _, _ = away_rows(ball, x, c, AWAY_TOL)
         for r in range(len(c)):
-            val, j, want_s, v = brute_face_minimizer(ball, sign[r], c[r])
-            assert (index[r], s[r]) == (j, want_s)
+            val, j, want_s, v = brute_face_maximizer(ball, sign[r], c[r])
+            assert index[r] == j
+            np.testing.assert_array_equal(d[r], x[r] - v)
 
     def test_face_vertex_result_stays_in_face(self):
         rng = np.random.default_rng(22)
@@ -237,18 +238,19 @@ class TestInFaceLMO:
         for _ in range(200):
             x.append(random_boundary_point(rng, ball, int(rng.integers(1, 7))))
             c.append(rng.standard_normal(6))
-        sign = face_rows(ball, np.array(x)).sign
-        index, s, _ = in_face_lmo_rows(ball, sign, np.array(c))
+        x = np.array(x)
+        sign = face_rows(ball, x).sign
+        d, _, _, index, _, _ = away_rows(ball, x, np.array(c), AWAY_TOL)
         rows = np.arange(len(x))
         assert (sign[rows, index] != 0.0).all()
-        np.testing.assert_array_equal(s, sign[rows, index])
+        # v = x - d carries the face's sign at its one nonzero coordinate
+        np.testing.assert_array_equal(np.sign((x - d)[rows, index]), sign[rows, index])
 
     def test_both_oracles_return_integer_signs(self):
-        ball = L1Ball(3, 1.0)
-        sign = face_rows(ball, np.array([[0.5, -0.5, 0.0]])).sign
+        # the row oracle's signs are int64, the one-row oracle's a Python int
         c = np.array([[-1.0, 2.0, 0.0]])
-        assert lmo_rows(ball, c)[1].dtype == np.int64
-        assert in_face_lmo_rows(ball, sign, c)[1].dtype == np.int64
+        assert lmo_rows(c)[1].dtype == np.int64
+        assert type(lmo(L1Ball(3, 1.0), c[0]).sign) is int
 
 
 class TestAwayDirection:
@@ -347,16 +349,6 @@ class TestMaxFeasibleStep:
         assert face_rows(ball, x).on_boundary.tolist() == [True]
         with pytest.raises(ValueError, match="must vanish on the zero set"):
             away_cap(ball, x, -np.ones((1, 2000)))
-
-    def test_outward_in_face_direction_caps_at_zero(self):
-        # a direction whose sign fold is positive leaves the ball at once; an
-        # away direction's fold is ||x||_1 - radius, so only rounding can get it here
-        ball = L1Ball(2, 1.0)
-        x, d = np.array([[0.5, 0.5]]), np.array([[1.0, 1.0]])
-        face = face_rows(ball, x)
-        face.d_norm1 = np.abs(d).sum(axis=1)
-        alpha, binds = away_cap_rows(ball, x, d, face, np.array([1]))
-        assert alpha.tolist() == [0.0] and binds.tolist() == [False]
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(44)

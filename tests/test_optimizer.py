@@ -122,12 +122,6 @@ class TestFwStep:
         assert alphas.tolist() == [1.0]
         np.testing.assert_array_equal(x_bar[0], [-1.0, 0.0])
 
-    def test_unclamped_step_can_exceed_one(self):
-        ball = L1Ball(2, 1.0)
-        cfg = config_for([ball], c_bar_per_block=(8.0,), alpha_clamp=False)
-        _, _, alphas = fw_step(*one_row(ball, np.zeros(2), [100.0, 0.0], cfg))
-        assert alphas[0] == 12.5
-
     def test_stationary_block_does_not_move(self):
         ball = L1Ball(2, 1.0)
         cfg = config_for([ball])

@@ -28,12 +28,11 @@ from fwsd.geometry import (
     IN_FACE_TOL,
     L1Ball,
     RowError,
-    away_cap_rows,
     away_rows,
     ball_groups,
     blame_blocks,
     face_rows,
-    lmo_rows,
+    lmo,
     regroup,
 )
 from fwsd.optimizer import OptimizerConfig, alt_step, fw_step, run
@@ -104,7 +103,6 @@ def _inputs(balls, seed):
         c_bar_per_block=tuple(2.0 * b.diameter() ** 2 * rng.uniform(1.0, 50.0) for b in balls),
         iterations=1,
         seed=0,
-        alpha_clamp=bool(rng.random() < 0.7),
         away_tol=float(rng.choice([1e-12, 1e-13, 1e-10])),
     )
     return x, g, config
@@ -208,17 +206,16 @@ def test_one_row_api_matches_reference(case):
     balls, seed = case
     x, g, config = _inputs(balls, seed)
     for ball, xb, gb in list(zip(balls, x, g))[:8]:
-        index, sign, value = lmo_rows(ball, gb[None, :])
-        want = ref.lmo(ball, gb)
-        assert (index[0], sign[0], _bits(value[0])) == (want.index, want.sign,
-                                                        _bits(want.value))
+        got, want = lmo(ball, gb), ref.lmo(ball, gb)
+        assert (got.index, got.sign, _bits(got.value)) == (want.index, want.sign,
+                                                           _bits(want.value))
         face = face_rows(ball, xb[None, :])
         assert ref.Face.from_rows(face.sign[0], face.on_boundary[0]) == ref.minimal_face(ball, xb)
-        d, ok, _, index = away_rows(ball, xb[None, :], gb[None, :], face, config.away_tol)
+        d, ok, _, index, (alpha,), (binds,) = away_rows(ball, xb[None, :], gb[None, :],
+                                                      config.away_tol)
         want_d, want_ok = ref.away_direction(ball, xb, gb, config.away_tol)
         assert (_bits(d[0]), bool(ok[0])) == (_bits(want_d), want_ok)
         if ok[0]:
-            (alpha,), (binds,) = away_cap_rows(ball, xb[None, :], d, face, index)
             want_alpha, want_binding = ref.in_face_step_cap(ball, xb, d[0])
             assert ((_bits(float(alpha)), (int(index[0]),) if binds else ())
                     == (_ref_bits(want_alpha), want_binding))
@@ -226,7 +223,7 @@ def test_one_row_api_matches_reference(case):
 
 @SETTINGS
 @given(block_sets())
-def test_away_cap_rows_matches_reference_on_stacked_rows(case):
+def test_away_rows_cap_matches_reference_on_stacked_rows(case):
     # the closed form against the per-block breakpoint scan on every accepted
     # row of a stack; about a quarter of the rows are first pushed between
     # FACE_TOL and IN_FACE_TOL outside the sphere, where an interior row's ray
@@ -240,9 +237,7 @@ def test_away_cap_rows_matches_reference_on_stacked_rows(case):
             x[i] = x[i] * ((ball.radius + rng.uniform(2.0 * FACE_TOL, 0.9 * IN_FACE_TOL)) / norm1)
     for ball, idx in ref.groups_by_ball(balls):
         x_m, g_m = (np.array([v[i] for i in idx.tolist()]) for v in (x, g))
-        face = face_rows(ball, x_m)
-        d, ok, _, index = away_rows(ball, x_m, g_m, face, config.away_tol)
-        caps, binds = away_cap_rows(ball, x_m, d, face, index)
+        d, ok, _, index, caps, binds = away_rows(ball, x_m, g_m, config.away_tol)
         got = [(_bits(float(caps[r])), (int(index[r]),) if binds[r] else ())
                for r in np.flatnonzero(ok).tolist()]
         want = [ref.in_face_step_cap(ball, x_m[r], d[r]) for r in np.flatnonzero(ok).tolist()]
@@ -250,8 +245,8 @@ def test_away_cap_rows_matches_reference_on_stacked_rows(case):
 
 
 def test_sampler_reaches_every_branch():
-    # rejected and accepted away steps, binding caps, interior caps and
-    # clamped Frank-Wolfe steps all occur in the property tests' inputs
+    # rejected away steps, steps to a binding cap, steps short of the cap and
+    # steps from interior rows all occur in the property tests' inputs
     seen = {"rejected": 0, "binding": 0, "interior": 0, "quotient": 0}
     rng = np.random.default_rng(0)
     for seed in rng.integers(0, 2**32 - 1, size=30):
