@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import struct
 import sys
@@ -370,33 +371,28 @@ def write_trace_csv(path, trace: Sequence[TraceRecord], window: int,
                     nnz_names: Sequence[str], nnz_rows: Sequence[Sequence[float]]) -> None:
     n_blocks = len(trace[0].alpha_bar_blocks) if trace else 0
     smoothed = smoothed_series([r.gap_hat for r in trace], window)
+    header = ["k", "objective_estimate", "gap_hat", "gap_hat_smoothed",
+              *(f"alpha_bar_{i}" for i in range(n_blocks)), "alpha_sd", *nnz_names]
+    # one %-format per row: numbers need no CSV quoting, and rows end in the csv module's \r\n
+    line = ",".join(["%d"] + ["%.17g"] * (len(header) - 1)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "objective_estimate", "gap_hat", "gap_hat_smoothed",
-                         *(f"alpha_bar_{i}" for i in range(n_blocks)), "alpha_sd", *nnz_names])
-        for record, smooth, nnz in zip(trace, smoothed, nnz_rows):
-            row = [str(record.k),
-                   f"{record.objective_estimate:.17g}",
-                   f"{record.gap_hat:.17g}",
-                   f"{smooth:.17g}"]
-            row += [f"{a:.17g}" for a in record.alpha_bar_blocks]
-            row.append(f"{record.alpha_sd:.17g}")
-            row += [f"{v:.17g}" for v in nnz]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % (record.k, record.objective_estimate, record.gap_hat, smooth,
+                              *record.alpha_bar_blocks, record.alpha_sd, *nnz)
+                      for record, smooth, nnz in zip(trace, smoothed, nnz_rows))
 
 
 def _net_nnz_columns(layout: ParamLayout, trace: Sequence[TraceRecord]):
     """Per-layer NNZ percentages derived from the per-block counts."""
     names = [f"nnz_layer_{l}" for l in layout.spec.fw_layers]
-    rows = []
-    groups = [(l, layout.blocks_for_layer(l)) for l in layout.spec.fw_layers]
-    for record in trace:
-        row = []
-        for l, blocks in groups:
-            fan_in = layout.spec.fan_in(l)
-            counts = [record.nnz_blocks[b] for b in blocks]
-            row.append(100.0 * float(np.mean([c / fan_in for c in counts])))
-        rows.append(row)
+    counts = np.array([record.nnz_blocks for record in trace],
+                      dtype=np.float64).reshape(len(trace), len(layout.block_dims))
+    rows: list[list[float]] = [[] for _ in trace]
+    for l in layout.spec.fw_layers:
+        shares = counts[:, layout.blocks_for_layer(l)] / layout.spec.fan_in(l)
+        # np.mean of each record's shares: a 1-D sum per row (a sum along axis 1 rounds otherwise)
+        for row, part in zip(rows, shares):
+            row.append(100.0 * float(np.add.reduce(part) / len(part)))
     return names, rows
 
 
@@ -812,7 +808,9 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                          help=f"override config key {key}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(prog="fwsd",
                                      description="Constrained stochastic hybrid optimizer")
     commands = parser.add_subparsers(dest="command", required=True)

@@ -55,11 +55,12 @@ def dual_norm(v: np.ndarray, norm: Norm) -> float:
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         return 0.0
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
-    if norm is Norm.L2:
-        return float(np.linalg.norm(v))
-    return float(np.max(np.abs(v)))
+    if norm is Norm.L2:  # np.linalg.norm's sum of squares and root, without its dispatch
+        flat = v.ravel(order="K")
+        return math.sqrt(flat.dot(flat))
+    return float(np.abs(v).max())
 
 
 @dataclass(frozen=True)

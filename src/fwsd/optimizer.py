@@ -208,8 +208,7 @@ def iterates_digest(iterates: Iterable[Iterate]) -> str:
     return h.hexdigest()
 
 
-def fw_step(x: np.ndarray, g: np.ndarray, ball: L1Ball, c_bar: np.ndarray,
-            config: OptimizerConfig):
+def fw_step(x: np.ndarray, g: np.ndarray, ball: L1Ball, c_bar: np.ndarray):
     """Frank-Wolfe step on the rows of one group of blocks sharing ``ball``.
 
     ``x`` and ``g`` are ``(n_rows, dim)``; ``c_bar`` holds the rows' constants.
@@ -227,16 +226,16 @@ def fw_step(x: np.ndarray, g: np.ndarray, ball: L1Ball, c_bar: np.ndarray,
     return x - alpha[:, None] * fw, g_tilde, alpha
 
 
-def sd_step(y: np.ndarray, h_hat: np.ndarray, config: OptimizerConfig):
+def sd_step(y: np.ndarray, h_hat: np.ndarray, h_norm: float, config: OptimizerConfig):
     """Steepest-descent step on the free block.
 
     The direction maximizes ``h_hat @ u`` over the unit ball of the chosen
     norm (the normalized gradient for L2, a signed coordinate vector for
-    L1) and the step size is ``||h_hat||_* / (2 * l_nabla)``.
+    L1) and the step size is ``||h_hat||_* / (2 * l_nabla)``. ``h_norm`` is
+    ``dual_norm(h_hat, config.norm_y)``, which `run` also adds to the gap estimate.
     """
     y = np.asarray(y, dtype=np.float64)
     h_hat = np.asarray(h_hat, dtype=np.float64)
-    h_norm = dual_norm(h_hat, config.norm_y)
     if h_norm == 0.0:
         return y.copy(), 0.0
     alpha = h_norm / (2.0 * config.l_nabla)
@@ -331,13 +330,14 @@ def run(
     for (ball, _), m in zip(groups, x):
         _fail_rows(outside_rows(ball, m), "x0 block is infeasible")
 
-    def each_group(step, kernel, mats, blocks, name):
+    def each_group(step, kernel, mats, blocks, name, *args):
+        # ``args`` follow the group's (matrix, gradient, ball, c_bar) in each kernel call
         with blame_blocks(step, range(len(balls))):
             grads = regroup(blocks, heights, dims, name)
         out = []
         for (ball, idx), m, g, cg in zip(groups, mats, grads, c_bars):
             with blame_blocks(step, idx):
-                out.append(kernel(m, g, ball, cg, config))
+                out.append(kernel(m, g, ball, cg, *args))
         return out
 
     def snapshot(k):
@@ -362,13 +362,17 @@ def run(
             steps = each_group("fw_step", fw_step, x, est.g_blocks, "g")
             x_bar = [s[0] for s in steps]
             g_tildes = _in_block_order([s[1] for s in steps])
-            gap_hat = float(sum(g_tildes)) * constants.scale + dual_norm(est.h, config.norm_y)
-            y_next, alpha_sd = sd_step(y, est.h, config)
+            if not np.isfinite(est.h).all():  # dual_norm's own check cannot name h or the step
+                raise ValueError("h contains non-finite entries (in sd_step)")
+            h_norm = dual_norm(est.h, config.norm_y)  # one norm for the gap and sd_step
+            gap_hat = float(sum(g_tildes)) * constants.scale + h_norm
+            y_next, alpha_sd = sd_step(y, est.h, h_norm, config)
 
             if config.alternative_directions and balls:
                 fresh = problem.draw(streams.alt_batches, b_k)
                 check = _mean_gradient(problem, x_bar, y_next, fresh)
-                aways = each_group("alt_step", alt_step, x_bar, check.g_blocks, "g_check")
+                aways = each_group("alt_step", alt_step, x_bar, check.g_blocks, "g_check",
+                                   config)
                 x = [s[0] for s in aways]
                 betas = _in_block_order([s[1].beta_bar for s in aways])
                 taken = _in_block_order([s[1].taken for s in aways])

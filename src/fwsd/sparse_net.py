@@ -6,7 +6,9 @@ layer. A `ParamLayout` maps those arrays onto optimizer coordinates: each
 node of a constrained layer contributes its incoming-weight row as one
 l1-ball block, everything else (dense layers, biases) is flattened into
 the single free block. Backpropagation runs over a batch of samples at
-once; a single sample is a batch of one.
+once, writing each sample's whole gradient as one row of a buffer whose
+columns are the coordinates in `ParamLayout.pack` order; a single sample
+is a batch of one.
 
 Dataset containers and their on-disk formats (columnar CSV and a compact
 binary layout) live here too, next to the synthetic teacher-network
@@ -24,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import NNZ_THRESHOLD, L1Ball, RowError, batch_sum, nnz_rows, regroup
-from .problems import GradientEstimate
+from .problems import GradientEstimate, _shaped_like
 
 _DATASET_MAGIC = b"FWSDDATA"
 _DATASET_VERSION = 1
@@ -110,7 +112,9 @@ class ParamLayout:
 
     Blocks are ordered by (constrained layer, node); the free block
     concatenates the dense layers' weights in layer order followed by all
-    bias vectors (when the spec has biases).
+    bias vectors (when the spec has biases). ``columns[l]`` holds layer
+    ``l``'s weight and bias slices of the ``size`` coordinates in that order
+    (the bias slice is ``None`` without biases), ``shapes[l]`` its weight shape.
     """
 
     def __init__(self, spec: MLPSpec):
@@ -119,13 +123,22 @@ class ParamLayout:
             (l, node) for l in spec.fw_layers for node in range(spec.fan_out(l))
         )
         self.block_dims: tuple[int, ...] = tuple(spec.fan_in(l) for l, _ in self.block_meta)
-        y_dim = sum(
-            spec.fan_out(l) * spec.fan_in(l)
-            for l in range(spec.n_layers) if l not in spec.fw_layers
-        )
-        if spec.bias:
-            y_dim += sum(spec.fan_out(l) for l in range(spec.n_layers))
-        self.y_dim = y_dim
+        self.shapes = tuple((spec.fan_out(l), spec.fan_in(l)) for l in range(spec.n_layers))
+        # the constrained layers' heights and widths, as `regroup` takes them
+        self._fw_cut = (tuple(spec.fan_out(l) for l in spec.fw_layers),
+                        tuple(spec.fan_in(l) for l in spec.fw_layers))
+        dense = [l for l in range(spec.n_layers) if l not in spec.fw_layers]
+        w_cols, at = {}, 0
+        for l in (*spec.fw_layers, *dense):
+            w_cols[l] = slice(at, at + math.prod(self.shapes[l]))
+            at = w_cols[l].stop
+        b_cols = {}
+        for l in range(spec.n_layers) if spec.bias else ():
+            b_cols[l] = slice(at, at + spec.fan_out(l))
+            at = b_cols[l].stop
+        self.columns = tuple((w_cols[l], b_cols.get(l)) for l in range(spec.n_layers))
+        self.size = at
+        self.y_dim = at - sum(self.block_dims)
 
     def balls(self) -> tuple[L1Ball, ...]:
         """One l1 ball per block, radius taken from the block's layer."""
@@ -156,10 +169,8 @@ class ParamLayout:
 
         A constrained layer's weights are a `regroup` view where they can be.
         """
-        spec = self.spec
         try:
-            fw = iter(regroup(x_blocks, [spec.fan_out(l) for l in spec.fw_layers],
-                              [spec.fan_in(l) for l in spec.fw_layers], "x_blocks"))
+            fw = regroup(x_blocks, *self._fw_cut, "x_blocks")
         except RowError as exc:
             if exc.row is None:
                 raise
@@ -169,26 +180,16 @@ class ParamLayout:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.y_dim,):
             raise ValueError(f"free block has shape {y.shape}, expected ({self.y_dim},)")
-        weights = []
-        at = 0
-        for l in range(spec.n_layers):
-            shape = (spec.fan_out(l), spec.fan_in(l))
-            if l in spec.fw_layers:
-                w = next(fw)
-            else:
-                size = shape[0] * shape[1]
-                w = y[at:at + size].reshape(shape).copy()
-                at += size
-            weights.append(w)
+        n_x = self.size - self.y_dim  # y holds the columns after the blocks'
+        weights = dict(zip(self.spec.fw_layers, fw))
         params = []
-        for l in range(spec.n_layers):
-            if spec.bias:
-                n = spec.fan_out(l)
-                b = y[at:at + n].copy()
-                at += n
-            else:
-                b = np.zeros(spec.fan_out(l))
-            params.append(LayerParams(w=weights[l], b=b))
+        for l, ((w_cols, b_cols), shape) in enumerate(zip(self.columns, self.shapes)):
+            w = weights.get(l)
+            if w is None:
+                w = y[w_cols.start - n_x:w_cols.stop - n_x].reshape(shape).copy()
+            b = (np.zeros(shape[0]) if b_cols is None
+                 else y[b_cols.start - n_x:b_cols.stop - n_x].copy())
+            params.append(LayerParams(w=w, b=b))
         return params
 
 
@@ -214,7 +215,9 @@ def _activate(activation: Activation, z: np.ndarray) -> np.ndarray:
         # split by sign for stability on large magnitudes: exp only sees -|z|
         pos = z >= 0
         e = np.exp(np.where(pos, -z, z))
-        return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+        den = 1.0 + e
+        np.copyto(e, 1.0, where=pos)  # e becomes the numerator in place: less peak memory
+        return np.divide(e, den, out=e)
     return np.maximum(z, 0.0)
 
 
@@ -237,46 +240,56 @@ def loss_value(spec: MLPSpec, pred: np.ndarray, target: np.ndarray) -> float:
     """Mean loss over a batch of predictions."""
     pred = np.atleast_2d(np.asarray(pred, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    if spec.loss is Loss.MSE:
-        return float(np.mean((pred - target) ** 2))
+    if spec.loss is Loss.MSE:  # np.mean's sum and division, squaring in place
+        sq = pred - target
+        np.square(sq, out=sq)
+        return float(np.add.reduce(sq, axis=None) / sq.size)
     m = np.max(pred, axis=1, keepdims=True)
     log_z = np.log(np.sum(np.exp(pred - m), axis=1)) + m[:, 0]
     per_sample = log_z * np.sum(target, axis=1) - np.sum(target * pred, axis=1)
     return float(np.mean(per_sample))
 
 
-def _backprop(spec: MLPSpec, params: Sequence[LayerParams], X: np.ndarray, T: np.ndarray):
-    """Mean over the rows of ``X``/``T`` of each sample's per-layer ``(grad_w, grad_b)``.
+def _backprop(layout: ParamLayout, params: Sequence[LayerParams], X: np.ndarray,
+              T: np.ndarray) -> np.ndarray:
+    """Mean over the rows of ``X``/``T`` of each sample's gradient, in `ParamLayout.pack` order.
 
-    Every product is a per-row matrix-vector product and the batch sum is
-    `batch_sum`'s left fold in row order, so the result equals, bit for bit,
-    adding the single-sample gradients one at a time and dividing by the count.
-    Rows go through in chunks of ``_CHUNK_ROWS`` to bound memory; each chunk's
-    fold starts from the running sum.
+    Each sample's whole gradient is one row of a ``(rows, layout.size)``
+    buffer: every product is a per-row matrix-vector product, and one
+    `batch_sum` folds the buffer's rows in order, so the result equals, bit
+    for bit, adding the single-sample gradients one at a time and dividing by
+    the count. Rows go through in chunks of ``_CHUNK_ROWS`` to bound memory;
+    each chunk's running sum is added into its first row before its fold.
     """
+    spec = layout.spec
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    sums: list[LayerParams] = []
+    last = spec.n_layers - 1
+    total = None
     for start in range(0, n, _CHUNK_ROWS):
         pre: list[np.ndarray] = []
         post = [X[start:start + _CHUNK_ROWS]]
+        rows = len(post[0])
         for l, (w, b) in enumerate(params):
             z = np.matmul(w[None], post[-1][:, :, None])[:, :, 0] + b
             pre.append(z)
-            post.append(z if l == spec.n_layers - 1 else _activate(spec.activation, z))
+            post.append(z if l == last else _activate(spec.activation, z))
         delta = _output_grad(spec.loss, post[-1], T[start:start + _CHUNK_ROWS])
-        grads: list[LayerParams] = []
-        for l in range(spec.n_layers - 1, -1, -1):
-            grads.insert(0, LayerParams(w=delta[:, :, None] * post[l][:, None, :], b=delta))
+        buf = np.empty((rows, layout.size))
+        for l in range(last, -1, -1):
+            w_cols, b_cols = layout.columns[l]
+            np.multiply(delta[:, :, None], post[l][:, None, :],
+                        out=buf[:, w_cols].reshape(rows, *layout.shapes[l]))
+            if b_cols is not None:
+                buf[:, b_cols] = delta
             if l > 0:
                 back = np.matmul(params[l].w.T[None], delta[:, :, None])[:, :, 0]
                 delta = back * _activation_slope(spec.activation, pre[l - 1], post[l])
-        for s, g in zip(sums, grads):  # carry the running sum into this chunk's fold
-            g.w[0] += s.w
-            g.b[0] += s.b
-        sums = [LayerParams(w=batch_sum(g.w), b=batch_sum(g.b)) for g in grads]
-    return [LayerParams(w=s.w / n, b=s.b / n) for s in sums]
+        if total is not None:
+            buf[0] += total
+        total = batch_sum(buf)
+    return total / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,13 +330,14 @@ class MLPProblem:
     def gradient_mean(self, x_blocks, y, batch):
         """Mean of the batch's per-sample gradients from one pass; the objective uses `forward`.
 
-        The blocks come in any cut; the gradient comes back as `ParamLayout.pack` cuts it.
+        The blocks come in any cut; the gradient comes back in the same cut, as
+        views of the one vector `_backprop` returns.
         """
         idx = np.asarray(batch, dtype=np.int64)
         params = self.layout.unpack(x_blocks, y)
-        X, T = self.data.features[idx], self.data.targets[idx]
-        g_blocks, g_y = self.layout.pack(_backprop(self.spec, params, X, T))
-        return GradientEstimate(tuple(g_blocks), g_y,
+        X, T = self.data.features.take(idx, axis=0), self.data.targets.take(idx, axis=0)
+        g_blocks, h = _shaped_like(x_blocks, _backprop(self.layout, params, X, T))
+        return GradientEstimate(tuple(g_blocks), h,
                                 lambda: loss_value(self.spec, forward(self.spec, params, X), T))
 
     def exact_gradient(self, x_blocks, y):

@@ -140,8 +140,9 @@ def run(problem, balls, y0, x0_blocks, config):
             objective = float(est.objective())
 
             x_bar, g_tildes, alphas = fw_step(x, est.g_blocks, balls, config)
-            gap_hat = float(sum(g_tildes)) * constants.scale + dual_norm(est.h, config.norm_y)
-            y_next, alpha_sd = sd_step(y, est.h, config)
+            h_norm = dual_norm(est.h, config.norm_y)
+            gap_hat = float(sum(g_tildes)) * constants.scale + h_norm
+            y_next, alpha_sd = sd_step(y, est.h, h_norm, config)
 
             if config.alternative_directions and n_blocks > 0:
                 fresh = problem.draw(streams.alt_batches, b_k)

@@ -1,8 +1,11 @@
 """Config schema, file formats, subcommand behavior, exit codes."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from fwsd.cli import (
     EpochSampling,
     ExperimentConfig,
     _coerce,
+    build_parser,
     config_echo_lines,
     load_checkpoint,
     load_config,
@@ -663,3 +667,26 @@ def test_unwritable_output_is_runtime_error(tmp_path, capsys):
                               str(tmp_path / "no" / "such" / "dir" / "q")))
     capsys.readouterr()
     assert code == 2
+
+
+def test_main_calls_in_one_process_match_separate_processes(tmp_path, capsys):
+    # `main` parses with one parser per process; no flag of one call reaches the next
+    assert build_parser() is build_parser()
+    calls = [net_args(tmp_path / "a", "--method", "sfw-if", "--batch-size", "8"),
+             ["train", "--no-such-flag", "1"],
+             net_args(tmp_path / "b")]
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+    codes = [run_cli(*argv) for argv in calls]
+    capsys.readouterr()
+    assert codes == [0, 1, 0]
+    artifacts = sorted(p for p in tmp_path.rglob("n.*") if p.suffix != ".bin")
+    together = {p: p.read_bytes() for p in artifacts}
+    for p in artifacts:
+        p.unlink()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv in calls:
+        subprocess.run([sys.executable, "-m", "fwsd", *argv], env=env, capture_output=True,
+                       timeout=120)
+    assert {p: p.read_bytes() for p in artifacts} == together
+    assert {p.parent.name for p in artifacts} == {"a", "b"}

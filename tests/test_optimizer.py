@@ -109,7 +109,7 @@ class TestFwStep:
     def test_worked_example(self):
         ball = L1Ball(2, 1.0)
         cfg = config_for([ball])
-        x_bar, g_tildes, alphas = fw_step(*one_row(ball, np.zeros(2), [1.0, -2.0], cfg))
+        x_bar, g_tildes, alphas = fw_step(*one_row(ball, np.zeros(2), [1.0, -2.0], cfg)[:4])
         assert g_tildes.tolist() == [2.0]
         assert alphas.tolist() == [0.25]
         np.testing.assert_array_equal(x_bar[0], [0.0, 0.25])
@@ -117,7 +117,7 @@ class TestFwStep:
     def test_clamp_caps_step_at_one(self):
         ball = L1Ball(2, 1.0)
         cfg = config_for([ball], c_bar_per_block=(8.0,))
-        x_bar, g_tildes, alphas = fw_step(*one_row(ball, np.zeros(2), [100.0, 0.0], cfg))
+        x_bar, g_tildes, alphas = fw_step(*one_row(ball, np.zeros(2), [100.0, 0.0], cfg)[:4])
         assert g_tildes[0] == 100.0
         assert alphas.tolist() == [1.0]
         np.testing.assert_array_equal(x_bar[0], [-1.0, 0.0])
@@ -126,30 +126,36 @@ class TestFwStep:
         ball = L1Ball(2, 1.0)
         cfg = config_for([ball])
         x = np.array([-1.0, 0.0])  # the oracle vertex for this gradient
-        x_bar, g_tildes, alphas = fw_step(*one_row(ball, x, [5.0, 0.0], cfg))
+        x_bar, g_tildes, alphas = fw_step(*one_row(ball, x, [5.0, 0.0], cfg)[:4])
         assert g_tildes.tolist() == [0.0]
         assert alphas.tolist() == [0.0]
         np.testing.assert_array_equal(x_bar[0], x)
 
 
+def with_norm(h, cfg):
+    """`sd_step`'s ``(h_hat, h_norm, config)`` arguments, the norm as `run` computes it."""
+    h = np.array(h, dtype=np.float64)
+    return h, dual_norm(h, cfg.norm_y), cfg
+
+
 class TestSdStep:
     def test_l2_worked_example(self):
         cfg = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(), iterations=1, seed=0)
-        y_next, alpha = sd_step(np.zeros(2), np.array([3.0, 4.0]), cfg)
+        y_next, alpha = sd_step(np.zeros(2), *with_norm([3.0, 4.0], cfg))
         assert alpha == 2.5
         np.testing.assert_allclose(y_next, [-1.5, -2.0])
 
     def test_l1_worked_example(self):
         cfg = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(), iterations=1, seed=0,
                               norm_y=Norm.L1)
-        y_next, alpha = sd_step(np.zeros(2), np.array([3.0, 4.0]), cfg)
+        y_next, alpha = sd_step(np.zeros(2), *with_norm([3.0, 4.0], cfg))
         assert alpha == 2.0
         np.testing.assert_array_equal(y_next, [0.0, -2.0])
 
     def test_zero_gradient_is_a_no_op(self):
         cfg = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(), iterations=1, seed=0)
         y = np.array([1.0, -2.0])
-        y_next, alpha = sd_step(y, np.zeros(2), cfg)
+        y_next, alpha = sd_step(y, *with_norm(np.zeros(2), cfg))
         assert alpha == 0.0
         np.testing.assert_array_equal(y_next, y)
 
@@ -157,7 +163,7 @@ class TestSdStep:
         cfg = OptimizerConfig(l_nabla=2.0, c_bar_per_block=(), iterations=1, seed=0,
                               norm_y=Norm.L1)
         y = np.array([1.0, 2.0, 3.0])
-        y_next, alpha = sd_step(y, np.array([0.5, -4.0, 1.0]), cfg)
+        y_next, alpha = sd_step(y, *with_norm([0.5, -4.0, 1.0], cfg))
         assert alpha == 1.0
         np.testing.assert_array_equal(y_next, [1.0, 3.0, 3.0])
 
@@ -436,8 +442,7 @@ class TestRun:
         for k in range(5):
             batch = problem.draw(streams.data, 1)
             est = _mean_gradient(problem, list(x), y, batch)
-            x, _, _ = fws(x, np.array(est.g_blocks), balls[0],
-                          np.array(cfg.c_bar_per_block), cfg)
-            y, _ = sds(y, est.h, cfg)
+            x, _, _ = fws(x, np.array(est.g_blocks), balls[0], np.array(cfg.c_bar_per_block))
+            y, _ = sds(y, est.h, dual_norm(est.h, cfg.norm_y), cfg)
             iterates.append(Iterate((x[0].copy(),), y.copy(), k + 1))
         assert iterates_digest(iterates) == result.iterates_digest

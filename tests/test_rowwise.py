@@ -27,6 +27,7 @@ from fwsd.geometry import (
     FACE_TOL,
     IN_FACE_TOL,
     L1Ball,
+    Norm,
     RowError,
     away_rows,
     ball_groups,
@@ -134,11 +135,16 @@ def _by_group(kernel, x, g, balls, config):
     for ball, idx in ref.groups_by_ball(balls):
         with blame_blocks(kernel.__name__, idx):
             x_m, g_m = (np.array([v[i] for i in idx.tolist()], dtype=np.float64) for v in (x, g))
-            result = kernel(x_m, g_m, ball, c_bar[idx], config)
+            result = kernel(x_m, g_m, ball, c_bar[idx], *_extra(kernel, config))
         for r, i in enumerate(idx.tolist()):
             out[i] = [part[r].item() if isinstance(part, np.ndarray) and part.ndim == 1
                       else part[r] for part in result]
     return tuple(zip(*out))
+
+
+def _extra(kernel, config):
+    """The arguments after ``(x, g, ball, c_bar)``: `alt_step` reads the config, `fw_step` not."""
+    return (config,) if kernel is alt_step else ()
 
 
 def _outcome(fn, *args):
@@ -346,11 +352,12 @@ def test_kernels_name_the_row_with_non_finite_gradient(kernel):
     g[2, 1] = np.nan
     name = "g" if kernel is fw_step else "g_check"
     with pytest.raises(RowError, match=rf"^{name} contains non-finite entries$") as info:
-        kernel(np.zeros((3, 3)), g, L1Ball(3, 1.0), np.full(3, 8.0), config)
+        kernel(np.zeros((3, 3)), g, L1Ball(3, 1.0), np.full(3, 8.0), *_extra(kernel, config))
     assert info.value.row == 2
     with pytest.raises(RowError, match=rf"\(block 3, in {kernel.__name__}\)$"):
         with blame_blocks(kernel.__name__, [0, 2, 3]):
-            kernel(np.zeros((3, 3)), g, L1Ball(3, 1.0), np.full(3, 8.0), config)
+            kernel(np.zeros((3, 3)), g, L1Ball(3, 1.0), np.full(3, 8.0),
+                   *_extra(kernel, config))
 
 
 def test_in_face_cap_failure_names_the_group_row():
@@ -432,3 +439,30 @@ def test_run_with_non_finite_gradient_fails_loudly():
     config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(8.0, 8.0), iterations=2, seed=0)
     with pytest.raises(ValueError, match=r"non-finite entries \(block 0, in fw_step\)"):
         run(inst, balls, np.zeros(1), [np.zeros(3), np.zeros(2)], config)
+
+
+class _NonFiniteFree:
+    """A quadratic whose free gradient ``h`` holds a NaN from data batch ``first_bad`` on."""
+
+    def __init__(self, inst, first_bad):
+        self.inst, self.first_bad, self.batches = inst, first_bad, 0
+        self.block_dims, self.y_dim, self.draw = inst.block_dims, inst.y_dim, inst.draw
+
+    def gradient_mean(self, x_blocks, y, batch):
+        est = self.inst.gradient_mean(x_blocks, y, batch)
+        if self.batches >= self.first_bad:
+            est.h[0] = np.nan
+        self.batches += 1
+        return est
+
+
+@pytest.mark.parametrize("norm_y", [Norm.L1, Norm.L2])
+def test_run_names_the_free_gradient_and_sd_step(norm_y):
+    # one dual norm of h serves the gap estimate and sd_step; a NaN in h names h and sd_step
+    inst = make_quadratic(seed=0, p=(3, 2), q=2, l_nabla=1.0)
+    balls = [L1Ball(3, 1.0), L1Ball(2, 1.0)]
+    config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(8.0, 8.0), iterations=4, seed=0,
+                             norm_y=norm_y)
+    with pytest.raises(ValueError, match=r"^h contains non-finite entries \(in sd_step\) "
+                                         r"at iteration 2$"):
+        run(_NonFiniteFree(inst, 2), balls, np.zeros(2), [np.zeros(3), np.zeros(2)], config)
