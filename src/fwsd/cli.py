@@ -46,6 +46,8 @@ from .sparse_net import (
     MLPSpec,
     ParamLayout,
     SynthSpec,
+    _check_widths,
+    _nnz_percentages,
     evaluate,
     generate_synthetic,
     hard_threshold,
@@ -286,11 +288,14 @@ def load_checkpoint(path):
     try:
         header = json.loads(bytes(reader.read(length, "header")).decode("utf-8"))
         entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
+        if not (isinstance(header["kind"], str) and isinstance(header["spec"], dict)
+                and isinstance(header["meta"], dict)):
+            raise TypeError
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
         raise ValueError(f"{path}: malformed checkpoint header") from None
     arrays = {name: reader.floats(shape, name) for name, shape in entries}
     reader.finish()
-    m = header.get("meta", {}).get("m")
+    m = header["meta"].get("m")
     if header["kind"] == "net" and m is not None:
         try:
             sizes = header["spec"]["layer_sizes"]
@@ -382,26 +387,6 @@ def write_trace_csv(path, trace: Sequence[TraceRecord], window: int,
                       for record, smooth, nnz in zip(trace, smoothed, nnz_rows))
 
 
-def _net_nnz_columns(layout: ParamLayout, trace: Sequence[TraceRecord]):
-    """Per-layer NNZ percentages derived from the per-block counts."""
-    names = [f"nnz_layer_{l}" for l in layout.spec.fw_layers]
-    counts = np.array([record.nnz_blocks for record in trace],
-                      dtype=np.float64).reshape(len(trace), len(layout.block_dims))
-    rows: list[list[float]] = [[] for _ in trace]
-    for l in layout.spec.fw_layers:
-        shares = counts[:, layout.blocks_for_layer(l)] / layout.spec.fan_in(l)
-        # np.mean of each record's shares: a 1-D sum per row (a sum along axis 1 rounds otherwise)
-        for row, part in zip(rows, shares):
-            row.append(100.0 * float(np.add.reduce(part) / len(part)))
-    return names, rows
-
-
-def _block_nnz_columns(n_blocks: int, trace: Sequence[TraceRecord]):
-    names = [f"nnz_block_{i}" for i in range(n_blocks)]
-    rows = [[float(c) for c in record.nnz_blocks] for record in trace]
-    return names, rows
-
-
 # --------------------------------------------------------------------------
 # problems, sampling, training
 
@@ -438,15 +423,16 @@ class EpochSampling:
         return out
 
 
-def _load_dataset_any(path: str) -> Dataset:
+def _load_dataset_any(path: str, spec: MLPSpec) -> Dataset:
+    """Read a binary or CSV dataset whose widths fit the network ``spec``."""
     try:
         with open(path, "rb") as fh:
             magic = fh.read(len(_DATASET_MAGIC))
     except OSError as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from None
-    if magic == _DATASET_MAGIC:
-        return load_dataset_bin(path)
-    return load_dataset_csv(path)
+    data = load_dataset_bin(path) if magic == _DATASET_MAGIC else load_dataset_csv(path)
+    _check_widths(spec, data, path)
+    return data
 
 
 def _synth_spec(config: ExperimentConfig) -> SynthSpec:
@@ -542,9 +528,8 @@ def _train_net(config: ExperimentConfig) -> TrainOutcome:
     else:
         if not config.dataset:
             raise ConfigError("problem = dataset requires a dataset path")
-        train = _load_dataset_any(config.dataset)
-        val = _load_dataset_any(config.val_dataset) if config.val_dataset else None
-        test = _load_dataset_any(config.test_dataset) if config.test_dataset else None
+        train, val, test = (_load_dataset_any(path, spec_full) if path else None for path in
+                            (config.dataset, config.val_dataset, config.test_dataset))
 
     # sgd trains every weight as a free variable; metrics still describe
     # the configured constrained layers
@@ -564,40 +549,43 @@ def _train_net(config: ExperimentConfig) -> TrainOutcome:
 
     out = result.output_iterate
     params = layout.unpack(out.x, out.y)
-    nnz = nnz_metrics(params, metrics_layout)
-    for l in spec_full.fw_layers:
-        metrics.append((f"nnz_layer_{l}", nnz[l]))
+    metrics += [(f"nnz_layer_{l}", v) for l, v in nnz_metrics(params, metrics_layout).items()]
 
-    eval_spec = replace(spec_full, fw_layers=(), deltas=())
     if config.problem == "synthetic-net":
         eval_split, eval_data = "test", test
     else:
         eval_split, eval_data = ("test", test) if test is not None else (
             ("val", val) if val is not None else ("train", train))
-    scores = evaluate(eval_spec, params, eval_data)
+    cut_scores = _threshold_scores(metrics_layout, params, eval_data, REPORT_THETAS)
+    # REPORT_THETAS starts at 100, the cut that keeps every weight: the eval score
     metrics.append(("eval_split", eval_split))
-    metrics.append(("eval_loss", scores["loss"]))
-    if "accuracy" in scores:
-        metrics.append(("eval_accuracy", scores["accuracy"]))
-    for theta in REPORT_THETAS:
-        cut = hard_threshold(params, metrics_layout, theta)
-        cut_scores = evaluate(eval_spec, cut, eval_data)
-        tag = f"{theta:g}"
-        metrics.append((f"threshold_{tag}_loss", cut_scores["loss"]))
-        if "accuracy" in cut_scores:
-            metrics.append((f"threshold_{tag}_accuracy", cut_scores["accuracy"]))
+    metrics += [(f"eval_{name}", value) for name, value in cut_scores[0].items()]
+    for theta, scores in zip(REPORT_THETAS, cut_scores):
+        metrics += [(f"threshold_{theta:g}_{name}", value) for name, value in scores.items()]
 
-    val_scores = evaluate(eval_spec, params, val) if val is not None else scores
+    val_scores = cut_scores[0]  # the eval split's, unless val is a split of its own
+    if val is not None and eval_data is not val:
+        (val_scores,) = _threshold_scores(metrics_layout, params, val, (100.0,))
     # the trace counts the trained blocks only, and sgd trains none
-    nnz_names, nnz_rows = _net_nnz_columns(layout, result.trace)
     return TrainOutcome(
         result=result,
         metrics=metrics,
-        nnz_names=nnz_names,
-        nnz_rows=nnz_rows,
+        nnz_names=[f"nnz_layer_{l}" for l in layout.spec.fw_layers],
+        nnz_rows=_nnz_percentages(layout, [record.nnz_blocks for record in result.trace]),
         checkpoint=("net", _net_spec_meta(spec_full), _net_arrays(params)),
         val_loss=float(val_scores["loss"]),
     )
+
+
+def _threshold_scores(layout: ParamLayout, params, data: Dataset,
+                      thetas: Sequence[float]) -> list[dict[str, float]]:
+    """`evaluate` the trained network cut by `hard_threshold` at each theta, in order.
+
+    Both are this module's names, looked up on every call, so a tracer that
+    patches them here sees every cut and every pass.
+    """
+    eval_spec = replace(layout.spec, fw_layers=(), deltas=())
+    return [evaluate(eval_spec, hard_threshold(params, layout, theta), data) for theta in thetas]
 
 
 def _train_quadratic(config: ExperimentConfig) -> TrainOutcome:
@@ -616,13 +604,12 @@ def _train_quadratic(config: ExperimentConfig) -> TrainOutcome:
     metrics.append(("final_objective_exact", final_objective))
     for i, count in enumerate([c for m in out.x for c in nnz_rows(m).tolist()]):
         metrics.append((f"nnz_block_{i}", count))
-    nnz_names, nnz_trace = _block_nnz_columns(len(blocks), result.trace)
     arrays = [(f"x{i}", x) for i, x in enumerate(out.x_blocks)] + [("y", out.y)]
     return TrainOutcome(
         result=result,
         metrics=metrics,
-        nnz_names=nnz_names,
-        nnz_rows=nnz_trace,
+        nnz_names=[f"nnz_block_{i}" for i in range(len(blocks))],
+        nnz_rows=[[float(c) for c in record.nnz_blocks] for record in result.trace],
         checkpoint=("quadratic", {"block_dims": list(blocks), "y_dim": y_dim}, arrays),
         val_loss=float(final_objective),
     )
@@ -698,22 +685,11 @@ def cmd_train(config: ExperimentConfig) -> int:
 def cmd_threshold_eval(ckpt_path: str, dataset_path: str,
                        thetas: Sequence[float], out_path: str | None) -> int:
     spec, params, _ = load_net_checkpoint(ckpt_path)
-    data = _load_dataset_any(dataset_path)
-    if data.features.shape[1] != spec.layer_sizes[0]:
-        raise ValueError("dataset width does not match the checkpoint's input layer")
-    layout = ParamLayout(spec)
-    eval_spec = replace(spec, fw_layers=(), deltas=())
-    with_accuracy = spec.loss is Loss.SOFTMAX_CE
-    rows = []
-    for theta in thetas:
-        cut = hard_threshold(params, layout, theta)
-        scores = evaluate(eval_spec, cut, data)
-        row = [f"{theta:.17g}", f"{scores['loss']:.17g}"]
-        if with_accuracy:
-            row.append(f"{scores['accuracy']:.17g}")
-        rows.append(row)
-    header = ["theta", "loss"] + (["accuracy"] if with_accuracy else [])
-    lines = [",".join(header)] + [",".join(r) for r in rows]
+    data = _load_dataset_any(dataset_path, spec)
+    scores = _threshold_scores(ParamLayout(spec), params, data, thetas)
+    header = ["theta", *scores[0]]
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in (theta, *s.values()))
+                                  for theta, s in zip(thetas, scores)]
     _emit(out_path, lines)
     return 0
 

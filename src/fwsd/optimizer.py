@@ -364,6 +364,8 @@ def run(
             g_tildes = _in_block_order([s[1] for s in steps])
             if not np.isfinite(est.h).all():  # dual_norm's own check cannot name h or the step
                 raise ValueError("h contains non-finite entries (in sd_step)")
+            if not np.isfinite(objective):  # after the gradient checks, which name the block
+                raise ValueError(f"objective_estimate is {objective} (in the batch objective)")
             h_norm = dual_norm(est.h, config.norm_y)  # one norm for the gap and sd_step
             gap_hat = float(sum(g_tildes)) * constants.scale + h_norm
             y_next, alpha_sd = sd_step(y, est.h, h_norm, config)

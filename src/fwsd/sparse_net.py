@@ -306,11 +306,7 @@ class MLPProblem:
     data: Dataset
 
     def __post_init__(self) -> None:
-        n, d = self.data.features.shape
-        if d != self.spec.layer_sizes[0]:
-            raise ValueError("feature width does not match the input layer")
-        if self.data.targets.shape != (n, self.spec.layer_sizes[-1]):
-            raise ValueError("target width does not match the output layer")
+        _check_widths(self.spec, self.data, "data")
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -345,23 +341,42 @@ class MLPProblem:
         return list(est.g_blocks), est.h
 
     def exact_objective(self, x_blocks, y) -> float:
-        params = self.layout.unpack(x_blocks, y)
-        pred = forward(self.spec, params, self.data.features)
-        return loss_value(self.spec, pred, self.data.targets)
+        return evaluate(self.spec, self.layout.unpack(x_blocks, y), self.data)["loss"]
+
+
+def _check_widths(spec: MLPSpec, data: Dataset, name: str) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``data`` fits the network's end layers."""
+    n, d = data.features.shape
+    if d != spec.layer_sizes[0] or data.targets.shape != (n, spec.layer_sizes[-1]):
+        raise ValueError(f"{name}: features {data.features.shape} and targets "
+                         f"{data.targets.shape} do not fit layer sizes {spec.layer_sizes}")
+
+
+def _nnz_percentages(layout: ParamLayout, counts) -> list[list[float]]:
+    """Per constrained layer, the mean over its nodes of ``100 * count / fan_in``, per row.
+
+    ``counts`` holds rows of per-block counts in block order. Each row's shares
+    are summed as one 1-D array, `np.mean`'s own order (a sum along axis 1 rounds
+    otherwise), then divided by the node count and scaled.
+    """
+    counts = np.array(counts, dtype=np.float64).reshape(len(counts), len(layout.block_dims))
+    out: list[list[float]] = [[] for _ in counts]
+    for l in layout.spec.fw_layers:
+        shares = counts[:, layout.blocks_for_layer(l)] / layout.spec.fan_in(l)
+        for row, part in zip(out, shares):
+            row.append(100.0 * float(np.add.reduce(part) / len(part)))
+    return out
 
 
 def nnz_metrics(params, layout: ParamLayout, threshold: float = NNZ_THRESHOLD) -> dict[int, float]:
-    """Percent of per-node incoming weights at or above ``threshold``.
+    """Percent of per-node incoming weights at or above ``threshold``, per constrained layer.
 
-    Computed per constrained layer as the average over its nodes of
-    ``100 * count(|w| >= threshold) / fan_in``.
+    The average over the layer's nodes of ``100 * count(|w| >= threshold) / fan_in``,
+    the rule the trace's NNZ columns use.
     """
-    out: dict[int, float] = {}
-    for l in layout.spec.fw_layers:
-        w = params[l].w
-        counts = nnz_rows(w, threshold)
-        out[l] = float(np.mean(counts / w.shape[1])) * 100.0
-    return out
+    counts = [c for l in layout.spec.fw_layers for c in nnz_rows(params[l].w, threshold).tolist()]
+    (row,) = _nnz_percentages(layout, [counts])
+    return dict(zip(layout.spec.fw_layers, row))
 
 
 def hard_threshold(params, layout: ParamLayout, theta_percent: float) -> list[LayerParams]:

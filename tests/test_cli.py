@@ -1,5 +1,6 @@
 """Config schema, file formats, subcommand behavior, exit codes."""
 
+import csv
 import json
 import os
 import re
@@ -12,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fwsd.cli
 from fwsd.cli import (
+    REPORT_THETAS,
     ConfigError,
     EpochSampling,
     ExperimentConfig,
@@ -29,7 +32,17 @@ from fwsd.cli import (
     smoothed_series,
 )
 from fwsd.optimizer import BatchSchedule, OptimizerConfig, run
-from fwsd.sparse_net import Dataset, LayerParams, MLPProblem, MLPSpec, ParamLayout, init_params
+from fwsd.sparse_net import (
+    Dataset,
+    LayerParams,
+    MLPProblem,
+    MLPSpec,
+    ParamLayout,
+    evaluate,
+    init_params,
+    load_dataset_bin,
+    save_dataset_csv,
+)
 
 
 def run_cli(*argv):
@@ -197,6 +210,26 @@ def test_checkpoint_rejects_inflated_header_counts(tmp_path):
                                  + full[13 + length:])
                 with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated at "):
                     load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [("kind", "absent"), ("spec", "absent"),
+                                          ("meta", "absent"), ("kind", 3), ("spec", []),
+                                          ("meta", [])],
+                         ids=["no-kind", "no-spec", "no-meta", "kind-number", "spec-list",
+                              "meta-list"])
+def test_checkpoint_header_names_the_file(tmp_path, field, value):
+    path = tmp_path / "c.ckpt"
+    full = _small_net_checkpoint(path)
+    (length,) = struct.unpack_from("<I", full, 9)
+    header = json.loads(full[13:13 + length])
+    if value == "absent":
+        del header[field]
+    else:
+        header[field] = value
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(full[:9] + struct.pack("<I", len(blob)) + blob + full[13 + length:])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed checkpoint header$"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -490,28 +523,113 @@ def test_synth_csv_format(tmp_path, capsys):
 # ---------------------------------------------------------------- threshold-eval
 
 
+SPLIT_FLAGS = {"--dataset": "train", "--val-dataset": "val", "--test-dataset": "test"}
+
+
+def dataset_train_args(tmp_path, *extra, splits=tuple(SPLIT_FLAGS)):
+    """`train` on the `synth_args` files named by the flags in ``splits``."""
+    files = [a for flag in splits for a in (flag, str(tmp_path / f"d.{SPLIT_FLAGS[flag]}.bin"))]
+    return ["train", "--problem", "dataset", *files, "--layer-sizes", "4,3,1",
+            "--fw-layers", "0", "--deltas", "2", "--iterations", "6", "--seed", "2",
+            "--out-prefix", str(tmp_path / "n"), *extra]
+
+
+def misfit_copy(tmp_path, split, kind):
+    """A CSV copy of a `synth_args` split with a fifth feature or a second target column."""
+    x, t = load_dataset_bin(tmp_path / f"d.{split}.bin")
+    if kind == "features":
+        x = np.hstack([x, x[:, :1]])
+    else:
+        t = np.hstack([t, t])
+    path = tmp_path / f"{split}-{kind}.csv"
+    save_dataset_csv(path, Dataset(x, t))
+    return path
+
+
 def test_threshold_eval_matches_report(tmp_path, capsys):
     assert run_cli(*synth_args(tmp_path)) == 0
-    assert run_cli(
-        "train", "--problem", "dataset", "--dataset", str(tmp_path / "d.train.bin"),
-        "--val-dataset", str(tmp_path / "d.val.bin"),
-        "--test-dataset", str(tmp_path / "d.test.bin"),
-        "--layer-sizes", "4,3,1", "--fw-layers", "0", "--deltas", "2",
-        "--iterations", "6", "--seed", "2", "--out-prefix", str(tmp_path / "n"),
-    ) == 0
+    assert run_cli(*dataset_train_args(tmp_path)) == 0
     capsys.readouterr()
     out = tmp_path / "table.csv"
     assert run_cli("threshold-eval", "--checkpoint", str(tmp_path / "n.ckpt"),
                    "--dataset", str(tmp_path / "d.test.bin"),
-                   "--thetas", "100,50", "--out", str(out)) == 0
+                   "--thetas", ",".join(f"{t:g}" for t in REPORT_THETAS),
+                   "--out", str(out)) == 0
     capsys.readouterr()
     lines = out.read_text().splitlines()
     assert lines[0] == "theta,loss"
-    assert len(lines) == 3
     report = read_report(tmp_path / "n.report.txt")
-    assert lines[1].split(",")[1] == report["threshold_100_loss"]
-    assert lines[2].split(",")[1] == report["threshold_50_loss"]
+    assert report["eval_split"] == "test"
+    assert [line.split(",") for line in lines[1:]] == [
+        [f"{t:.17g}", report[f"threshold_{t:g}_loss"]] for t in REPORT_THETAS]
     assert lines[1].split(",")[1] == report["eval_loss"], "theta=100 is a no-op"
+
+
+@pytest.mark.parametrize("splits, passes", [(tuple(SPLIT_FLAGS), 6),
+                                            (("--dataset", "--val-dataset"), 5)],
+                         ids=["val-and-test", "val-is-eval"])
+def test_train_scores_each_distinct_network_once(tmp_path, capsys, monkeypatch, splits, passes):
+    # five cuts on the eval split, the first (theta = 100) being the trained
+    # network itself, plus the trained network on val when val is not the eval split
+    assert run_cli(*synth_args(tmp_path)) == 0
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(fwsd.cli, "evaluate", counting)
+    assert run_cli(*dataset_train_args(tmp_path, "--method", "sfw-if", splits=splits)) == 0
+    capsys.readouterr()
+    assert len(calls) == passes
+    eval_split = read_report(tmp_path / "n.report.txt")["eval_split"]
+    assert eval_split == ("test" if passes == 6 else "val")
+
+
+@pytest.mark.parametrize("method", ["sfw", "sfw-if"])
+def test_report_nnz_equals_the_output_iterates_trace_row(tmp_path, capsys, method):
+    checked = 0
+    for seed in range(4):
+        assert run_cli(*net_args(tmp_path, "--method", method, "--layer-sizes", "5,4,3,1",
+                                 "--fw-layers", "0,1", "--deltas", "2,1",
+                                 "--seed", str(seed))) == 0
+        capsys.readouterr()
+        report = read_report(tmp_path / "n.report.txt")
+        k = int(report["output_index"])
+        if k == 0:  # the starting point has no trace row
+            continue
+        with open(tmp_path / "n.trace.csv", newline="") as fh:
+            row = list(csv.DictReader(fh))[k - 1]
+        for name in ("nnz_layer_0", "nnz_layer_1"):
+            assert report[name] == row[name], (seed, name)
+        checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("kind", ["features", "targets"])
+@pytest.mark.parametrize("flag", list(SPLIT_FLAGS))
+def test_train_checks_every_split_width_before_training(tmp_path, capsys, monkeypatch,
+                                                        flag, kind):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    capsys.readouterr()
+    bad = misfit_copy(tmp_path, SPLIT_FLAGS[flag], kind)
+    monkeypatch.setattr(fwsd.cli, "run", lambda *args: pytest.fail("training started"))
+    code = run_cli(*dataset_train_args(tmp_path, flag, str(bad)))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: features ")
+
+
+@pytest.mark.parametrize("kind", ["features", "targets"])
+def test_threshold_eval_checks_dataset_widths(tmp_path, capsys, monkeypatch, kind):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    assert run_cli(*dataset_train_args(tmp_path)) == 0
+    capsys.readouterr()
+    bad = misfit_copy(tmp_path, "test", kind)
+    monkeypatch.setattr(fwsd.cli, "evaluate", lambda *args: pytest.fail("scored"))
+    code = run_cli("threshold-eval", "--checkpoint", str(tmp_path / "n.ckpt"),
+                   "--dataset", str(bad))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: features ")
 
 
 def test_threshold_eval_shape_mismatch_is_runtime_error(tmp_path, capsys):

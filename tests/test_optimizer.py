@@ -21,7 +21,7 @@ from fwsd.optimizer import (
     run,
     sd_step,
 )
-from fwsd.problems import make_quadratic
+from fwsd.problems import GradientEstimate, make_quadratic
 
 
 def config_for(balls, iterations=10, seed=0, **kw):
@@ -298,6 +298,24 @@ class _NonFiniteFrom:
         return est
 
 
+class _ObjectiveFrom:
+    """A quadratic whose batch objective reads ``value`` from batch ``first_bad`` on."""
+
+    def __init__(self, inst, first_bad, value):
+        self.inst, self.first_bad, self.value, self.batches = inst, first_bad, value, 0
+        self.block_dims, self.y_dim = inst.block_dims, inst.y_dim
+
+    def draw(self, rng, n):
+        return self.inst.draw(rng, n)
+
+    def gradient_mean(self, x_blocks, y, batch):
+        est = self.inst.gradient_mean(x_blocks, y, batch)
+        if self.batches >= self.first_bad:
+            est = GradientEstimate(est.g_blocks, est.h, lambda: self.value)
+        self.batches += 1
+        return est
+
+
 class _CountingReads:
     """A quadratic that counts, per gradient pass, how often its objective is read."""
 
@@ -424,6 +442,18 @@ class TestRun:
         assert str(raised.value) == ("g contains non-finite entries (block 0, in fw_step) "
                                      "at iteration 3")
         assert diverging.batches == 4
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_objective_names_the_iteration(self, value):
+        # the trace would store it as nan or inf and the run would go on
+        problem = make_quadratic(seed=101, p=4, q=3, l_nabla=2.0)
+        balls = [L1Ball(4, 1.0)]
+        stub = _ObjectiveFrom(problem, first_bad=2, value=value)
+        with pytest.raises(ValueError) as raised:
+            run(stub, balls, np.zeros(3), [np.zeros(4)], config_for(balls, l_nabla=2.0))
+        assert str(raised.value) == (f"objective_estimate is {value} (in the batch objective) "
+                                     "at iteration 2")
+        assert stub.batches == 3
 
     def test_digest_matches_helper_on_recorded_iterates(self):
         # replay the run by hand and hash the iterates with the public helper
