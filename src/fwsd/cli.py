@@ -27,7 +27,7 @@ import json
 import struct
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -40,14 +40,16 @@ from .sparse_net import (
     _DATASET_MAGIC,
     BinaryReader,
     Dataset,
-    LayerParams,
     Loss,
     MLPProblem,
     MLPSpec,
     ParamLayout,
     SynthSpec,
     _check_widths,
+    _net_arrays,
+    _net_from,
     _nnz_percentages,
+    _teacher_spec,
     evaluate,
     generate_synthetic,
     hard_threshold,
@@ -267,7 +269,7 @@ def save_checkpoint(path, kind: str, spec_meta: dict, meta: dict,
         "meta": meta,
         "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = json.dumps(header, sort_keys=True, default=lambda enum: enum.value).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<B", _CKPT_VERSION))
@@ -280,8 +282,9 @@ def save_checkpoint(path, kind: str, spec_meta: dict, meta: dict,
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(header, {name: array})``.
 
-    A stored in-degree (teacher networks) is re-validated against the
-    arrays so corrupted or mislabeled files fail loudly.
+    A network checkpoint must fit its own spec (`_net_from`), and a stored
+    in-degree ``meta.m`` (teacher networks) must hold on every layer but the
+    last, so corrupted or mislabeled files fail loudly.
     """
     reader = BinaryReader(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
     (length,) = reader.unpack("<I", "header length")
@@ -295,63 +298,22 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: malformed checkpoint header") from None
     arrays = {name: reader.floats(shape, name) for name, shape in entries}
     reader.finish()
-    m = header["meta"].get("m")
-    if header["kind"] == "net" and m is not None:
-        try:
-            sizes = header["spec"]["layer_sizes"]
-            weights = [arrays[f"layer{l}_w"] for l in range(len(sizes) - 2)]
-        except KeyError as exc:
-            raise ValueError(f"{path}: checkpoint lacks {exc.args[0]!r}") from None
-        for l, w in enumerate(weights):
-            if not np.all(np.count_nonzero(w, axis=1) == m):
-                raise ValueError(f"{path}: layer {l} does not have in-degree {m} per node")
+    if header["kind"] == "net":
+        _net_from(header["spec"], arrays, path, header["meta"].get("m"))
     return header, arrays
 
 
-def _net_spec_meta(spec: MLPSpec) -> dict:
-    return {
-        "layer_sizes": list(spec.layer_sizes),
-        "activation": spec.activation.value,
-        "loss": spec.loss.value,
-        "fw_layers": list(spec.fw_layers),
-        "deltas": list(spec.deltas),
-        "bias": spec.bias,
-    }
-
-
-def _spec_from_meta(meta: dict) -> MLPSpec:
-    return MLPSpec(
-        layer_sizes=tuple(meta["layer_sizes"]),
-        activation=Activation(meta["activation"]),
-        loss=Loss(meta["loss"]),
-        fw_layers=tuple(meta["fw_layers"]),
-        deltas=tuple(meta["deltas"]),
-        bias=bool(meta["bias"]),
-    )
-
-
-def _net_arrays(params) -> list[tuple[str, np.ndarray]]:
-    return [(f"layer{l}_{part}", getattr(layer, part))
-            for l, layer in enumerate(params) for part in ("w", "b")]
-
-
 def save_net_checkpoint(path, spec: MLPSpec, params, meta: dict) -> None:
-    save_checkpoint(path, "net", _net_spec_meta(spec), meta, _net_arrays(params))
+    save_checkpoint(path, "net", asdict(spec), meta, _net_arrays(params))
 
 
 def load_net_checkpoint(path):
+    """Read a network checkpoint; returns ``(spec, params, meta)``."""
     header, arrays = load_checkpoint(path)
     if header["kind"] != "net":
         raise ValueError(f"{path}: expected a network checkpoint, found kind {header['kind']!r}")
-    try:
-        spec = _spec_from_meta(header["spec"])
-        params = [
-            LayerParams(w=arrays[f"layer{l}_w"], b=arrays[f"layer{l}_b"])
-            for l in range(spec.n_layers)
-        ]
-        return spec, params, header["meta"]
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint lacks {exc.args[0]!r}") from None
+    # load_checkpoint checked the file, so this cannot fail: it builds (spec, params)
+    return (*_net_from(header["spec"], arrays, path), header["meta"])
 
 
 # --------------------------------------------------------------------------
@@ -448,8 +410,9 @@ def _synth_spec(config: ExperimentConfig) -> SynthSpec:
     )
 
 
-def _budget_iterations(config: ExperimentConfig, n_samples: int | None) -> int:
-    """Turn the gradient-batch budget into an iteration count per method."""
+def _budget_iterations(config: ExperimentConfig, n_samples: int | None,
+                       per_iteration: int) -> int:
+    """Turn the gradient-batch budget into an iteration count of ``per_iteration`` batches."""
     budget = config.iterations
     if config.epochs > 0:
         if n_samples is None:
@@ -459,11 +422,9 @@ def _budget_iterations(config: ExperimentConfig, n_samples: int | None) -> int:
         budget = config.epochs * max(1, n_samples // config.batch_size)
     if budget < 1:
         raise ConfigError("a positive iteration or epoch budget is required")
-    if config.method == "sfw-if":
-        if budget < 2:
-            raise ConfigError("sfw-if spends two gradient batches per iteration")
-        return budget // 2
-    return budget
+    if budget < per_iteration:
+        raise ConfigError("sfw-if spends two gradient batches per iteration")
+    return budget // per_iteration
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,7 +445,9 @@ class TrainOutcome:
 def _run_budgeted(config: ExperimentConfig, problem, balls, y0, x0_blocks,
                   n_samples: int | None) -> tuple[RunResult, list[tuple[str, object]]]:
     """Run the configured method; returns the result and the metrics every run reports."""
-    iterations = _budget_iterations(config, n_samples)
+    # run() draws a second (away-step) batch only when there is a constrained block
+    per_iteration = 2 if config.method == "sfw-if" and balls else 1
+    iterations = _budget_iterations(config, n_samples, per_iteration)
     opt = OptimizerConfig(
         l_nabla=config.l_nabla,
         c_bar_per_block=tuple(config.c_bar_scale * 2.0 * config.l_nabla * b.diameter() ** 2
@@ -499,7 +462,7 @@ def _run_budgeted(config: ExperimentConfig, problem, balls, y0, x0_blocks,
     result = run(problem, balls, y0, x0_blocks, opt)
     metrics: list[tuple[str, object]] = [
         ("iterations_run", iterations),
-        ("gradient_batches", iterations * (2 if config.method == "sfw-if" else 1)),
+        ("gradient_batches", iterations * per_iteration),
         ("output_index", result.output_index),
         ("iterates_digest", result.iterates_digest),
         ("final_objective_estimate", result.trace[-1].objective_estimate),
@@ -510,14 +473,7 @@ def _run_budgeted(config: ExperimentConfig, problem, balls, y0, x0_blocks,
 
 def _train_net(config: ExperimentConfig) -> TrainOutcome:
     try:
-        spec_full = MLPSpec(
-            layer_sizes=config.layer_sizes,
-            activation=Activation(config.activation),
-            loss=Loss(config.loss),
-            fw_layers=config.fw_layers,
-            deltas=config.deltas,
-            bias=config.bias,
-        )
+        spec_full = MLPSpec(**{f.name: getattr(config, f.name) for f in fields(MLPSpec)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -572,7 +528,7 @@ def _train_net(config: ExperimentConfig) -> TrainOutcome:
         metrics=metrics,
         nnz_names=[f"nnz_layer_{l}" for l in layout.spec.fw_layers],
         nnz_rows=_nnz_percentages(layout, [record.nnz_blocks for record in result.trace]),
-        checkpoint=("net", _net_spec_meta(spec_full), _net_arrays(params)),
+        checkpoint=("net", asdict(spec_full), _net_arrays(params)),
         val_loss=float(val_scores["loss"]),
     )
 
@@ -704,10 +660,8 @@ def cmd_synth(config: ExperimentConfig) -> int:
         path = f"{config.out_prefix}.{name}.{ext}"
         save(path, data)
         paths[name] = path
-    teacher_spec = MLPSpec(layer_sizes=synth.layer_sizes, activation=synth.activation,
-                           loss=Loss.MSE, bias=False)
     teacher_path = f"{config.out_prefix}.teacher.ckpt"
-    save_net_checkpoint(teacher_path, teacher_spec, teacher,
+    save_net_checkpoint(teacher_path, _teacher_spec(synth), teacher,
                         {"m": synth.m, "snr": synth.snr, "seed": synth.seed})
     for name, path in paths.items():
         print(f"{name} = {path}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -76,21 +76,29 @@ class MLPSpec:
     bias: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
-        object.__setattr__(self, "fw_layers", tuple(int(l) for l in self.fw_layers))
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        # fields may arrive as JSON values (lists, enum values); a failure names its field
+        for name, coerce in (("layer_sizes", lambda v: tuple(int(s) for s in v)),
+                             ("fw_layers", lambda v: tuple(int(l) for l in v)),
+                             ("deltas", lambda v: tuple(float(d) for d in v)),
+                             ("activation", Activation), ("loss", Loss)):
+            try:
+                object.__setattr__(self, name, coerce(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        if not isinstance(self.bias, bool):
+            raise ValueError("bias must be true or false")
         if len(self.layer_sizes) < 2:
-            raise ValueError("need at least an input and an output layer")
+            raise ValueError("layer_sizes needs at least an input and an output layer")
         if any(s < 1 for s in self.layer_sizes):
-            raise ValueError("layer sizes must be positive")
+            raise ValueError("layer_sizes must be positive")
         n_layers = len(self.layer_sizes) - 1
         if sorted(set(self.fw_layers)) != list(self.fw_layers):
             raise ValueError("fw_layers must be sorted and unique")
         if any(l < 0 or l >= n_layers for l in self.fw_layers):
             raise ValueError(f"fw_layers must index the {n_layers} weight layers")
         if len(self.deltas) != len(self.fw_layers):
-            raise ValueError("need exactly one delta per constrained layer")
-        if any(d <= 0.0 for d in self.deltas):
+            raise ValueError("deltas needs exactly one radius per constrained layer")
+        if not all(d > 0.0 for d in self.deltas):  # NaN fails too
             raise ValueError("deltas must be positive")
 
     @property
@@ -352,6 +360,36 @@ def _check_widths(spec: MLPSpec, data: Dataset, name: str) -> None:
                          f"{data.targets.shape} do not fit layer sizes {spec.layer_sizes}")
 
 
+def _net_arrays(params) -> list[tuple[str, np.ndarray]]:
+    return [(f"layer{l}_{part}", getattr(layer, part))
+            for l, layer in enumerate(params) for part in ("w", "b")]
+
+
+def _net_from(stored: dict, arrays: dict, name, m=None) -> tuple[MLPSpec, list[LayerParams]]:
+    """`MLPSpec(**stored)`, no field left to its default, and its layers from exactly the
+    `_net_arrays` names in the spec's shapes, all but the last of in-degree ``m`` if given."""
+    missing = [f.name for f in fields(MLPSpec) if f.name not in stored]
+    if missing:  # MLPSpec would fill them in with defaults
+        raise ValueError(f"{name}: spec lacks {missing[0]!r}")
+    try:
+        spec = MLPSpec(**stored)
+    except (TypeError, ValueError) as exc:  # the TypeError names an unknown field
+        raise ValueError(f"{name}: spec {exc}") from None
+    shapes = {f"layer{l}_{part}": shape for l in range(spec.n_layers) for part, shape
+              in (("w", (spec.fan_out(l), spec.fan_in(l))), ("b", (spec.fan_out(l),)))}
+    found = {key: a.shape for key, a in arrays.items()}
+    for key in [*shapes, *sorted(set(found) - set(shapes))]:
+        if found.get(key) != shapes.get(key):
+            raise ValueError(f"{name}: array {key!r} is {found.get(key, 'missing')}, "
+                             f"its spec implies {shapes.get(key, 'no such array')}")
+    params = [LayerParams(w=arrays[f"layer{l}_w"], b=arrays[f"layer{l}_b"])
+              for l in range(spec.n_layers)]
+    for l, layer in enumerate(params[:-1] if m is not None else ()):
+        if np.count_nonzero(layer.w, axis=1).tolist() != [m] * len(layer.w):  # any JSON m
+            raise ValueError(f"{name}: layer {l} does not have in-degree {m} per node")
+    return spec, params
+
+
 def _nnz_percentages(layout: ParamLayout, counts) -> list[list[float]]:
     """Per constrained layer, the mean over its nodes of ``100 * count / fan_in``, per row.
 
@@ -429,6 +467,10 @@ class SynthSpec:
             raise ValueError("every split needs at least two samples")
 
 
+def _teacher_spec(synth: SynthSpec) -> MLPSpec:
+    return MLPSpec(layer_sizes=synth.layer_sizes, activation=synth.activation, bias=False)
+
+
 def generate_synthetic(synth: SynthSpec):
     """Sample a sparse teacher network and Gaussian data from it.
 
@@ -454,7 +496,7 @@ def generate_synthetic(synth: SynthSpec):
                 w[node, cols] = rng.choice([-1.0, 1.0], size=synth.m)
         teacher.append(LayerParams(w=w, b=np.zeros(fan_out)))
 
-    net_spec = MLPSpec(layer_sizes=sizes, activation=synth.activation, loss=Loss.MSE, bias=False)
+    net_spec = _teacher_spec(synth)
 
     def make_split(n: int, noise_std: float | None):
         x = rng.standard_normal((n, sizes[0]))
@@ -538,11 +580,29 @@ def save_dataset_csv(path, dataset: Dataset) -> None:
 
 
 def load_dataset_csv(path) -> Dataset:
+    """Read `save_dataset_csv`'s format; a malformed file fails, naming the file.
+
+    The header must be exactly ``x0..x{d-1},y0..y{t-1}`` with ``d, t >= 1``, and
+    at least one row must follow, each of exactly that many values.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         names = fh.readline().strip().split(",")
-    n_features = sum(1 for n in names if n.startswith("x"))
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return Dataset(features=raw[:, :n_features], targets=raw[:, n_features:])
+        rows = [(number, line) for number, line in enumerate(fh, 2) if line.strip()]
+    d = sum(1 for n in names if n.startswith("x"))
+    if not 0 < d < len(names) or names != [f"x{i}" for i in range(d)] + [
+            f"y{i}" for i in range(len(names) - d)]:
+        raise ValueError(f"{path}: header {','.join(names)!r} is not x0..x<d-1>,y0..y<t-1>")
+    if not rows:
+        raise ValueError(f"{path}: dataset has no rows")
+    for number, line in rows:
+        if line.count(",") + 1 != len(names):
+            raise ValueError(f"{path}: line {number} has {line.count(',') + 1} values, "
+                             f"the header names {len(names)}")
+    try:
+        raw = np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2)
+    except ValueError as exc:  # a value that is not a number
+        raise ValueError(f"{path}: {exc}") from None
+    return Dataset(features=raw[:, :d], targets=raw[:, d:])
 
 
 def save_dataset_bin(path, dataset: Dataset) -> None:
@@ -605,6 +665,8 @@ class BinaryReader:
 def load_dataset_bin(path) -> Dataset:
     reader = BinaryReader(path, _DATASET_MAGIC, _DATASET_VERSION, "dataset")
     n, d, t = reader.unpack("<QQQ", "row and column counts")
+    if n == 0:
+        raise ValueError(f"{path}: dataset has no rows")
     x = reader.floats((n, d), "features")
     y = reader.floats((n, t), "targets")
     reader.finish()

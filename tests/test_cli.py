@@ -32,9 +32,12 @@ from fwsd.cli import (
     smoothed_series,
 )
 from fwsd.optimizer import BatchSchedule, OptimizerConfig, run
+from fwsd.problems import QuadraticInstance
 from fwsd.sparse_net import (
+    Activation,
     Dataset,
     LayerParams,
+    Loss,
     MLPProblem,
     MLPSpec,
     ParamLayout,
@@ -281,6 +284,59 @@ def test_checkpoint_names_missing_spec_field_and_array(tmp_path, capsys):
         load_net_checkpoint(path)
 
 
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("loss", list(Loss))
+@pytest.mark.parametrize("activation", list(Activation))
+def test_net_checkpoint_header_holds_the_spec_fields(tmp_path, activation, loss, bias):
+    spec = MLPSpec(layer_sizes=(3, 2, 2), activation=activation, loss=loss, fw_layers=(0,),
+                   deltas=(1.25,), bias=bias)
+    params = init_params(spec, 0)
+    path = tmp_path / "n.ckpt"
+    save_net_checkpoint(path, spec, params, {"method": "sfw"})
+    blob = path.read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 9)
+    # MLPSpec's fields as JSON: tuples as lists, enums by value, bias as a bool
+    spec_meta = {"layer_sizes": [3, 2, 2], "activation": activation.value, "loss": loss.value,
+                 "fw_layers": [0], "deltas": [1.25], "bias": bias}
+    arrays = [{"name": f"layer{l}_{part}", "shape": shape} for l, (w, b) in
+              enumerate([([2, 3], [2]), ([2, 2], [2])]) for part, shape in (("w", w), ("b", b))]
+    header = {"kind": "net", "spec": spec_meta, "meta": {"method": "sfw"}, "arrays": arrays}
+    assert blob[13:13 + length] == json.dumps(header, sort_keys=True).encode("utf-8")
+    back, params_back, meta = load_net_checkpoint(path)
+    assert back == spec and meta == {"method": "sfw"}
+    assert all(np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
+               for a, b in zip(params, params_back))
+
+
+NET_SPEC = {"layer_sizes": [4, 3, 2], "activation": "sigmoid", "loss": "mse",
+            "fw_layers": [0], "deltas": [1.0], "bias": True}
+NET_ARRAYS = {"layer0_w": np.zeros((3, 4)), "layer0_b": np.zeros(3),
+              "layer1_w": np.zeros((2, 3)), "layer1_b": np.zeros(2)}
+# fault -> (spec edits, array edits where None deletes, the field or array named)
+NET_FAULTS = {
+    "wrong-shape": ({}, {"layer1_w": np.zeros((1, 3))}, "layer1_w"),
+    "missing-array": ({}, {"layer1_b": None}, "layer1_b"),
+    "extra-array": ({}, {"layer2_w": np.zeros((2, 2))}, "layer2_w"),
+    "unknown-field": ({"width": 3}, {}, "width"),
+    "tanh": ({"activation": "tanh"}, {}, "activation"),
+    "bias-number": ({"bias": 1}, {}, "bias"),
+}
+
+
+@pytest.mark.parametrize("fault", NET_FAULTS)
+def test_net_checkpoint_is_checked_against_its_spec(tmp_path, capsys, fault):
+    spec_edits, array_edits, named = NET_FAULTS[fault]
+    arrays = {name: a for name, a in {**NET_ARRAYS, **array_edits}.items() if a is not None}
+    path = tmp_path / "n.ckpt"
+    save_checkpoint(path, "net", {**NET_SPEC, **spec_edits}, {}, list(arrays.items()))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*\\b{named}\\b"):
+        load_checkpoint(path)
+    assert run_cli("threshold-eval", "--checkpoint", str(path),
+                   "--dataset", str(tmp_path / "unread.bin")) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and named in err
+
+
 def test_smoothed_series():
     assert smoothed_series([0.0, 2.0], 2) == [0.0, 1.0]
     values = [3.0, 1.0, 4.0, 1.0]
@@ -346,6 +402,31 @@ def test_train_sfw_if_needs_two_batches(tmp_path, capsys):
                    "--out-prefix", str(tmp_path / "x"))
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("problem, owner, args", [
+    ("quadratic", QuadraticInstance, ("--quad-blocks", "", "--deltas", "")),
+    ("synthetic-net", MLPProblem, ("--layer-sizes", "3,2,1", "--fw-layers", "", "--deltas", "",
+                                   "--train-size", "20", "--val-size", "4", "--test-size", "4",
+                                   "--synth-m", "1")),
+], ids=["quadratic", "synthetic-net"])
+def test_sfw_if_without_constrained_block_spends_one_batch_per_iteration(
+        tmp_path, capsys, monkeypatch, problem, owner, args):
+    # run() draws its away-step batch only when there is a constrained block
+    calls = []
+    gradient_mean = owner.gradient_mean
+
+    def counted(self, *call_args):
+        calls.append(call_args)
+        return gradient_mean(self, *call_args)
+
+    monkeypatch.setattr(owner, "gradient_mean", counted)
+    assert run_cli("train", "--problem", problem, "--method", "sfw-if", "--iterations", "20",
+                   *args, "--out-prefix", str(tmp_path / "r")) == 0
+    capsys.readouterr()
+    report = read_report(tmp_path / "r.report.txt")
+    assert report["iterations_run"] == report["gradient_batches"] == "20"
+    assert len(calls) == 20
 
 
 def net_args(tmp_path, *extra):

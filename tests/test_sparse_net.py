@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -634,6 +635,31 @@ def test_dataset_binary_rejects_wrong_header_counts(tmp_path, field, delta):
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         load_dataset_bin(path)
+
+
+DATASET_FAULTS = [
+    ("target-first.csv", "y0,x0,x1\n1,2,3\n"),
+    ("no-target.csv", "x0,x1\n1,2\n"),
+    ("wide-row.csv", "x0,x1,y0\n1,2,3,4\n"),
+    ("short-row.csv", "x0,x1,y0\n1,2,3\n1,2\n"),
+    ("header-only.csv", "x0,y0\n"),
+    ("empty.csv", ""),
+    ("no-rows.bin", None),
+]
+
+
+@pytest.mark.parametrize("name, content", DATASET_FAULTS, ids=[n for n, _ in DATASET_FAULTS])
+def test_dataset_file_is_checked_where_read(tmp_path, name, content):
+    path = tmp_path / name
+    if content is None:
+        save_dataset_bin(path, Dataset(features=np.zeros((0, 2)), targets=np.zeros((0, 1))))
+    else:
+        path.write_text(content)
+    load = load_dataset_bin if name.endswith(".bin") else load_dataset_csv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on a file without rows
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load(path)
 
 
 # ---------------------------------------------------------------- evaluate
