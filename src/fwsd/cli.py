@@ -1,4 +1,4 @@
-"""Command-line harness: config files, trainers, grids, trace tooling.
+"""Command-line harness: config, orchestration, trace CSVs and reports.
 
 Subcommands
 -----------
@@ -15,7 +15,9 @@ Subcommands
 
 Configuration is a flat ``key = value`` text file with a typed schema;
 every key is mirrored by a ``--key`` flag that overrides the file. Exit
-codes: 0 success, 1 config error, 2 runtime error.
+codes: 0 success, 1 config error, 2 runtime error. File formats and epoch
+sampling live in `fwsd.sparse_net`; calls to them go through this module's
+names, which perfbench/tracer.py patches and perfbench/worker.py calls.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
-import struct
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -38,8 +38,8 @@ from .problems import make_quadratic
 from .sparse_net import (
     Activation,
     _DATASET_MAGIC,
-    BinaryReader,
     Dataset,
+    EpochSampling,
     Loss,
     MLPProblem,
     MLPSpec,
@@ -47,7 +47,6 @@ from .sparse_net import (
     SynthSpec,
     _check_widths,
     _net_arrays,
-    _net_from,
     _nnz_percentages,
     _teacher_spec,
     evaluate,
@@ -56,13 +55,13 @@ from .sparse_net import (
     init_params,
     load_dataset_bin,
     load_dataset_csv,
+    load_net_checkpoint,
     nnz_metrics,
+    save_checkpoint,
     save_dataset_bin,
     save_dataset_csv,
+    save_net_checkpoint,
 )
-
-_CKPT_MAGIC = b"FWSDCKPT"
-_CKPT_VERSION = 1
 
 #: thresholding percentages reported after every network training run
 REPORT_THETAS = (100.0, 50.0, 25.0, 10.0, 5.0)
@@ -251,72 +250,6 @@ def config_echo_lines(config: ExperimentConfig) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# checkpoint format
-
-
-def save_checkpoint(path, kind: str, spec_meta: dict, meta: dict,
-                    arrays: Sequence[tuple[str, np.ndarray]]) -> None:
-    """Binary checkpoint: magic, version byte, JSON header, float64 payload.
-
-    Layout: 8-byte magic ``FWSDCKPT``, 1-byte version, little-endian uint32
-    header length, the UTF-8 JSON header (kind, spec, meta, array names and
-    shapes), then each array as row-major little-endian float64 in header
-    order.
-    """
-    header = {
-        "kind": kind,
-        "spec": spec_meta,
-        "meta": meta,
-        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
-    }
-    blob = json.dumps(header, sort_keys=True, default=lambda enum: enum.value).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<B", _CKPT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path):
-    """Read a checkpoint; returns ``(header, {name: array})``.
-
-    A network checkpoint must fit its own spec (`_net_from`), and a stored
-    in-degree ``meta.m`` (teacher networks) must hold on every layer but the
-    last, so corrupted or mislabeled files fail loudly.
-    """
-    reader = BinaryReader(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
-    (length,) = reader.unpack("<I", "header length")
-    try:
-        header = json.loads(bytes(reader.read(length, "header")).decode("utf-8"))
-        entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
-        if not (isinstance(header["kind"], str) and isinstance(header["spec"], dict)
-                and isinstance(header["meta"], dict)):
-            raise TypeError
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
-        raise ValueError(f"{path}: malformed checkpoint header") from None
-    arrays = {name: reader.floats(shape, name) for name, shape in entries}
-    reader.finish()
-    if header["kind"] == "net":
-        _net_from(header["spec"], arrays, path, header["meta"].get("m"))
-    return header, arrays
-
-
-def save_net_checkpoint(path, spec: MLPSpec, params, meta: dict) -> None:
-    save_checkpoint(path, "net", asdict(spec), meta, _net_arrays(params))
-
-
-def load_net_checkpoint(path):
-    """Read a network checkpoint; returns ``(spec, params, meta)``."""
-    header, arrays = load_checkpoint(path)
-    if header["kind"] != "net":
-        raise ValueError(f"{path}: expected a network checkpoint, found kind {header['kind']!r}")
-    # load_checkpoint checked the file, so this cannot fail: it builds (spec, params)
-    return (*_net_from(header["spec"], arrays, path), header["meta"])
-
-
-# --------------------------------------------------------------------------
 # trace CSV
 
 
@@ -351,38 +284,6 @@ def write_trace_csv(path, trace: Sequence[TraceRecord], window: int,
 
 # --------------------------------------------------------------------------
 # problems, sampling, training
-
-
-class EpochSampling:
-    """Shuffled-pass sampling over a dataset problem.
-
-    Off the i.i.d. model the optimizer assumes: instead of drawing with
-    replacement, walk a random permutation and reshuffle when exhausted.
-    Each generator walks its own permutation with its own cursor, so
-    drawing from one stream never shifts another. Everything except
-    ``draw`` delegates to the wrapped problem.
-    """
-
-    def __init__(self, problem):
-        self._problem = problem
-        self._cursors: dict[np.random.Generator, tuple[np.ndarray, int]] = {}
-
-    def __getattr__(self, name):
-        return getattr(self._problem, name)
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        order, at = self._cursors.get(rng, (np.empty(0, dtype=np.int64), 0))
-        out = np.empty(n, dtype=np.int64)
-        filled = 0
-        while filled < n:
-            if at >= order.size:
-                order, at = rng.permutation(self._problem.n_samples), 0
-            take = min(n - filled, order.size - at)
-            out[filled:filled + take] = order[at:at + take]
-            at += take
-            filled += take
-        self._cursors[rng] = (order, at)
-        return out
 
 
 def _load_dataset_any(path: str, spec: MLPSpec) -> Dataset:

@@ -10,17 +10,18 @@ once, writing each sample's whole gradient as one row of a buffer whose
 columns are the coordinates in `ParamLayout.pack` order; a single sample
 is a batch of one.
 
-Dataset containers and their on-disk formats (columnar CSV and a compact
-binary layout) live here too, next to the synthetic teacher-network
-generator used for sparsity experiments.
+Datasets, epoch sampling over them, the synthetic teacher generator and
+every file format live here too: dataset CSV, and the binary dataset and
+checkpoint files, which share one layout (`write_binary`, `BinaryReader`).
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,6 +31,8 @@ from .problems import GradientEstimate, _shaped_like
 
 _DATASET_MAGIC = b"FWSDDATA"
 _DATASET_VERSION = 1
+_CKPT_MAGIC = b"FWSDCKPT"
+_CKPT_VERSION = 1
 _CHUNK_ROWS = 256  # rows per batched backprop pass; bounds its memory
 
 
@@ -77,6 +80,9 @@ class MLPSpec:
 
     def __post_init__(self) -> None:
         # fields may arrive as JSON values (lists, enum values); a failure names its field
+        for name in ("layer_sizes", "fw_layers", "deltas"):
+            if isinstance(getattr(self, name), str):  # it would iterate as its characters
+                raise ValueError(f"{name}: expected a sequence, not {getattr(self, name)!r}")
         for name, coerce in (("layer_sizes", lambda v: tuple(int(s) for s in v)),
                              ("fw_layers", lambda v: tuple(int(l) for l in v)),
                              ("deltas", lambda v: tuple(float(d) for d in v)),
@@ -352,42 +358,44 @@ class MLPProblem:
         return evaluate(self.spec, self.layout.unpack(x_blocks, y), self.data)["loss"]
 
 
+class EpochSampling:
+    """Shuffled-pass sampling over a dataset problem.
+
+    Off the i.i.d. model the optimizer assumes: instead of drawing with
+    replacement, walk a random permutation and reshuffle when exhausted.
+    Each generator walks its own permutation with its own cursor, so
+    drawing from one stream never shifts another. Everything except
+    ``draw`` delegates to the wrapped problem.
+    """
+
+    def __init__(self, problem):
+        self._problem = problem
+        self._cursors: dict[np.random.Generator, tuple[np.ndarray, int]] = {}
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        order, at = self._cursors.get(rng, (np.empty(0, dtype=np.int64), 0))
+        out = np.empty(n, dtype=np.int64)
+        filled = 0
+        while filled < n:
+            if at >= order.size:
+                order, at = rng.permutation(self._problem.n_samples), 0
+            take = min(n - filled, order.size - at)
+            out[filled:filled + take] = order[at:at + take]
+            at += take
+            filled += take
+        self._cursors[rng] = (order, at)
+        return out
+
+
 def _check_widths(spec: MLPSpec, data: Dataset, name: str) -> None:
     """Raise a ``ValueError`` naming ``name`` unless ``data`` fits the network's end layers."""
     n, d = data.features.shape
     if d != spec.layer_sizes[0] or data.targets.shape != (n, spec.layer_sizes[-1]):
         raise ValueError(f"{name}: features {data.features.shape} and targets "
                          f"{data.targets.shape} do not fit layer sizes {spec.layer_sizes}")
-
-
-def _net_arrays(params) -> list[tuple[str, np.ndarray]]:
-    return [(f"layer{l}_{part}", getattr(layer, part))
-            for l, layer in enumerate(params) for part in ("w", "b")]
-
-
-def _net_from(stored: dict, arrays: dict, name, m=None) -> tuple[MLPSpec, list[LayerParams]]:
-    """`MLPSpec(**stored)`, no field left to its default, and its layers from exactly the
-    `_net_arrays` names in the spec's shapes, all but the last of in-degree ``m`` if given."""
-    missing = [f.name for f in fields(MLPSpec) if f.name not in stored]
-    if missing:  # MLPSpec would fill them in with defaults
-        raise ValueError(f"{name}: spec lacks {missing[0]!r}")
-    try:
-        spec = MLPSpec(**stored)
-    except (TypeError, ValueError) as exc:  # the TypeError names an unknown field
-        raise ValueError(f"{name}: spec {exc}") from None
-    shapes = {f"layer{l}_{part}": shape for l in range(spec.n_layers) for part, shape
-              in (("w", (spec.fan_out(l), spec.fan_in(l))), ("b", (spec.fan_out(l),)))}
-    found = {key: a.shape for key, a in arrays.items()}
-    for key in [*shapes, *sorted(set(found) - set(shapes))]:
-        if found.get(key) != shapes.get(key):
-            raise ValueError(f"{name}: array {key!r} is {found.get(key, 'missing')}, "
-                             f"its spec implies {shapes.get(key, 'no such array')}")
-    params = [LayerParams(w=arrays[f"layer{l}_w"], b=arrays[f"layer{l}_b"])
-              for l in range(spec.n_layers)]
-    for l, layer in enumerate(params[:-1] if m is not None else ()):
-        if np.count_nonzero(layer.w, axis=1).tolist() != [m] * len(layer.w):  # any JSON m
-            raise ValueError(f"{name}: layer {l} does not have in-degree {m} per node")
-    return spec, params
 
 
 def _nnz_percentages(layout: ParamLayout, counts) -> list[list[float]]:
@@ -605,6 +613,16 @@ def load_dataset_csv(path) -> Dataset:
     return Dataset(features=raw[:, :d], targets=raw[:, d:])
 
 
+def write_binary(path, magic: bytes, version: int, fmt: str, values: Sequence,
+                 payloads: Sequence[np.ndarray]) -> None:
+    """Write magic, version byte, ``values`` packed by the `struct` format ``fmt``, then
+    each payload as row-major little-endian float64: the layout `BinaryReader` reads."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<B", version) + struct.pack(fmt, *values))
+        for a in payloads:
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
+
+
 def save_dataset_bin(path, dataset: Dataset) -> None:
     """Compact binary: magic, version, row/column counts, float64 payload.
 
@@ -612,18 +630,13 @@ def save_dataset_bin(path, dataset: Dataset) -> None:
     uint64 (rows, feature columns, target columns), then the feature matrix
     and the target matrix as row-major little-endian float64.
     """
-    x = np.ascontiguousarray(dataset.features, dtype="<f8")
-    t = np.ascontiguousarray(dataset.targets, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_DATASET_MAGIC)
-        fh.write(struct.pack("<B", _DATASET_VERSION))
-        fh.write(struct.pack("<QQQ", x.shape[0], x.shape[1], t.shape[1]))
-        fh.write(x.tobytes())
-        fh.write(t.tobytes())
+    x, t = dataset
+    write_binary(path, _DATASET_MAGIC, _DATASET_VERSION, "<QQQ", (*np.shape(x), np.shape(t)[1]),
+                 (x, t))
 
 
 class BinaryReader:
-    """Reads a file laid out as magic, version byte, fixed fields, float64 payloads.
+    """Reads `write_binary`'s layout: magic, version byte, fixed fields, float64 payloads.
 
     Every read is checked against the bytes left: a cut file or an inflated
     count raises a ``ValueError`` naming the file and field, allocating nothing.
@@ -671,6 +684,91 @@ def load_dataset_bin(path) -> Dataset:
     y = reader.floats((n, t), "targets")
     reader.finish()
     return Dataset(features=x, targets=y)
+
+
+def save_checkpoint(path, kind: str, spec_meta: dict, meta: dict,
+                    arrays: Sequence[tuple[str, np.ndarray]]) -> None:
+    """Binary checkpoint: magic, version byte, JSON header, float64 payload.
+
+    Layout: 8-byte magic ``FWSDCKPT``, 1-byte version, little-endian uint32
+    header length, the UTF-8 JSON header (kind, spec, meta, array names and
+    shapes), then each array as row-major little-endian float64 in header
+    order.
+    """
+    header = {"kind": kind, "spec": spec_meta, "meta": meta,
+              "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays]}
+    blob = json.dumps(header, sort_keys=True, default=lambda enum: enum.value).encode("utf-8")
+    write_binary(path, _CKPT_MAGIC, _CKPT_VERSION, f"<I{len(blob)}s", (len(blob), blob),
+                 [a for _, a in arrays])
+
+
+def load_checkpoint(path):
+    """Read a checkpoint; returns ``(header, {name: array})``.
+
+    A network checkpoint must fit its own spec (`_net_from`), which comes
+    back as the header's ``spec``, an `MLPSpec`; a stored in-degree ``meta.m``
+    (teacher networks) must hold on every layer but the last. So corrupted
+    or mislabeled files fail loudly.
+    """
+    reader = BinaryReader(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
+    (length,) = reader.unpack("<I", "header length")
+    try:
+        header = json.loads(bytes(reader.read(length, "header")).decode("utf-8"))
+        entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
+        if not (isinstance(header["kind"], str) and isinstance(header["spec"], dict)
+                and isinstance(header["meta"], dict)):
+            raise TypeError
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
+        raise ValueError(f"{path}: malformed checkpoint header") from None
+    arrays = {name: reader.floats(shape, name) for name, shape in entries}
+    reader.finish()
+    if header["kind"] == "net":
+        header["spec"] = _net_from(header["spec"], arrays, path, header["meta"].get("m"))
+    return header, arrays
+
+
+def _net_arrays(params) -> list[tuple[str, np.ndarray]]:
+    return [(f"layer{l}_{part}", getattr(layer, part))
+            for l, layer in enumerate(params) for part in ("w", "b")]
+
+
+def _net_from(stored: dict, arrays: dict, name, m=None) -> MLPSpec:
+    """`MLPSpec(**stored)`, no field left to its default, once ``arrays`` holds exactly its
+    `_net_arrays` names in its shapes, all but the last of in-degree ``m`` if given."""
+    missing = [f.name for f in fields(MLPSpec) if f.name not in stored]
+    if missing:  # MLPSpec would fill them in with defaults
+        raise ValueError(f"{name}: spec lacks {missing[0]!r}")
+    try:
+        spec = MLPSpec(**stored)
+    except (TypeError, ValueError) as exc:  # the TypeError names an unknown field
+        raise ValueError(f"{name}: spec {exc}") from None
+    shapes = {f"layer{l}_{part}": shape for l in range(spec.n_layers) for part, shape
+              in (("w", (spec.fan_out(l), spec.fan_in(l))), ("b", (spec.fan_out(l),)))}
+    found = {key: a.shape for key, a in arrays.items()}
+    for key in [*shapes, *sorted(set(found) - set(shapes))]:
+        if found.get(key) != shapes.get(key):
+            raise ValueError(f"{name}: array {key!r} is {found.get(key, 'missing')}, "
+                             f"its spec implies {shapes.get(key, 'no such array')}")
+    for l in range(spec.n_layers - 1 if m is not None else 0):
+        w = arrays[f"layer{l}_w"]
+        if np.count_nonzero(w, axis=1).tolist() != [m] * len(w):  # any JSON m
+            raise ValueError(f"{name}: layer {l} does not have in-degree {m} per node")
+    return spec
+
+
+def save_net_checkpoint(path, spec: MLPSpec, params, meta: dict) -> None:
+    save_checkpoint(path, "net", asdict(spec), meta, _net_arrays(params))
+
+
+def load_net_checkpoint(path):
+    """Read a network checkpoint; returns ``(spec, params, meta)``."""
+    header, arrays = load_checkpoint(path)
+    if header["kind"] != "net":
+        raise ValueError(f"{path}: expected a network checkpoint, found kind {header['kind']!r}")
+    spec = header["spec"]  # load_checkpoint checked the arrays against it
+    params = [LayerParams(w=arrays[f"layer{l}_w"], b=arrays[f"layer{l}_b"])
+              for l in range(spec.n_layers)]
+    return spec, params, header["meta"]
 
 
 def evaluate(spec: MLPSpec, params, dataset: Dataset) -> dict[str, float]:

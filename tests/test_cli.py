@@ -1,6 +1,8 @@
 """Config schema, file formats, subcommand behavior, exit codes."""
 
+import ast
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -14,21 +16,17 @@ import numpy as np
 import pytest
 
 import fwsd.cli
+import fwsd.sparse_net
 from fwsd.cli import (
     REPORT_THETAS,
     ConfigError,
-    EpochSampling,
     ExperimentConfig,
     _coerce,
     build_parser,
     config_echo_lines,
-    load_checkpoint,
     load_config,
-    load_net_checkpoint,
     main,
     parse_config_text,
-    save_checkpoint,
-    save_net_checkpoint,
     smoothed_series,
 )
 from fwsd.optimizer import BatchSchedule, OptimizerConfig, run
@@ -36,6 +34,7 @@ from fwsd.problems import QuadraticInstance
 from fwsd.sparse_net import (
     Activation,
     Dataset,
+    EpochSampling,
     LayerParams,
     Loss,
     MLPProblem,
@@ -43,8 +42,12 @@ from fwsd.sparse_net import (
     ParamLayout,
     evaluate,
     init_params,
+    load_checkpoint,
     load_dataset_bin,
+    load_net_checkpoint,
+    save_checkpoint,
     save_dataset_csv,
+    save_net_checkpoint,
 )
 
 
@@ -175,6 +178,19 @@ def test_net_checkpoint_round_trip(tmp_path):
     for a, b in zip(params, params2):
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.b, b.b)
+
+
+def test_net_checkpoint_is_checked_once_per_load(tmp_path, monkeypatch):
+    calls, inner = [], fwsd.sparse_net._net_from
+    monkeypatch.setattr(fwsd.sparse_net, "_net_from", lambda *a: calls.append(a) or inner(*a))
+    spec = MLPSpec(layer_sizes=(3, 2, 1), fw_layers=(0,), deltas=(1.25,))
+    save_net_checkpoint(tmp_path / "n.ckpt", spec, init_params(spec, 0), {"m": 2})
+    with pytest.raises(ValueError, match="in-degree 2"):  # the one pass is the full check
+        load_net_checkpoint(tmp_path / "n.ckpt")
+    save_net_checkpoint(tmp_path / "n.ckpt", spec, init_params(spec, 0), {"method": "sfw"})
+    calls.clear()
+    assert load_net_checkpoint(tmp_path / "n.ckpt")[0] == spec
+    assert len(calls) == 1
 
 
 def _small_net_checkpoint(path):
@@ -335,6 +351,44 @@ def test_net_checkpoint_is_checked_against_its_spec(tmp_path, capsys, fault):
                    "--dataset", str(tmp_path / "unread.bin")) == 2
     err = capsys.readouterr().err
     assert str(path) in err and named in err
+
+
+@pytest.mark.parametrize("field, text", [("layer_sizes", "432"), ("fw_layers", "0"),
+                                         ("deltas", "1")])
+def test_net_checkpoint_spec_rejects_a_string_for_a_sequence(tmp_path, field, text):
+    # each string spells NET_SPEC's value character by character, so the arrays still fit
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        MLPSpec(**{**NET_SPEC, field: text})
+    path = tmp_path / "n.ckpt"
+    save_checkpoint(path, "net", {**NET_SPEC, field: text}, {}, list(NET_ARRAYS.items()))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: spec {field}: "):
+        load_net_checkpoint(path)
+
+
+def test_cli_keeps_the_names_the_benchmark_reaches(tmp_path, capsys):
+    # perfbench/tracer.py patches fwsd.cli's names, so each format call the CLI makes must go
+    # through a name of its own; perfbench/worker.py calls fwsd.cli.load_net_checkpoint
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", bench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    patched = {attr for module, _, attr, _ in tracer.HOOKS if module == "fwsd.cli"}
+    formats = {"save_checkpoint", "save_net_checkpoint", "load_dataset_bin"}
+    assert formats <= patched
+    assert sorted(patched - set(vars(fwsd.cli))) == []
+    # every attribute the worker looks up on a `<something>.cli` object
+    called = {node.attr for node in ast.walk(ast.parse((bench / "worker.py").read_text()))
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "cli"}
+    assert "load_net_checkpoint" in called
+    assert all(callable(vars(fwsd.cli).get(name)) for name in called)
+    # one span per name: synth and train on its files reach each format name through the CLI
+    spans = tracer.Tracer()
+    with spans.installed([("fwsd.cli", None, attr, attr) for attr in sorted(formats)]):
+        assert run_cli(*synth_args(tmp_path)) == 0
+        assert run_cli(*dataset_train_args(tmp_path)) == 0
+    capsys.readouterr()
+    assert spans.missing == [] and sorted(spans.stats) == sorted(formats)
 
 
 def test_smoothed_series():

@@ -12,7 +12,8 @@ that echo output paths). The quadratic run calls
 ``fwsd.run`` with away steps on blocks of mixed width and radius, so
 that grouping blocks by ball and putting results back in block order are
 both exercised; its trace records are hashed with every float in hex, and
-its output and final iterates byte for byte.
+its output and final iterates byte for byte. ``fwsd synth`` pins the bytes
+of the binary dataset splits and of the teacher checkpoint it writes.
 """
 
 import hashlib
@@ -95,6 +96,23 @@ def test_cli_quadratic_run_matches_golden(tmp_path, capsys):
         "ca0a0905b16b06561c0efc3a1beaf59aedaaee7bfc738817904a68886746665e",
         "cd08f2010daed980494e8ea886a75a7451741a3eead23f3ba1b4940ba5ac15a2",
     )
+
+
+def test_synth_files_match_golden(tmp_path, capsys):
+    argv = [
+        "synth", "--layer-sizes", "6,8,6,1", "--synth-m", "3", "--snr", "10",
+        "--train-size", "40", "--val-size", "10", "--test-size", "20", "--seed", "3",
+        "--out-prefix", str(tmp_path / "s"),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    names = ("train.bin", "val.bin", "test.bin", "teacher.ckpt")
+    assert [_sha256(tmp_path / f"s.{name}") for name in names] == [
+        "fcb1e39689b4172e4ed494ee00f6b3ad9aeca00aaeb73da53e4e06c4b086cc90",
+        "0d4718193be3aa39fdb75c8cebf9415c18fe4fd5139aeb5cb32341ad93b851e0",
+        "ee2c7938534914d5d43f78c86028c26315a728ae4e5cfbc00490225a5d0719e6",
+        "4f7404c677d860aa930d1cda32045c27b1107eacdcee69fef8875e81c37de489",
+    ]
 
 
 def _hex(value):

@@ -17,6 +17,12 @@ so every call `run` makes is checked against the per-block reference in
 On a noise-free quadratic the problem is wrapped as well, to capture the point
 ``(x_bar, y_next)`` of each away step's gradient call; the iterate the step
 returns must not raise the objective there, up to rounding.
+
+Without away steps, the recorded points are those of the data batches, where
+each iteration's sampled ``gap_hat`` is compared with the exact gap: on noisy
+quadratics its mean over seeds dominates, within 3 SE (the source paper's
+claim that the plug-in gap's expectation dominates the exact gap), and on
+noise-free ones the two agree to rounding at every iterate.
 """
 
 import numpy as np
@@ -26,6 +32,7 @@ from hypothesis import strategies as st
 
 import fwsd.optimizer
 import geometry_reference as ref
+from fwsd.gap import GapConstants, exact_gap
 from fwsd.geometry import FEASIBILITY_TOL, L1Ball, Norm
 from fwsd.optimizer import BatchSchedule, OptimizerConfig, run
 from fwsd.problems import make_quadratic
@@ -137,3 +144,33 @@ def test_away_steps_keep_run_invariants():
         sweep()
     # taken, binding and boundary steps all occur in the drawn runs
     assert min(seen.values()) >= 50, seen
+
+
+def _gap_hat_and_exact_gap(seed, noise_sigma, iterations=60):
+    """Per iteration of a run without away steps, ``gap_hat`` and the exact gap at its point."""
+    balls = [L1Ball(6, 1.0), L1Ball(4, 0.5)]
+    problem = make_quadratic(seed=seed, p=(6, 4), q=3, l_nabla=1.0, noise_sigma=noise_sigma)
+    c_bars = tuple(2.0 * b.diameter() ** 2 for b in balls)
+    config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=c_bars, iterations=iterations,
+                             seed=seed, batch_schedule=BatchSchedule.constant(2))
+    recording = _Recording(problem)
+    result = run(recording, balls, np.zeros(3), [np.zeros(b.dim) for b in balls], config)
+    assert len(recording.points) == iterations  # one data batch per iteration, nothing else
+    constants = GapConstants.from_blocks(1.0, c_bars, balls)
+    exact = [exact_gap(problem, x, y, balls, constants) for x, y in recording.points]
+    return np.array([r.gap_hat for r in result.trace]), np.array(exact)
+
+
+def test_sampled_gap_dominates_exact_gap_over_whole_runs():
+    # one mean of gap_hat - exact_gap per seed; their mean over seeds must not fall 3 SE below 0
+    means = [float(np.mean(np.subtract(*_gap_hat_and_exact_gap(seed, 1.0))))
+             for seed in range(30)]
+    mean, se = np.mean(means), np.std(means, ddof=1) / np.sqrt(len(means))
+    assert mean >= -3.0 * se, (mean, se)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_noise_free_gap_hat_is_the_exact_gap(seed):
+    gap_hat, exact = _gap_hat_and_exact_gap(seed, 0.0)
+    assert np.all(exact > 0.0)
+    np.testing.assert_allclose(gap_hat, exact, rtol=1e-12, atol=0.0)
