@@ -88,6 +88,10 @@ class GapConstants:
             return 0.0
         return math.sqrt(2.0 * self.l_nabla / self.c_bar_total)
 
+    def gap(self, g_tilde: float, h_dual_norm: float) -> float:
+        """The modified gap ``g_tilde * scale + h_dual_norm`` from its two pieces."""
+        return g_tilde * self.scale + h_dual_norm
+
     @classmethod
     def from_blocks(
         cls, l_nabla: float, c_bar_per_block: Sequence[float], balls: Sequence[L1Ball]
@@ -171,7 +175,7 @@ def gap_estimate(
         g_tilde_blocks=tuple(g_tilde_blocks),
         g_tilde=g_tilde,
         h_dual_norm=h_dual,
-        value=g_tilde * constants.scale + h_dual,
+        value=constants.gap(g_tilde, h_dual),
     )
 
 

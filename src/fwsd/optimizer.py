@@ -72,14 +72,6 @@ class BatchSchedule:
     def constant(cls, size: int) -> "BatchSchedule":
         return cls(kind="constant", size=size)
 
-    @classmethod
-    def linear_in_total(cls) -> "BatchSchedule":
-        return cls(kind="linear-in-total")
-
-    @classmethod
-    def linear_in_iter(cls) -> "BatchSchedule":
-        return cls(kind="linear-in-iter")
-
     def batch_size(self, k: int, total: int) -> int:
         if self.kind == "constant":
             return self.size
@@ -367,7 +359,7 @@ def run(
             if not np.isfinite(objective):  # after the gradient checks, which name the block
                 raise ValueError(f"objective_estimate is {objective} (in the batch objective)")
             h_norm = dual_norm(est.h, config.norm_y)  # one norm for the gap and sd_step
-            gap_hat = float(sum(g_tildes)) * constants.scale + h_norm
+            gap_hat = constants.gap(float(sum(g_tildes)), h_norm)
             y_next, alpha_sd = sd_step(y, est.h, h_norm, config)
 
             if config.alternative_directions and balls:

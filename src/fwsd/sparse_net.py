@@ -33,7 +33,7 @@ _DATASET_MAGIC = b"FWSDDATA"
 _DATASET_VERSION = 1
 _CKPT_MAGIC = b"FWSDCKPT"
 _CKPT_VERSION = 1
-_CHUNK_ROWS = 256  # rows per batched backprop pass; bounds its memory
+_CHUNK_BYTES = 8 * 2**20  # per-sample gradient buffer of one backprop chunk; bounds its memory
 
 
 class Activation(enum.Enum):
@@ -272,24 +272,26 @@ def _backprop(layout: ParamLayout, params: Sequence[LayerParams], X: np.ndarray,
     buffer: every product is a per-row matrix-vector product, and one
     `batch_sum` folds the buffer's rows in order, so the result equals, bit
     for bit, adding the single-sample gradients one at a time and dividing by
-    the count. Rows go through in chunks of ``_CHUNK_ROWS`` to bound memory;
-    each chunk's running sum is added into its first row before its fold.
+    the count. Rows go through in chunks whose buffer fits ``_CHUNK_BYTES``
+    (at least one row) to bound memory; each chunk's running sum is added into
+    its first row before its fold, so any chunking gives the same bytes.
     """
     spec = layout.spec
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty batch")
     last = spec.n_layers - 1
+    chunk = max(1, _CHUNK_BYTES // (8 * layout.size))
     total = None
-    for start in range(0, n, _CHUNK_ROWS):
+    for start in range(0, n, chunk):
         pre: list[np.ndarray] = []
-        post = [X[start:start + _CHUNK_ROWS]]
+        post = [X[start:start + chunk]]
         rows = len(post[0])
         for l, (w, b) in enumerate(params):
             z = np.matmul(w[None], post[-1][:, :, None])[:, :, 0] + b
             pre.append(z)
             post.append(z if l == last else _activate(spec.activation, z))
-        delta = _output_grad(spec.loss, post[-1], T[start:start + _CHUNK_ROWS])
+        delta = _output_grad(spec.loss, post[-1], T[start:start + chunk])
         buf = np.empty((rows, layout.size))
         for l in range(last, -1, -1):
             w_cols, b_cols = layout.columns[l]
@@ -452,7 +454,7 @@ def hard_threshold(params, layout: ParamLayout, theta_percent: float) -> list[La
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Teacher network and sampling plan for synthetic regression data."""
+    """Teacher network (checked as an `MLPSpec`) and sampling plan for synthetic data."""
 
     layer_sizes: tuple[int, ...] = (50, 50, 50, 1)
     m: int = 5
@@ -464,12 +466,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
-        if len(self.layer_sizes) < 2:
-            raise ValueError("need at least two layer sizes")
+        teacher = _teacher_spec(self)  # MLPSpec's checks, and errors naming the field
+        object.__setattr__(self, "layer_sizes", teacher.layer_sizes)
+        object.__setattr__(self, "activation", teacher.activation)
         if self.m < 1 or any(self.m > self.layer_sizes[l] for l in range(len(self.layer_sizes) - 2)):
             raise ValueError("per-node in-degree m must fit every sparse layer's fan-in")
-        if self.snr <= 0.0:
+        if not self.snr > 0.0:  # NaN fails too
             raise ValueError("snr must be positive")
         if min(self.train_size, self.val_size, self.test_size) < 2:
             raise ValueError("every split needs at least two samples")

@@ -57,10 +57,15 @@ def survivors(entry: dict, workdir: str | None = None) -> list[str]:
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
              *entry["fails"]],
             cwd=copy, env=env, capture_output=True, text=True, timeout=600)
-    # the short summary prints "FAILED <id> - <message>" or "ERROR <id> ..." per test
-    caught = {line.split(" ")[1] for line in proc.stdout.splitlines()
-              if line.startswith(("FAILED ", "ERROR "))}
+    caught = failed_ids(proc.stdout)
     return [test for test in entry["fails"] if test not in caught]
+
+
+def failed_ids(stdout: str) -> list[str]:
+    """The test ids of a ``pytest -rfE`` run's short summary, in the order printed."""
+    # the short summary prints "FAILED <id> - <message>" or "ERROR <id> ..." per test
+    return [line.split(" ")[1] for line in stdout.splitlines()
+            if line.startswith(("FAILED ", "ERROR "))]
 
 
 def main(argv=None) -> int:

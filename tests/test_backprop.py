@@ -1,25 +1,27 @@
 """Batched backprop against the single-sample reference, bit for bit.
 
 `MLPProblem.gradient_mean` runs one forward and backward pass over the rows
-of a batch, in chunks of `_CHUNK_ROWS`. `backprop_reference` keeps the
-per-sample pass and in-order accumulation it replaced. Hypothesis draws
-networks of 2-4 layers of width 1-40, both activations, both losses, bias on
-and off, and batches of 1, 16, one chunk plus one and three chunks, drawn
-with replacement from at most 40 rows so indices repeat. Gradients must agree
-in their bytes, and the batch objective must equal the loss of `forward`. The
-sigmoid must equal the reference's boolean-scatter form in its bytes, NaN
-signs included.
+of a batch, in chunks whose gradient buffer fits `_CHUNK_BYTES`. The tests
+here that cross chunk boundaries lower that budget to `CHUNK` rows of the
+drawn network. `backprop_reference` keeps the per-sample pass and in-order
+accumulation it replaced. Hypothesis draws networks of 2-4 layers of width
+1-40, both activations, both losses, bias on and off, and batches of 1, 16,
+one chunk plus one and three chunks, drawn with replacement from at most 40
+rows so indices repeat. Gradients must agree in their bytes, and the batch
+objective must equal the loss of `forward`. The sigmoid must equal the
+reference's boolean-scatter form in its bytes, NaN signs included.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import backprop_reference as ref
+from fwsd import sparse_net
 from fwsd.sparse_net import (
-    _CHUNK_ROWS,
     Activation,
     Dataset,
     LayerParams,
@@ -32,7 +34,8 @@ from fwsd.sparse_net import (
     loss_value,
 )
 
-BATCH_SIZES = (1, 16, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS)
+CHUNK = 64
+BATCH_SIZES = (1, 16, CHUNK + 1, 3 * CHUNK)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -68,6 +71,11 @@ def uniform_params(spec, rng, scale=1.0):
             for l in range(spec.n_layers)]
 
 
+def chunks_of(layout):
+    """Lower `_backprop`'s byte budget to `CHUNK` rows of ``layout``'s gradient."""
+    return mock.patch.object(sparse_net, "_CHUNK_BYTES", 8 * layout.size * CHUNK)
+
+
 def assert_same_bytes(got_blocks, got_h, want_blocks, want_h):
     assert len(got_blocks) == len(want_blocks)
     for got, want in zip(got_blocks, want_blocks):
@@ -87,7 +95,8 @@ def test_gradient_mean_matches_reference(drawn, batch_size):
     problem, params, rng = drawn
     batch = rng.integers(0, problem.n_samples, size=batch_size)
     x_blocks, y = problem.layout.pack(params)
-    est = problem.gradient_mean(x_blocks, y, batch)
+    with chunks_of(problem.layout):
+        est = problem.gradient_mean(x_blocks, y, batch)
     assert_same_bytes(est.g_blocks, est.h, *reference_mean(problem, params, batch))
 
 
@@ -120,28 +129,39 @@ def test_objective_is_forward_loss_bit_for_bit(drawn, batch_size):
 def test_exact_gradient_matches_reference_over_full_dataset():
     rng = np.random.default_rng(6)
     spec = MLPSpec(layer_sizes=(9, 12, 8, 1), fw_layers=(0, 1), deltas=(1.0, 2.0))
-    n = 3 * _CHUNK_ROWS + 5
+    n = 3 * CHUNK + 5
     data = Dataset(rng.standard_normal((n, 9)), rng.standard_normal((n, 1)))
     problem = MLPProblem(spec=spec, layout=ParamLayout(spec), data=data)
     params = uniform_params(spec, rng)
-    g_blocks, h = problem.exact_gradient(*problem.layout.pack(params))
+    with chunks_of(problem.layout):
+        g_blocks, h = problem.exact_gradient(*problem.layout.pack(params))
     assert_same_bytes(g_blocks, h, *reference_mean(problem, params, np.arange(n)))
+
+
+def exact_gradient_peak(sizes, fw_layers, n, seed):
+    """Peak traced bytes of one `exact_gradient` over ``n`` random rows."""
+    rng = np.random.default_rng(seed)
+    spec = MLPSpec(layer_sizes=sizes, fw_layers=fw_layers, deltas=(1.0,) * len(fw_layers))
+    data = Dataset(rng.standard_normal((n, sizes[0])), rng.standard_normal((n, sizes[-1])))
+    problem = MLPProblem(spec=spec, layout=ParamLayout(spec), data=data)
+    x_blocks, y = problem.layout.pack(uniform_params(spec, rng))
+    tracemalloc.start()
+    try:
+        problem.exact_gradient(x_blocks, y)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_exact_gradient_memory_is_bounded():
     # an unchunked pass over 20,000 rows holds ~200 MB of per-sample gradients
-    rng = np.random.default_rng(7)
-    spec = MLPSpec(layer_sizes=(20, 20, 20, 1), fw_layers=(0, 1), deltas=(1.0, 1.0))
-    data = Dataset(rng.standard_normal((20_000, 20)), rng.standard_normal((20_000, 1)))
-    problem = MLPProblem(spec=spec, layout=ParamLayout(spec), data=data)
-    params = uniform_params(spec, rng)
-    x_blocks, y = problem.layout.pack(params)
-    tracemalloc.start()
-    try:
-        problem.exact_gradient(x_blocks, y)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = exact_gradient_peak((20, 20, 20, 1), (0, 1), 20_000, 7)
+    assert peak < 32 * 2**20, f"exact_gradient peaked at {peak / 2**20:.1f} MB"
+
+
+def test_exact_gradient_memory_is_bounded_on_a_wide_layer():
+    # one sample's gradient at 784-300-1 is 1.9 MB: 64 rows in one chunk would hold 121 MB
+    peak = exact_gradient_peak((784, 300, 1), (0,), 64, 8)
     assert peak < 32 * 2**20, f"exact_gradient peaked at {peak / 2**20:.1f} MB"
 
 

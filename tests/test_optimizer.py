@@ -43,12 +43,12 @@ class TestBatchSchedule:
         assert s.batch_size(99, 100) == 16
 
     def test_linear_in_total(self):
-        s = BatchSchedule.linear_in_total()
+        s = BatchSchedule(kind="linear-in-total")
         assert s.batch_size(0, 250) == 250
         assert s.batch_size(249, 250) == 250
 
     def test_linear_in_iter(self):
-        s = BatchSchedule.linear_in_iter()
+        s = BatchSchedule(kind="linear-in-iter")
         assert s.batch_size(0, 250) == 1
         assert s.batch_size(9, 250) == 10
 

@@ -472,8 +472,19 @@ def test_synth_spec_validation():
         SynthSpec(layer_sizes=(4, 3, 1), m=5)
     with pytest.raises(ValueError):
         SynthSpec(snr=0.0)
+    with pytest.raises(ValueError, match="snr"):
+        SynthSpec(snr=float("nan"))  # generate_synthetic would write NaN targets
     with pytest.raises(ValueError):
         SynthSpec(train_size=1)
+    # the teacher's shape is MLPSpec's: a string is not read digit by digit
+    with pytest.raises(ValueError, match="^layer_sizes: "):
+        SynthSpec(layer_sizes="432", m=1)
+    with pytest.raises(ValueError, match="^layer_sizes "):
+        SynthSpec(layer_sizes=(4,))
+    with pytest.raises(ValueError, match="^activation: "):
+        SynthSpec(activation="tanh")
+    synth = SynthSpec(layer_sizes=[4, 3, 1], m=2, activation="relu")
+    assert (synth.layer_sizes, synth.activation) == ((4, 3, 1), Activation.RELU)
 
 
 def test_synthetic_teacher_structure():
