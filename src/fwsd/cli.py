@@ -235,9 +235,9 @@ def _validate_config(c: ExperimentConfig) -> None:
     if c.synth_m < 1:
         raise ConfigError("synth_m must be at least 1")
     if min(c.train_size, c.val_size, c.test_size) < 2:
-        raise ConfigError("dataset split sizes must be at least 2")
+        raise ConfigError("train_size, val_size and test_size must be at least 2")
     if any(d < 1 for d in c.quad_blocks) or c.quad_y < 0:
-        raise ConfigError("quadratic dimensions must be positive")
+        raise ConfigError("quad_blocks must be positive and quad_y nonnegative")
     if c.quad_sigma < 0.0:
         raise ConfigError("quad_sigma must be nonnegative")
     for key in ("grid_l_nabla", "grid_delta"):
@@ -298,17 +298,16 @@ def _load_dataset_any(path: str, spec: MLPSpec) -> Dataset:
     return data
 
 
+def _owned(owner, config: ExperimentConfig, **keys: str):
+    """``owner`` from each field's config key (``keys`` renames); a broken rule is a ConfigError."""
+    try:
+        return owner(**{f.name: getattr(config, keys.get(f.name, f.name)) for f in fields(owner)})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _synth_spec(config: ExperimentConfig) -> SynthSpec:
-    return SynthSpec(
-        layer_sizes=config.layer_sizes,
-        m=config.synth_m,
-        snr=config.snr,
-        activation=Activation(config.activation),
-        train_size=config.train_size,
-        val_size=config.val_size,
-        test_size=config.test_size,
-        seed=config.seed,
-    )
+    return _owned(SynthSpec, config, m="synth_m")
 
 
 def _budget_iterations(config: ExperimentConfig, n_samples: int | None,
@@ -373,11 +372,7 @@ def _run_budgeted(config: ExperimentConfig, problem, balls, y0, x0_blocks,
 
 
 def _train_net(config: ExperimentConfig) -> TrainOutcome:
-    try:
-        spec_full = MLPSpec(**{f.name: getattr(config, f.name) for f in fields(MLPSpec)})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
+    spec_full = _owned(MLPSpec, config)
     if config.problem == "synthetic-net":
         if config.loss != "mse":
             raise ConfigError("the synthetic teacher produces regression targets; use loss = mse")
@@ -408,11 +403,8 @@ def _train_net(config: ExperimentConfig) -> TrainOutcome:
     params = layout.unpack(out.x, out.y)
     metrics += [(f"nnz_layer_{l}", v) for l, v in nnz_metrics(params, metrics_layout).items()]
 
-    if config.problem == "synthetic-net":
-        eval_split, eval_data = "test", test
-    else:
-        eval_split, eval_data = ("test", test) if test is not None else (
-            ("val", val) if val is not None else ("train", train))
+    eval_split, eval_data = ("test", test) if test is not None else (
+        ("val", val) if val is not None else ("train", train))
     cut_scores = _threshold_scores(metrics_layout, params, eval_data, REPORT_THETAS)
     # REPORT_THETAS starts at 100, the cut that keeps every weight: the eval score
     metrics.append(("eval_split", eval_split))

@@ -181,15 +181,16 @@ def regroup(x: Sequence[np.ndarray], heights: Sequence[int], dims: Sequence[int]
 
     ``x`` holds arrays whose rows, in turn, are the blocks (a 1-D array is one
     block). A matrix inside one array of ``x`` shares its memory, else a stack.
-    `RowError` names the first block that does not convert to float64, else the
-    first misshapen one, by its index; it has no row if the block count is off.
+    `RowError` names the first block that does not convert to float64, else the first
+    misshapen one, by its index; it has no row past the expected count or if the count is off.
     """
     runs, count = [], 0
     for a in x:
         try:
             a = np.asarray(a, dtype=np.float64)
         except (ValueError, TypeError) as exc:  # not numbers, or ragged
-            raise RowError(f"{name} does not convert to float64: {exc}", count) from exc
+            row = count if count < sum(heights) else None
+            raise RowError(f"{name} does not convert to float64: {exc}", row) from exc
         runs.append(a[None] if a.ndim < 2 else a)
         count += len(runs[-1])
     if count != sum(heights):

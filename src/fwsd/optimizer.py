@@ -318,9 +318,12 @@ def run(
     groups, heights, dims = group_layout(balls)
     c_bars = [np.asarray(config.c_bar_per_block, dtype=np.float64)[idx] for _, idx in groups]
     # the iterate: one matrix per group, never written after it is made
-    x = regroup(x0_blocks, heights, dims, "x0")
-    for (ball, _), m in zip(groups, x):
-        _fail_rows(outside_rows(ball, m), "x0 block is infeasible")
+    with blame_blocks("the start point", range(len(balls))):
+        x = regroup(x0_blocks, heights, dims, "x0")
+    for (ball, idx), m in zip(groups, x):
+        with blame_blocks("the start point", idx):
+            finite_rows(m, "x0")
+            _fail_rows(outside_rows(ball, m), "x0 block is infeasible")
 
     def each_group(step, kernel, mats, blocks, name, *args):
         # ``args`` follow the group's (matrix, gradient, ball, c_bar) in each kernel call

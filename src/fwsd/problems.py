@@ -155,8 +155,8 @@ def make_quadratic(
         raise ValueError("problem needs at least one variable")
     if not np.isfinite(l_nabla) or l_nabla <= 0.0:
         raise ValueError("l_nabla must be positive")
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if not 0.0 <= noise_sigma < np.inf:  # NaN fails too
+        raise ValueError("noise_sigma must be nonnegative and finite")
     n = p_total + q
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))

@@ -104,8 +104,8 @@ class MLPSpec:
             raise ValueError(f"fw_layers must index the {n_layers} weight layers")
         if len(self.deltas) != len(self.fw_layers):
             raise ValueError("deltas needs exactly one radius per constrained layer")
-        if not all(d > 0.0 for d in self.deltas):  # NaN fails too
-            raise ValueError("deltas must be positive")
+        if not all(0.0 < d < np.inf for d in self.deltas):  # NaN fails too
+            raise ValueError("deltas must be positive and finite")
 
     @property
     def n_layers(self) -> int:

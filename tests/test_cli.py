@@ -878,6 +878,54 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, capsys):
+    # each case breaks one rule, of _validate_config, MLPSpec or SynthSpec, in a base that
+    # runs; every command that reads the rule exits 1 and writes no file
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir(), out.mkdir()
+    assert run_cli(*synth_args(data)) == 0
+    net = ["--layer-sizes", "4,3,1", "--fw-layers", "0,1", "--deltas", "1,1", "--synth-m", "2",
+           "--train-size", "30", "--val-size", "8", "--test-size", "9", "--iterations", "4"]
+    bases = {
+        "train-quadratic": ["train", "--problem", "quadratic", "--quad-blocks", "2,2",
+                            "--deltas", "1,1", "--iterations", "4"],
+        "train-synthetic-net": ["train", "--problem", "synthetic-net", *net],
+        "train-dataset": ["train", "--problem", "dataset", "--dataset", str(data / "d.train.bin"),
+                          "--val-dataset", str(data / "d.val.bin"), *net],
+        "synth": ["synth", *net],
+        "grid": ["grid", "--problem", "synthetic-net", *net, "--grid-l-nabla", "1",
+                 "--grid-delta", "1"],
+    }
+    every = list(bases)
+    networks = ["train-synthetic-net", "train-dataset", "grid"]
+    teachers = ["train-synthetic-net", "synth", "grid"]
+    cases = [(every, (f"--{key.replace('_', '-')}={bad}",), key) for key, bad in (
+        ("iterations", "-1"), ("epochs", "-1"), ("batch_size", "0"), ("l_nabla", "0"),
+        ("c_bar_scale", "0.5"), ("away_tol", "-1"), ("smoothing_window", "0"),
+        ("layer_sizes", "4"), ("layer_sizes", "4,0,1"), ("deltas", "1,-1"), ("deltas", "1,0"),
+        ("snr", "0"), ("snr", "-1"), ("synth_m", "0"), ("train_size", "1"), ("val_size", "1"),
+        ("test_size", "1"), ("quad_blocks", "2,0"), ("quad_y", "-1"), ("quad_sigma", "-1"),
+        ("grid_l_nabla", "0"), ("grid_delta", "-1"), ("method", "adam"), ("seed", "x"))]
+    cases += [
+        (every, ("--epochs=2",), "either iterations or epochs"),
+        (networks, ("--fw-layers=1,0",), "fw_layers"),
+        (networks, ("--fw-layers=0,2",), "fw_layers"),
+        # the teacher's in-degree must fit layer 0's fan-in of 4, and then layer 1's of 3
+        (teachers, ("--synth-m=5",), "in-degree m"),
+        (teachers, ("--layer-sizes=4,3,3,1", "--fw-layers=0", "--deltas=1", "--synth-m=4"),
+         "in-degree m"),
+    ]
+    for commands, args, word in cases:
+        for command in commands:
+            code = run_cli(*bases[command], *args, "--out-prefix", str(out / "r"))
+            assert code == 1, (command, args, code)
+            assert word in capsys.readouterr().err, (command, args)
+    assert not list(out.iterdir()), "nothing ran"
+    for command, base in bases.items():  # the bases themselves run
+        assert run_cli(*base, "--out-prefix", str(tmp_path / command)) == 0, command
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------- exit codes
 
 

@@ -431,6 +431,28 @@ class TestRun:
         with pytest.raises(ValueError):
             run(problem, balls, np.zeros(3), [np.zeros(4)], bad)  # c_bar too small
 
+    @pytest.mark.parametrize("bad, message", [
+        ([1.5, 0.0, 0.0], "x0 block is infeasible"),
+        ([np.nan, 0.0, 0.0], "x0 contains non-finite entries"),
+        ([0.0, -np.inf, 0.0], "x0 contains non-finite entries")],
+        ids=["outside", "nan", "inf"])
+    def test_bad_start_block_is_named(self, bad, message):
+        # two groups of two blocks; the bad block 3 is inside the first group's ball only
+        problem = make_quadratic(seed=7, p=(3, 3, 3, 3), q=1, l_nabla=1.0)
+        balls = [L1Ball(3, 2.0)] * 2 + [L1Ball(3, 1.0)] * 2
+        x0 = [np.zeros(3)] * 3 + [np.array(bad)]
+        with pytest.raises(RowError, match=rf"^{message} \(block 3, in the start point\)$"):
+            run(problem, balls, np.zeros(1), x0, config_for(balls))
+
+    def test_start_block_past_the_count_is_not_named(self):
+        # a block past the expected count has no index to name, but the run still says where
+        problem = make_quadratic(seed=7, p=(3, 3), q=1, l_nabla=1.0)
+        balls = [L1Ball(3, 1.0)] * 2
+        for x0, message in (([np.zeros(3)] * 3, "x0 holds 3 blocks, expected 2"),
+                            ([np.zeros(3)] * 2 + [["a", "b", "c"]], "x0 does not convert")):
+            with pytest.raises(RowError, match=rf"^{message}.* \(in the start point\)$"):
+                run(problem, balls, np.zeros(1), x0, config_for(balls))
+
     def test_step_failure_names_the_iteration(self):
         # from the fourth batch on the gradient is non-finite, so fw_step
         # fails at iteration 3; run keeps the type and the block and step

@@ -22,8 +22,9 @@ class TestMakeQuadratic:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             make_quadratic(seed=0, p=2, q=1, l_nabla=0.0)
-        with pytest.raises(ValueError):
-            make_quadratic(seed=0, p=2, q=1, l_nabla=1.0, noise_sigma=-1.0)
+        for sigma in (-1.0, float("nan"), float("inf")):  # NaN or inf: the run fails at iteration 0
+            with pytest.raises(ValueError, match="^noise_sigma must be nonnegative and finite$"):
+                make_quadratic(seed=0, p=2, q=1, l_nabla=1.0, noise_sigma=sigma)
         with pytest.raises(ValueError):
             make_quadratic(seed=0, p=[2, 0], q=1, l_nabla=1.0)
 

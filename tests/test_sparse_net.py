@@ -62,8 +62,9 @@ def test_spec_validation():
         MLPSpec(layer_sizes=(4, 3, 2), fw_layers=(2,), deltas=(1.0,))
     with pytest.raises(ValueError):
         MLPSpec(layer_sizes=(4, 3, 2), fw_layers=(0,), deltas=())
-    with pytest.raises(ValueError):
-        MLPSpec(layer_sizes=(4, 3, 2), fw_layers=(0,), deltas=(-1.0,))
+    for delta in (-1.0, 0.0, float("nan"), float("inf")):  # inf is named here, not as a ball radius
+        with pytest.raises(ValueError, match="^deltas must be positive and finite$"):
+            MLPSpec(layer_sizes=(4, 3, 2), fw_layers=(0,), deltas=(delta,))
 
 
 def test_spec_accessors():
