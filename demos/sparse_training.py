@@ -9,8 +9,6 @@ the acceptance study; note the sweep can cut the away-step model to one
 percent of its weights without hurting the test loss.
 """
 
-from dataclasses import replace
-
 from fwsd.geometry import Norm
 from fwsd.optimizer import BatchSchedule, OptimizerConfig, run
 from fwsd.sparse_net import (
@@ -18,7 +16,6 @@ from fwsd.sparse_net import (
     Loss,
     MLPProblem,
     MLPSpec,
-    ParamLayout,
     SynthSpec,
     evaluate,
     generate_synthetic,
@@ -46,7 +43,6 @@ methods = (("sfw-if", 0.7), ("sfw", 1.0), ("sgd", 1.0))
 metric_spec = MLPSpec(layer_sizes=SIZES, activation=Activation.SIGMOID,
                       loss=Loss.MSE, fw_layers=(0, 1),
                       deltas=(DELTA, DELTA), bias=True)
-metric_layout = ParamLayout(metric_spec)
 
 results = {}
 print(f"{'method':8s} {'nnz layer 0':>12s} {'nnz layer 1':>12s} {'test mse':>10s}")
@@ -57,9 +53,9 @@ for method, l_nabla in methods:
                    fw_layers=(0, 1) if constrained else (),
                    deltas=(DELTA, DELTA) if constrained else (),
                    bias=True)
-    layout = ParamLayout(spec)
+    problem = MLPProblem(spec=spec, data=train)
+    layout = problem.layout
     balls = layout.balls()
-    problem = MLPProblem(spec=spec, layout=layout, data=train)
     x0, y0 = layout.pack(init_params(spec, SEED))
     config = OptimizerConfig(
         l_nabla=l_nabla,
@@ -73,8 +69,8 @@ for method, l_nabla in methods:
     res = run(problem, balls, y0, list(x0), config)
     final = res.final_iterate
     params = layout.unpack(list(final.x_blocks), final.y)
-    nnz = nnz_metrics(params, metric_layout)
-    mse = evaluate(replace(metric_spec, fw_layers=(), deltas=()), params, test)["loss"]
+    nnz = nnz_metrics(params, metric_spec)
+    mse = evaluate(metric_spec, params, test)["loss"]
     results[method] = params
     print(f"{method:8s} {nnz[0]:11.1f}% {nnz[1]:11.1f}% {mse:10.4f}")
 
@@ -82,6 +78,6 @@ print()
 print("hard-threshold sweep of the away-step model (keep top theta% weights):")
 print(f"{'theta':>6s} {'test mse':>12s}")
 for theta in (100.0, 25.0, 10.0, 5.0, 2.0, 1.0):
-    cut = hard_threshold(results["sfw-if"], metric_layout, theta)
-    mse = evaluate(replace(metric_spec, fw_layers=(), deltas=()), cut, test)["loss"]
+    cut = hard_threshold(results["sfw-if"], metric_spec, theta)
+    mse = evaluate(metric_spec, cut, test)["loss"]
     print(f"{theta:6.0f} {mse:12.6f}")

@@ -43,12 +43,10 @@ from .sparse_net import (
     Loss,
     MLPProblem,
     MLPSpec,
-    ParamLayout,
     SynthSpec,
     _check_widths,
     _net_arrays,
     _nnz_percentages,
-    _teacher_spec,
     evaluate,
     generate_synthetic,
     hard_threshold,
@@ -387,10 +385,9 @@ def _train_net(config: ExperimentConfig) -> TrainOutcome:
     # the configured constrained layers
     train_spec = spec_full if config.method != "sgd" else replace(
         spec_full, fw_layers=(), deltas=())
-    layout = ParamLayout(train_spec)
-    metrics_layout = ParamLayout(spec_full)
+    problem = MLPProblem(spec=train_spec, data=train)
+    layout = problem.layout
     balls = layout.balls()
-    problem = MLPProblem(spec=train_spec, layout=layout, data=train)
     if config.epoch_sampling:
         problem = EpochSampling(problem)
 
@@ -401,11 +398,11 @@ def _train_net(config: ExperimentConfig) -> TrainOutcome:
 
     out = result.output_iterate
     params = layout.unpack(out.x, out.y)
-    metrics += [(f"nnz_layer_{l}", v) for l, v in nnz_metrics(params, metrics_layout).items()]
+    metrics += [(f"nnz_layer_{l}", v) for l, v in nnz_metrics(params, spec_full).items()]
 
     eval_split, eval_data = ("test", test) if test is not None else (
         ("val", val) if val is not None else ("train", train))
-    cut_scores = _threshold_scores(metrics_layout, params, eval_data, REPORT_THETAS)
+    cut_scores = _threshold_scores(spec_full, params, eval_data, REPORT_THETAS)
     # REPORT_THETAS starts at 100, the cut that keeps every weight: the eval score
     metrics.append(("eval_split", eval_split))
     metrics += [(f"eval_{name}", value) for name, value in cut_scores[0].items()]
@@ -414,7 +411,7 @@ def _train_net(config: ExperimentConfig) -> TrainOutcome:
 
     val_scores = cut_scores[0]  # the eval split's, unless val is a split of its own
     if val is not None and eval_data is not val:
-        (val_scores,) = _threshold_scores(metrics_layout, params, val, (100.0,))
+        (val_scores,) = _threshold_scores(spec_full, params, val, (100.0,))
     # the trace counts the trained blocks only, and sgd trains none
     return TrainOutcome(
         result=result,
@@ -426,15 +423,14 @@ def _train_net(config: ExperimentConfig) -> TrainOutcome:
     )
 
 
-def _threshold_scores(layout: ParamLayout, params, data: Dataset,
+def _threshold_scores(spec: MLPSpec, params, data: Dataset,
                       thetas: Sequence[float]) -> list[dict[str, float]]:
     """`evaluate` the trained network cut by `hard_threshold` at each theta, in order.
 
     Both are this module's names, looked up on every call, so a tracer that
     patches them here sees every cut and every pass.
     """
-    eval_spec = replace(layout.spec, fw_layers=(), deltas=())
-    return [evaluate(eval_spec, hard_threshold(params, layout, theta), data) for theta in thetas]
+    return [evaluate(spec, hard_threshold(params, spec, theta), data) for theta in thetas]
 
 
 def _train_quadratic(config: ExperimentConfig) -> TrainOutcome:
@@ -535,7 +531,7 @@ def cmd_threshold_eval(ckpt_path: str, dataset_path: str,
                        thetas: Sequence[float], out_path: str | None) -> int:
     spec, params, _ = load_net_checkpoint(ckpt_path)
     data = _load_dataset_any(dataset_path, spec)
-    scores = _threshold_scores(ParamLayout(spec), params, data, thetas)
+    scores = _threshold_scores(spec, params, data, thetas)
     header = ["theta", *scores[0]]
     lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in (theta, *s.values()))
                                   for theta, s in zip(thetas, scores)]
@@ -554,7 +550,7 @@ def cmd_synth(config: ExperimentConfig) -> int:
         save(path, data)
         paths[name] = path
     teacher_path = f"{config.out_prefix}.teacher.ckpt"
-    save_net_checkpoint(teacher_path, _teacher_spec(synth), teacher,
+    save_net_checkpoint(teacher_path, synth.teacher, teacher,
                         {"m": synth.m, "snr": synth.snr, "seed": synth.seed})
     for name, path in paths.items():
         print(f"{name} = {path}")

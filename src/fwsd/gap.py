@@ -166,6 +166,7 @@ def gap_estimate(
     g_tilde_blocks = []
     for (ball, idx), x, g in zip(groups, xs, gs):
         with blame_blocks("gap_estimate", idx):
+            finite_rows(x, "x")  # before feasibility, which calls a NaN row outside
             _fail_rows(outside_rows(ball, x), "x block is infeasible")
             finite_rows(g, "g")
             g_tilde_blocks += _clamp_g_tilde(frank_wolfe_rows(ball, x, g)[1], g).tolist()

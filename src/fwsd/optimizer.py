@@ -364,6 +364,8 @@ def run(
             h_norm = dual_norm(est.h, config.norm_y)  # one norm for the gap and sd_step
             gap_hat = constants.gap(float(sum(g_tildes)), h_norm)
             y_next, alpha_sd = sd_step(y, est.h, h_norm, config)
+            if not np.isfinite(y_next).all():  # an overflowing step fails in its own iteration
+                raise ValueError("y contains non-finite entries (in sd_step)")
 
             if config.alternative_directions and balls:
                 fresh = problem.draw(streams.alt_batches, b_k)

@@ -21,7 +21,7 @@ import enum
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -170,13 +170,16 @@ class ParamLayout:
         not a copy, whose rows are the layer's blocks; ``y`` is a new array.
         """
         x_blocks = [np.asarray(params[l].w, dtype=np.float64) for l in self.spec.fw_layers]
-        parts = [np.asarray(params[l].w, dtype=np.float64).ravel()
-                 for l in range(self.spec.n_layers) if l not in self.spec.fw_layers]
-        if self.spec.bias:
-            parts.extend(np.asarray(params[l].b, dtype=np.float64)
-                         for l in range(self.spec.n_layers))
-        y = np.concatenate(parts) if parts else np.zeros(0)
+        y = np.empty(self.y_dim)
+        for l, (w_cols, b_cols) in enumerate(self.columns):
+            if l not in self.spec.fw_layers:
+                y[self._in_y(w_cols)] = np.ravel(params[l].w)
+            if b_cols is not None:
+                y[self._in_y(b_cols)] = params[l].b
         return x_blocks, y
+
+    def _in_y(self, cols: slice) -> slice:  # y holds the columns after the blocks'
+        return slice(cols.start - self.size + self.y_dim, cols.stop - self.size + self.y_dim)
 
     def unpack(self, x_blocks, y) -> list[LayerParams]:
         """Rebuild per-layer arrays from optimizer coordinates, the blocks in any cut.
@@ -194,15 +197,13 @@ class ParamLayout:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.y_dim,):
             raise ValueError(f"free block has shape {y.shape}, expected ({self.y_dim},)")
-        n_x = self.size - self.y_dim  # y holds the columns after the blocks'
         weights = dict(zip(self.spec.fw_layers, fw))
         params = []
         for l, ((w_cols, b_cols), shape) in enumerate(zip(self.columns, self.shapes)):
             w = weights.get(l)
             if w is None:
-                w = y[w_cols.start - n_x:w_cols.stop - n_x].reshape(shape).copy()
-            b = (np.zeros(shape[0]) if b_cols is None
-                 else y[b_cols.start - n_x:b_cols.stop - n_x].copy())
+                w = y[self._in_y(w_cols)].reshape(shape).copy()
+            b = np.zeros(shape[0]) if b_cols is None else y[self._in_y(b_cols)].copy()
             params.append(LayerParams(w=w, b=b))
         return params
 
@@ -315,14 +316,16 @@ class MLPProblem:
     Scenarios are row indices drawn with replacement, so the expectation
     defining the objective is the plain average over the dataset, and
     ``exact_gradient`` / ``exact_objective`` are full-dataset passes.
+    ``layout`` is the spec's `ParamLayout`, built here.
     """
 
     spec: MLPSpec
-    layout: ParamLayout
     data: Dataset
+    layout: ParamLayout = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_widths(self.spec, self.data, "data")
+        object.__setattr__(self, "layout", ParamLayout(self.spec))
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -416,18 +419,18 @@ def _nnz_percentages(layout: ParamLayout, counts) -> list[list[float]]:
     return out
 
 
-def nnz_metrics(params, layout: ParamLayout, threshold: float = NNZ_THRESHOLD) -> dict[int, float]:
+def nnz_metrics(params, spec: MLPSpec, threshold: float = NNZ_THRESHOLD) -> dict[int, float]:
     """Percent of per-node incoming weights at or above ``threshold``, per constrained layer.
 
     The average over the layer's nodes of ``100 * count(|w| >= threshold) / fan_in``,
     the rule the trace's NNZ columns use.
     """
-    counts = [c for l in layout.spec.fw_layers for c in nnz_rows(params[l].w, threshold).tolist()]
-    (row,) = _nnz_percentages(layout, [counts])
-    return dict(zip(layout.spec.fw_layers, row))
+    counts = [c for l in spec.fw_layers for c in nnz_rows(params[l].w, threshold).tolist()]
+    (row,) = _nnz_percentages(ParamLayout(spec), [counts])
+    return dict(zip(spec.fw_layers, row))
 
 
-def hard_threshold(params, layout: ParamLayout, theta_percent: float) -> list[LayerParams]:
+def hard_threshold(params, spec: MLPSpec, theta_percent: float) -> list[LayerParams]:
     """Keep the top ``theta_percent`` of each constrained layer's weights.
 
     Magnitudes are ranked over the whole layer (all nodes pooled); exactly
@@ -438,7 +441,7 @@ def hard_threshold(params, layout: ParamLayout, theta_percent: float) -> list[La
         raise ValueError("theta_percent must be within [0, 100]")
     out = []
     for l, layer in enumerate(params):
-        if l not in layout.spec.fw_layers:
+        if l not in spec.fw_layers:
             out.append(LayerParams(w=layer.w.copy(), b=layer.b.copy()))
             continue
         flat = np.abs(layer.w).ravel()
@@ -466,7 +469,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        teacher = _teacher_spec(self)  # MLPSpec's checks, and errors naming the field
+        teacher = self.teacher  # MLPSpec's checks, and errors naming the field
         object.__setattr__(self, "layer_sizes", teacher.layer_sizes)
         object.__setattr__(self, "activation", teacher.activation)
         if self.m < 1 or any(self.m > self.layer_sizes[l] for l in range(len(self.layer_sizes) - 2)):
@@ -476,9 +479,10 @@ class SynthSpec:
         if min(self.train_size, self.val_size, self.test_size) < 2:
             raise ValueError("every split needs at least two samples")
 
-
-def _teacher_spec(synth: SynthSpec) -> MLPSpec:
-    return MLPSpec(layer_sizes=synth.layer_sizes, activation=synth.activation, bias=False)
+    @property
+    def teacher(self) -> MLPSpec:
+        """The teacher network's architecture: the layer sizes and activation, no biases."""
+        return MLPSpec(layer_sizes=self.layer_sizes, activation=self.activation, bias=False)
 
 
 def generate_synthetic(synth: SynthSpec):
@@ -506,11 +510,9 @@ def generate_synthetic(synth: SynthSpec):
                 w[node, cols] = rng.choice([-1.0, 1.0], size=synth.m)
         teacher.append(LayerParams(w=w, b=np.zeros(fan_out)))
 
-    net_spec = _teacher_spec(synth)
-
     def make_split(n: int, noise_std: float | None):
         x = rng.standard_normal((n, sizes[0]))
-        signal = forward(net_spec, teacher, x)
+        signal = forward(synth.teacher, teacher, x)
         if noise_std is None:
             return x, signal  # noise added later, once the scale is known
         return Dataset(features=x, targets=signal + rng.normal(0.0, noise_std, signal.shape))
@@ -593,7 +595,7 @@ def load_dataset_csv(path) -> Dataset:
     """Read `save_dataset_csv`'s format; a malformed file fails, naming the file.
 
     The header must be exactly ``x0..x{d-1},y0..y{t-1}`` with ``d, t >= 1``, and
-    at least one row must follow, each of exactly that many values.
+    at least one row must follow, each of exactly that many finite values.
     """
     with open(path, "r", encoding="utf-8") as fh:
         names = fh.readline().strip().split(",")
@@ -612,7 +614,16 @@ def load_dataset_csv(path) -> Dataset:
         raw = np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2)
     except ValueError as exc:  # a value that is not a number
         raise ValueError(f"{path}: {exc}") from None
-    return Dataset(features=raw[:, :d], targets=raw[:, d:])
+    return _finite_dataset(path, raw[:, :d], raw[:, d:])
+
+
+def _finite_dataset(path, features: np.ndarray, targets: np.ndarray) -> Dataset:
+    """The dataset read from ``path``, unless a value is NaN or infinite: then a
+    ``ValueError`` names the file and the first such row, counting data rows from 1."""
+    bad = ~(np.isfinite(features).all(axis=1) & np.isfinite(targets).all(axis=1))
+    if bad.any():
+        raise ValueError(f"{path}: row {int(np.argmax(bad)) + 1} holds a non-finite value")
+    return Dataset(features=features, targets=targets)
 
 
 def write_binary(path, magic: bytes, version: int, fmt: str, values: Sequence,
@@ -685,7 +696,7 @@ def load_dataset_bin(path) -> Dataset:
     x = reader.floats((n, d), "features")
     y = reader.floats((n, t), "targets")
     reader.finish()
-    return Dataset(features=x, targets=y)
+    return _finite_dataset(path, x, y)
 
 
 def save_checkpoint(path, kind: str, spec_meta: dict, meta: dict,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -140,8 +139,7 @@ def test_criterion_02_gradients_match_finite_differences():
             else:
                 targets = np.zeros((6, sizes[-1]))
                 targets[np.arange(6), rng.integers(0, sizes[-1], 6)] = 1.0
-            problem = MLPProblem(spec=spec, layout=layout,
-                                 data=Dataset(features, targets))
+            problem = MLPProblem(spec=spec, data=Dataset(features, targets))
             for _ in range(5):
                 params = [
                     LayerParams(rng.normal(0.0, 0.6, (spec.fan_out(l), spec.fan_in(l))),
@@ -483,9 +481,9 @@ def _train_study_trial(seed: int, method: str, l_nabla: float, delta: float,
                    fw_layers=(0, 1) if constrained else (),
                    deltas=(delta, delta) if constrained else (),
                    bias=True)
-    layout = ParamLayout(spec)
+    problem = MLPProblem(spec=spec, data=train)
+    layout = problem.layout
     balls = layout.balls()
-    problem = MLPProblem(spec=spec, layout=layout, data=train)
     x0, y0 = layout.pack(init_params(spec, seed))
     config = OptimizerConfig(
         l_nabla=l_nabla,
@@ -499,9 +497,8 @@ def _train_study_trial(seed: int, method: str, l_nabla: float, delta: float,
     metric_spec = MLPSpec(layer_sizes=sizes, activation=Activation.SIGMOID,
                           loss=Loss.MSE, fw_layers=(0, 1),
                           deltas=(delta, delta), bias=True)
-    nnz = nnz_metrics(params, ParamLayout(metric_spec))
-    scores = evaluate(replace(metric_spec, fw_layers=(), deltas=()),
-                      params, test)
+    nnz = nnz_metrics(params, metric_spec)
+    scores = evaluate(metric_spec, params, test)
     return nnz[0], nnz[1], scores["loss"]
 
 

@@ -28,7 +28,6 @@ from fwsd.sparse_net import (
     Loss,
     MLPProblem,
     MLPSpec,
-    ParamLayout,
     _activate,
     forward,
     loss_value,
@@ -60,7 +59,7 @@ def problems(draw):
     targets = rng.standard_normal((n, sizes[-1]))
     if spec.loss is Loss.SOFTMAX_CE:
         targets = np.abs(targets)
-    problem = MLPProblem(spec=spec, layout=ParamLayout(spec), data=Dataset(features, targets))
+    problem = MLPProblem(spec=spec, data=Dataset(features, targets))
     return problem, uniform_params(spec, rng, scale), rng
 
 
@@ -131,7 +130,7 @@ def test_exact_gradient_matches_reference_over_full_dataset():
     spec = MLPSpec(layer_sizes=(9, 12, 8, 1), fw_layers=(0, 1), deltas=(1.0, 2.0))
     n = 3 * CHUNK + 5
     data = Dataset(rng.standard_normal((n, 9)), rng.standard_normal((n, 1)))
-    problem = MLPProblem(spec=spec, layout=ParamLayout(spec), data=data)
+    problem = MLPProblem(spec=spec, data=data)
     params = uniform_params(spec, rng)
     with chunks_of(problem.layout):
         g_blocks, h = problem.exact_gradient(*problem.layout.pack(params))
@@ -143,7 +142,7 @@ def exact_gradient_peak(sizes, fw_layers, n, seed):
     rng = np.random.default_rng(seed)
     spec = MLPSpec(layer_sizes=sizes, fw_layers=fw_layers, deltas=(1.0,) * len(fw_layers))
     data = Dataset(rng.standard_normal((n, sizes[0])), rng.standard_normal((n, sizes[-1])))
-    problem = MLPProblem(spec=spec, layout=ParamLayout(spec), data=data)
+    problem = MLPProblem(spec=spec, data=data)
     x_blocks, y = problem.layout.pack(uniform_params(spec, rng))
     tracemalloc.start()
     try:

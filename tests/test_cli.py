@@ -46,6 +46,7 @@ from fwsd.sparse_net import (
     load_dataset_bin,
     load_net_checkpoint,
     save_checkpoint,
+    save_dataset_bin,
     save_dataset_csv,
     save_net_checkpoint,
 )
@@ -251,6 +252,20 @@ def test_checkpoint_header_names_the_file(tmp_path, field, value):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("shape", [[-1, 2], [2.5, 2]], ids=["negative", "fraction"])
+def test_checkpoint_rejects_an_invalid_array_shape(tmp_path, shape):
+    path = tmp_path / "c.ckpt"
+    full = _small_net_checkpoint(path)
+    (length,) = struct.unpack_from("<I", full, 9)
+    header = json.loads(full[13:13 + length])
+    header["arrays"][0]["shape"] = shape
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(full[:9] + struct.pack("<I", len(blob)) + blob + full[13 + length:])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: layer0_w has invalid shape "
+                                         rf"\({re.escape(str(shape)[1:-1])}\)$"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTCKPT!" + b"\x00" * 16)
@@ -397,6 +412,8 @@ def test_smoothed_series():
     assert smoothed_series(values, 1) == values
     assert smoothed_series([5.0] * 6, 3) == [5.0] * 6
     assert smoothed_series([1.0, 2.0, 3.0, 4.0], 2) == [1.0, 1.5, 2.5, 3.5]
+    with pytest.raises(ConfigError, match="^window must be at least 1$"):
+        smoothed_series([1.0], 0)
 
 
 # ---------------------------------------------------------------- train
@@ -553,7 +570,7 @@ def test_train_epoch_sampling_mode(tmp_path, capsys):
 def test_epoch_sampling_walks_permutations():
     spec = MLPSpec(layer_sizes=(2, 1), fw_layers=(), deltas=(), bias=False)
     data = Dataset(features=np.zeros((6, 2)), targets=np.zeros((6, 1)))
-    problem = EpochSampling(MLPProblem(spec=spec, layout=ParamLayout(spec), data=data))
+    problem = EpochSampling(MLPProblem(spec=spec, data=data))
     rng = np.random.default_rng(3)
     drawn = np.concatenate([problem.draw(rng, 4), problem.draw(rng, 4), problem.draw(rng, 4)])
     assert sorted(drawn[:6]) == list(range(6)), "first pass covers every sample once"
@@ -564,8 +581,8 @@ def test_epoch_sampling_walks_permutations():
 def test_epoch_sampling_keeps_one_cursor_per_generator():
     spec = MLPSpec(layer_sizes=(2, 1), fw_layers=(), deltas=(), bias=False)
     data = Dataset(features=np.zeros((6, 2)), targets=np.zeros((6, 1)))
-    alone = EpochSampling(MLPProblem(spec=spec, layout=ParamLayout(spec), data=data))
-    shared = EpochSampling(MLPProblem(spec=spec, layout=ParamLayout(spec), data=data))
+    alone = EpochSampling(MLPProblem(spec=spec, data=data))
+    shared = EpochSampling(MLPProblem(spec=spec, data=data))
     rng, rng_again, other = (np.random.default_rng(s) for s in (3, 3, 4))
     expected, drawn = [], []
     for _ in range(4):
@@ -602,7 +619,7 @@ def test_away_steps_leave_the_data_stream_alone(epoch_sampling):
     x0, y0 = layout.pack(init_params(spec, 0))
     data_draws = []
     for away in (False, True):
-        problem = MLPProblem(spec=spec, layout=layout, data=data)
+        problem = MLPProblem(spec=spec, data=data)
         problem = _RecordDraws(EpochSampling(problem) if epoch_sampling else problem)
         config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(10.0,) * 4, iterations=20, seed=3,
                                  batch_schedule=BatchSchedule.constant(3),
@@ -767,6 +784,64 @@ def test_threshold_eval_checks_dataset_widths(tmp_path, capsys, monkeypatch, kin
     assert capsys.readouterr().err.startswith(f"error: {bad}: features ")
 
 
+def non_finite_copy(tmp_path, split, fmt, value):
+    """A ``fmt`` copy of a `synth_args` split whose third row holds ``value``: a NaN
+    among the features or an inf among the targets."""
+    x, t = load_dataset_bin(tmp_path / f"d.{split}.bin")
+    (x if value == "nan" else t)[2, 0] = float(value)
+    path = tmp_path / f"{split}-{value}.{fmt}"
+    (save_dataset_bin if fmt == "bin" else save_dataset_csv)(path, Dataset(x, t))
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+@pytest.mark.parametrize("flag", list(SPLIT_FLAGS))
+def test_train_rejects_non_finite_dataset_values_before_training(tmp_path, capsys, monkeypatch,
+                                                                 flag, fmt):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(fwsd.cli, "run", lambda *args: pytest.fail("training started"))
+    for value in ("nan", "inf"):
+        bad = non_finite_copy(tmp_path, SPLIT_FLAGS[flag], fmt, value)
+        files = sorted(tmp_path.iterdir())
+        assert run_cli(*dataset_train_args(tmp_path, flag, str(bad))) == 2
+        assert capsys.readouterr().err == f"error: {bad}: row 3 holds a non-finite value\n"
+        assert sorted(tmp_path.iterdir()) == files, "nothing written"
+
+
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+def test_grid_and_threshold_eval_reject_non_finite_dataset_values(tmp_path, capsys, monkeypatch,
+                                                                  fmt):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    assert run_cli(*dataset_train_args(tmp_path)) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(fwsd.cli, "run", lambda *args: pytest.fail("training started"))
+    monkeypatch.setattr(fwsd.cli, "evaluate", lambda *args: pytest.fail("scored"))
+    for value in ("nan", "inf"):
+        bad = non_finite_copy(tmp_path, "val", fmt, value)
+        files = sorted(tmp_path.iterdir())
+        grid = dataset_train_args(tmp_path, "--val-dataset", str(bad), "--grid-l-nabla", "1",
+                                  "--grid-delta", "1")
+        for argv in (["grid", *grid[1:]],
+                     ["threshold-eval", "--checkpoint", str(tmp_path / "n.ckpt"),
+                      "--dataset", str(bad), "--out", str(tmp_path / "table.csv")]):
+            assert run_cli(*argv) == 2, argv[0]
+            assert capsys.readouterr().err == f"error: {bad}: row 3 holds a non-finite value\n"
+            assert sorted(tmp_path.iterdir()) == files, "nothing written"
+
+
+def test_threshold_eval_rejects_a_quadratic_checkpoint(tmp_path, capsys):
+    assert run_cli(*quad_args(tmp_path)) == 0
+    capsys.readouterr()
+    files = sorted(tmp_path.iterdir())
+    code = run_cli("threshold-eval", "--checkpoint", str(tmp_path / "q.ckpt"),
+                   "--dataset", str(tmp_path / "absent.bin"), "--out", str(tmp_path / "t.csv"))
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'q.ckpt'}: expected a network "
+                                       "checkpoint, found kind 'quadratic'\n")
+    assert sorted(tmp_path.iterdir()) == files, "nothing written"
+
+
 def test_threshold_eval_shape_mismatch_is_runtime_error(tmp_path, capsys):
     assert run_cli(*synth_args(tmp_path)) == 0
     assert run_cli(
@@ -789,6 +864,19 @@ def test_threshold_eval_rejects_thetas_out_of_range_before_reading(tmp_path, cap
                    "--dataset", str(tmp_path / "absent.bin"), "--thetas", f"50,{thetas}")
     assert code == 1
     assert "within [0, 100]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("thetas, message", [("50,x", "comma-separated numbers"),
+                                             (",", "at least one value")],
+                         ids=["not-a-number", "none"])
+def test_threshold_eval_rejects_malformed_thetas_before_reading(tmp_path, capsys, thetas,
+                                                                message):
+    code = run_cli("threshold-eval", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                   "--dataset", str(tmp_path / "absent.bin"), "--thetas", thetas,
+                   "--out", str(tmp_path / "t.csv"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --thetas expects {message}\n"
+    assert not list(tmp_path.iterdir()), "nothing written"
 
 
 # ---------------------------------------------------------------- gap-trace
@@ -879,8 +967,8 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys):
 
 
 def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, capsys):
-    # each case breaks one rule, of _validate_config, MLPSpec or SynthSpec, in a base that
-    # runs; every command that reads the rule exits 1 and writes no file
+    # each case breaks one rule, of _validate_config, MLPSpec, SynthSpec or the command
+    # itself, in a base that runs; every command that reads the rule exits 1 and writes no file
     data, out = tmp_path / "data", tmp_path / "out"
     data.mkdir(), out.mkdir()
     assert run_cli(*synth_args(data)) == 0
@@ -899,6 +987,7 @@ def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, capsys):
     every = list(bases)
     networks = ["train-synthetic-net", "train-dataset", "grid"]
     teachers = ["train-synthetic-net", "synth", "grid"]
+    trainers = [command for command in every if command != "synth"]
     cases = [(every, (f"--{key.replace('_', '-')}={bad}",), key) for key, bad in (
         ("iterations", "-1"), ("epochs", "-1"), ("batch_size", "0"), ("l_nabla", "0"),
         ("c_bar_scale", "0.5"), ("away_tol", "-1"), ("smoothing_window", "0"),
@@ -914,6 +1003,15 @@ def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, capsys):
         (teachers, ("--synth-m=5",), "in-degree m"),
         (teachers, ("--layer-sizes=4,3,3,1", "--fw-layers=0", "--deltas=1", "--synth-m=4"),
          "in-degree m"),
+        (every, (f"--config={tmp_path / 'absent.cfg'}",), "cannot read config file: "),
+        (trainers, ("--iterations=0",), "a positive iteration or epoch budget is required"),
+        (["train-synthetic-net", "grid"], ("--loss=softmax-ce",), "use loss = mse"),
+        (["train-dataset"], ("--dataset=",), "problem = dataset requires a dataset path"),
+        (["train-quadratic"], ("--deltas=1",), "quadratic problems need one delta per block"),
+        (["train-quadratic"], ("--epoch-sampling=true",), "epoch_sampling needs a dataset"),
+        (["grid"], ("--fw-layers=", "--deltas="), "needs at least one constrained layer"),
+        (["grid"], ("--problem=dataset", f"--dataset={data / 'd.train.bin'}"),
+         "grid selection on datasets needs val_dataset"),
     ]
     for commands, args, word in cases:
         for command in commands:
@@ -940,6 +1038,20 @@ def test_diverged_step_names_block_step_and_iteration(tmp_path, capsys):
     assert code == 2
     assert ("error: g_check contains non-finite entries (block 0, in alt_step) "
             "at iteration 2\n") in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow the test provokes
+@pytest.mark.parametrize("iterations", ["1", "3"])
+def test_overflowing_descent_step_fails_in_its_own_iteration(tmp_path, capsys, iterations):
+    # ||h|| / (2 l_nabla) overflows at iteration 0; a one-iteration run would end with it
+    code = run_cli("train", "--problem", "synthetic-net", "--method", "sgd",
+                   "--l-nabla", "1e-320", "--iterations", iterations, "--layer-sizes", "4,3,1",
+                   "--synth-m", "2", "--train-size", "20", "--val-size", "5",
+                   "--test-size", "5", "--out-prefix", str(tmp_path / "s"))
+    assert code == 2
+    assert capsys.readouterr().err == ("error: y contains non-finite entries (in sd_step) "
+                                       "at iteration 0\n")
+    assert not list(tmp_path.iterdir()), "nothing written"
 
 
 def test_usage_errors_exit_one(capsys):

@@ -79,7 +79,7 @@ def test_network_results_do_not_depend_on_the_cut(seed):
             w *= 0.9 * spec.delta_for(l) / np.abs(w).sum(axis=1).max()
         params.append(LayerParams(w, rng.uniform(-1.0, 1.0, spec.fan_out(l))))
     data = Dataset(rng.standard_normal((5, sizes[0])), rng.standard_normal((5, sizes[-1])))
-    problem = MLPProblem(spec=spec, layout=layout, data=data)
+    problem = MLPProblem(spec=spec, data=data)
     layers, y = layout.pack(params)
     balls = layout.balls()
     blocks = [row for w in layers for row in w]

@@ -45,6 +45,8 @@ class TestGapConstants:
         assert c.c_bar_total == 10.0
         with pytest.raises(ValueError):
             GapConstants.from_blocks(1.0, [7.9, 2.0], balls)  # below 2*L*diam^2
+        with pytest.raises(ValueError, match="^need one c_bar per ball$"):
+            GapConstants.from_blocks(1.0, [8.0], balls)
 
     def test_bad_constants_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +108,15 @@ class TestGapEstimate:
                 [np.array([0.8, 0.5])], [np.ones(2)], np.zeros(0),
                 [L1Ball(2, 1.0)], GapConstants(1.0, 8.0),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_block_is_named_before_feasibility(self, bad):
+        # a NaN or inf row also lies outside its ball; the finiteness check comes first
+        balls = [L1Ball(3, 1.0)] * 2
+        with pytest.raises(ValueError, match=r"^x contains non-finite entries "
+                                             r"\(block 1, in gap_estimate\)$"):
+            gap_estimate([np.zeros(3), np.array([bad, 0.0, 0.0])], [np.ones(3)] * 2,
+                         np.zeros(0), balls, GapConstants(1.0, 16.0))
 
     def test_cancellation_clamp(self):
         assert _clamp_g_tilde(-1e-13) == 0.0

@@ -56,8 +56,8 @@ def test_run_regroups_the_network_gradient_without_a_copy(monkeypatch):
     spec = MLPSpec(layer_sizes=(20, 20, 20, 1), fw_layers=(0, 1), deltas=(1.0, 1.0))
     rng = np.random.default_rng(3)
     layout = ParamLayout(spec)
-    problem = _Recording(MLPProblem(spec, layout, Dataset(rng.standard_normal((50, 20)),
-                                                          rng.standard_normal((50, 1)))))
+    problem = _Recording(MLPProblem(spec, Dataset(rng.standard_normal((50, 20)),
+                                                  rng.standard_normal((50, 1)))))
     regrouped = []
 
     def recording_regroup(x, heights, dims, name):

@@ -424,6 +424,8 @@ class TestRun:
             run(problem, balls, np.zeros(3), [np.ones(4)], cfg)  # infeasible x0
         with pytest.raises(ValueError):
             run(problem, balls, np.zeros(2), [np.zeros(4)], cfg)  # wrong y dim
+        with pytest.raises(ValueError, match="^y0 contains non-finite entries$"):
+            run(problem, balls, np.array([0.0, np.nan, 0.0]), [np.zeros(4)], cfg)
         with pytest.raises(ValueError):
             run(problem, [L1Ball(3, 1.0)], np.zeros(3), [np.zeros(3)],
                 config_for([L1Ball(3, 1.0)], l_nabla=2.0))  # dim mismatch vs problem

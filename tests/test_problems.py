@@ -27,6 +27,8 @@ class TestMakeQuadratic:
                 make_quadratic(seed=0, p=2, q=1, l_nabla=1.0, noise_sigma=sigma)
         with pytest.raises(ValueError):
             make_quadratic(seed=0, p=[2, 0], q=1, l_nabla=1.0)
+        with pytest.raises(ValueError, match="^free dimension must be nonnegative$"):
+            make_quadratic(seed=0, p=2, q=-1, l_nabla=1.0)
 
     def test_top_eigenvalue_equals_l_nabla(self):
         problem = make_quadratic(seed=1, p=5, q=3, l_nabla=4.0)

@@ -234,7 +234,7 @@ def test_cross_entropy_stable_for_large_logits():
 def one_sample_gradient(spec, params, x, target):
     """``(g_blocks, g_y)`` of one sample: `gradient_mean` over a one-row dataset."""
     layout = ParamLayout(spec)
-    problem = MLPProblem(spec=spec, layout=layout, data=Dataset(x[None, :], target[None, :]))
+    problem = MLPProblem(spec=spec, data=Dataset(x[None, :], target[None, :]))
     est = problem.gradient_mean(*layout.pack(params), np.array([0]))
     return list(est.g_blocks), est.h
 
@@ -295,7 +295,7 @@ def test_gradients_match_finite_differences():
                                 for _ in range(n)])
         else:
             targets = rng.standard_normal((n, spec.layer_sizes[-1]))
-        problem = MLPProblem(spec=spec, layout=layout, data=Dataset(features, targets))
+        problem = MLPProblem(spec=spec, data=Dataset(features, targets))
         x_blocks, y = layout.pack(random_params(spec, rng, scale=0.5))
         err = finite_difference_check(problem, x_blocks, y, epsilon=1e-5)
         assert err < 1e-6, f"finite differences disagree ({err:.2e}) for {spec.loss}"
@@ -307,10 +307,9 @@ def test_gradients_match_finite_differences():
 def make_problem(rng, spec=None, n=30):
     if spec is None:
         spec = MLPSpec(layer_sizes=(4, 5, 2), fw_layers=(0,), deltas=(1.5,))
-    layout = ParamLayout(spec)
     features = rng.standard_normal((n, spec.layer_sizes[0]))
     targets = rng.standard_normal((n, spec.layer_sizes[-1]))
-    return MLPProblem(spec=spec, layout=layout, data=Dataset(features, targets))
+    return MLPProblem(spec=spec, data=Dataset(features, targets))
 
 
 def test_problem_satisfies_protocol():
@@ -320,15 +319,27 @@ def test_problem_satisfies_protocol():
     assert problem.y_dim == 10 + 7
 
 
+def test_problem_builds_its_layout_from_its_spec():
+    rng = np.random.default_rng(6)
+    spec = MLPSpec(layer_sizes=(4, 5, 2), activation=Activation.RELU, fw_layers=(0,),
+                   deltas=(1.5,))
+    data = Dataset(rng.standard_normal((8, 4)), rng.standard_normal((8, 2)))
+    problem = MLPProblem(spec=spec, data=data)
+    assert problem.layout.spec is spec
+    assert [b.radius for b in problem.layout.balls()] == [1.5] * 5
+    # the spec is the one description of the network: a second one is not taken
+    with pytest.raises(TypeError, match="layout"):
+        MLPProblem(spec=spec, layout=ParamLayout(spec), data=data)
+
+
 def test_problem_shape_validation():
     rng = np.random.default_rng(4)
     spec = MLPSpec(layer_sizes=(4, 5, 2), fw_layers=(0,), deltas=(1.5,))
-    layout = ParamLayout(spec)
     with pytest.raises(ValueError):
-        MLPProblem(spec=spec, layout=layout,
+        MLPProblem(spec=spec,
                    data=Dataset(rng.standard_normal((8, 3)), rng.standard_normal((8, 2))))
     with pytest.raises(ValueError):
-        MLPProblem(spec=spec, layout=layout,
+        MLPProblem(spec=spec,
                    data=Dataset(rng.standard_normal((8, 4)), rng.standard_normal((8, 3))))
 
 
@@ -406,33 +417,30 @@ def test_draw_returns_valid_indices():
 
 def test_nnz_metrics_example():
     spec = MLPSpec(layer_sizes=(2, 2, 1), fw_layers=(0,), deltas=(1.0,))
-    layout = ParamLayout(spec)
     params = [
         LayerParams(w=np.array([[0.5, 0.0005], [0.002, 0.0]]), b=np.zeros(2)),
         LayerParams(w=np.array([[1.0, 1.0]]), b=np.zeros(1)),
     ]
-    assert nnz_metrics(params, layout) == {0: 50.0}
+    assert nnz_metrics(params, spec) == {0: 50.0}
 
 
 def test_nnz_threshold_is_inclusive():
     spec = MLPSpec(layer_sizes=(2, 1, 1), fw_layers=(0,), deltas=(1.0,))
-    layout = ParamLayout(spec)
     params = [
         LayerParams(w=np.array([[0.001, 0.0]]), b=np.zeros(1)),
         LayerParams(w=np.ones((1, 1)), b=np.zeros(1)),
     ]
-    assert nnz_metrics(params, layout) == {0: 50.0}
-    assert nnz_metrics(params, layout, threshold=0.0011) == {0: 0.0}
+    assert nnz_metrics(params, spec) == {0: 50.0}
+    assert nnz_metrics(params, spec, threshold=0.0011) == {0: 0.0}
 
 
 def test_hard_threshold_keeps_top_half():
     spec = MLPSpec(layer_sizes=(2, 2, 1), fw_layers=(0,), deltas=(1.0,))
-    layout = ParamLayout(spec)
     params = [
         LayerParams(w=np.array([[0.5, -0.3], [0.1, 0.05]]), b=np.array([1.0, 2.0])),
         LayerParams(w=np.array([[0.7, 0.7]]), b=np.zeros(1)),
     ]
-    out = hard_threshold(params, layout, 50.0)
+    out = hard_threshold(params, spec, 50.0)
     assert np.array_equal(out[0].w, [[0.5, -0.3], [0.0, 0.0]])
     assert np.array_equal(out[0].b, [1.0, 2.0])
     # dense layers pass through untouched
@@ -441,28 +449,26 @@ def test_hard_threshold_keeps_top_half():
 
 def test_hard_threshold_tie_keeps_lowest_flat_index():
     spec = MLPSpec(layer_sizes=(2, 2, 1), fw_layers=(0,), deltas=(1.0,))
-    layout = ParamLayout(spec)
     params = [
         LayerParams(w=np.array([[0.5, 0.3], [-0.3, 0.1]]), b=np.zeros(2)),
         LayerParams(w=np.ones((1, 2)), b=np.zeros(1)),
     ]
-    out = hard_threshold(params, layout, 50.0)
+    out = hard_threshold(params, spec, 50.0)
     assert np.array_equal(out[0].w, [[0.5, 0.3], [0.0, 0.0]])
 
 
 def test_hard_threshold_edge_cases():
     spec = MLPSpec(layer_sizes=(3, 1, 1), fw_layers=(0,), deltas=(1.0,))
-    layout = ParamLayout(spec)
     params = [
         LayerParams(w=np.array([[0.4, -0.2, 0.1]]), b=np.zeros(1)),
         LayerParams(w=np.ones((1, 1)), b=np.zeros(1)),
     ]
-    assert np.array_equal(hard_threshold(params, layout, 100.0)[0].w, params[0].w)
-    assert np.array_equal(hard_threshold(params, layout, 0.0)[0].w, np.zeros((1, 3)))
+    assert np.array_equal(hard_threshold(params, spec, 100.0)[0].w, params[0].w)
+    assert np.array_equal(hard_threshold(params, spec, 0.0)[0].w, np.zeros((1, 3)))
     # ceil(0.5 * 3) keeps two of three weights
-    assert np.count_nonzero(hard_threshold(params, layout, 50.0)[0].w) == 2
+    assert np.count_nonzero(hard_threshold(params, spec, 50.0)[0].w) == 2
     with pytest.raises(ValueError):
-        hard_threshold(params, layout, 101.0)
+        hard_threshold(params, spec, 101.0)
 
 
 # ---------------------------------------------------------------- synthetic
@@ -500,6 +506,12 @@ def test_synthetic_teacher_structure():
         assert np.all(np.count_nonzero(layer.w, axis=1) == 3)
     assert np.all(np.isin(teacher[-1].w, [-1.0, 1.0]))
     assert np.all(teacher[-1].w != 0.0)
+
+
+def test_synth_spec_teacher_is_the_teacher_networks_spec():
+    synth = SynthSpec(layer_sizes=[5, 4, 1], m=2, activation="relu")
+    assert synth.teacher == MLPSpec(layer_sizes=(5, 4, 1), activation=Activation.RELU,
+                                    bias=False)
 
 
 def test_synthetic_noise_matches_snr():
@@ -649,28 +661,42 @@ def test_dataset_binary_rejects_wrong_header_counts(tmp_path, field, delta):
         load_dataset_bin(path)
 
 
+# a CSV file's text, or a binary file's (features, targets, version byte)
 DATASET_FAULTS = [
-    ("target-first.csv", "y0,x0,x1\n1,2,3\n"),
-    ("no-target.csv", "x0,x1\n1,2\n"),
-    ("wide-row.csv", "x0,x1,y0\n1,2,3,4\n"),
-    ("short-row.csv", "x0,x1,y0\n1,2,3\n1,2\n"),
-    ("header-only.csv", "x0,y0\n"),
-    ("empty.csv", ""),
-    ("no-rows.bin", None),
+    ("target-first.csv", "y0,x0,x1\n1,2,3\n", "header 'y0,x0,x1' is not "),
+    ("no-target.csv", "x0,x1\n1,2\n", "header 'x0,x1' is not "),
+    ("wide-row.csv", "x0,x1,y0\n1,2,3,4\n", "line 2 has 4 values, the header names 3$"),
+    ("short-row.csv", "x0,x1,y0\n1,2,3\n1,2\n", "line 3 has 2 values, the header names 3$"),
+    ("header-only.csv", "x0,y0\n", "dataset has no rows$"),
+    ("empty.csv", "", "header '' is not "),
+    ("not-a-number.csv", "x0,y0\n1,2\n1,two\n", "could not convert "),
+    ("nan-feature.csv", "x0,y0\n1,2\n\n1,2\nnan,2\n", "row 3 holds a non-finite value$"),
+    ("inf-target.csv", "x0,y0\n1,-inf\n", "row 1 holds a non-finite value$"),
+    ("no-rows.bin", (np.zeros((0, 2)), np.zeros((0, 1)), 1), "dataset has no rows$"),
+    ("version-2.bin", (np.ones((2, 2)), np.ones((2, 1)), 2), "unsupported dataset version 2$"),
+    ("nan-target.bin", (np.ones((2, 2)), np.array([[1.0], [np.nan]]), 1),
+     "row 2 holds a non-finite value$"),
+    ("inf-feature.bin", (np.array([[np.inf, 1.0]]), np.ones((1, 1)), 1),
+     "row 1 holds a non-finite value$"),
 ]
 
 
-@pytest.mark.parametrize("name, content", DATASET_FAULTS, ids=[n for n, _ in DATASET_FAULTS])
-def test_dataset_file_is_checked_where_read(tmp_path, name, content):
+@pytest.mark.parametrize("name, content, message", DATASET_FAULTS,
+                         ids=[n for n, *_ in DATASET_FAULTS])
+def test_dataset_file_is_checked_where_read(tmp_path, name, content, message):
     path = tmp_path / name
-    if content is None:
-        save_dataset_bin(path, Dataset(features=np.zeros((0, 2)), targets=np.zeros((0, 1))))
+    if isinstance(content, tuple):
+        features, targets, version = content
+        save_dataset_bin(path, Dataset(features, targets))
+        blob = bytearray(path.read_bytes())
+        blob[8] = version  # the byte after the magic
+        path.write_bytes(bytes(blob))
     else:
         path.write_text(content)
     load = load_dataset_bin if name.endswith(".bin") else load_dataset_csv
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns on a file without rows
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             load(path)
 
 
