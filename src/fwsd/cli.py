@@ -23,6 +23,7 @@ names, which perfbench/tracer.py patches and perfbench/worker.py calls.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import sys
@@ -66,7 +67,16 @@ REPORT_THETAS = (100.0, 50.0, 25.0, 10.0, 5.0)
 
 
 class ConfigError(ValueError):
-    """Bad configuration: unknown keys, type errors, inconsistent values."""
+    """Bad configuration: unknown keys, type errors, inconsistent values, unopenable inputs."""
+
+
+@contextlib.contextmanager
+def _reading(what: str):
+    """An input file the block cannot open or read is a ConfigError; the OSError names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -186,11 +196,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 def load_config(path: str | None, overrides: dict[str, str]) -> ExperimentConfig:
     pairs: dict[str, str] = {}
     if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                pairs = parse_config_text(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
+        with _reading("config file"), open(path, "r", encoding="utf-8") as fh:
+            pairs = parse_config_text(fh.read())
     pairs.update({k: v for k, v in overrides.items() if v is not None})
     values = {}
     for key, raw in pairs.items():
@@ -241,6 +248,8 @@ def _validate_config(c: ExperimentConfig) -> None:
     for key in ("grid_l_nabla", "grid_delta"):
         if not all(0.0 < v < float("inf") for v in getattr(c, key)):
             raise ConfigError(f"{key} values must be positive and finite")
+        if len(set(getattr(c, key))) < len(getattr(c, key)):
+            raise ConfigError(f"{key} values must not repeat")
 
 
 def config_echo_lines(config: ExperimentConfig) -> list[str]:
@@ -286,11 +295,8 @@ def write_trace_csv(path, trace: Sequence[TraceRecord], window: int,
 
 def _load_dataset_any(path: str, spec: MLPSpec) -> Dataset:
     """Read a binary or CSV dataset whose widths fit the network ``spec``."""
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_DATASET_MAGIC))
-    except OSError as exc:
-        raise ConfigError(f"cannot read dataset: {exc}") from None
+    with _reading("dataset"), open(path, "rb") as fh:
+        magic = fh.read(len(_DATASET_MAGIC))
     data = load_dataset_bin(path) if magic == _DATASET_MAGIC else load_dataset_csv(path)
     _check_widths(spec, data, path)
     return data
@@ -308,9 +314,11 @@ def _synth_spec(config: ExperimentConfig) -> SynthSpec:
     return _owned(SynthSpec, config, m="synth_m")
 
 
-def _budget_iterations(config: ExperimentConfig, n_samples: int | None,
-                       per_iteration: int) -> int:
-    """Turn the gradient-batch budget into an iteration count of ``per_iteration`` batches."""
+def _budget_iterations(config: ExperimentConfig, n_samples: int | None) -> tuple[int, int]:
+    """The batch budget as ``(iterations, per_iteration)``; ``n_samples`` counts the train rows."""
+    blocks = config.quad_blocks if config.problem == "quadratic" else config.fw_layers
+    # run() draws a second (away-step) batch only when there is a constrained block
+    per_iteration = 2 if config.method == "sfw-if" and blocks else 1
     budget = config.iterations
     if config.epochs > 0:
         if n_samples is None:
@@ -322,7 +330,33 @@ def _budget_iterations(config: ExperimentConfig, n_samples: int | None,
         raise ConfigError("a positive iteration or epoch budget is required")
     if budget < per_iteration:
         raise ConfigError("sfw-if spends two gradient batches per iteration")
-    return budget // per_iteration
+    return budget // per_iteration, per_iteration
+
+
+def _inputs(config: ExperimentConfig):
+    """``(budget, data)``: the `_budget_iterations` pair and the quadratic instance or the (train,
+    val, test) splits. The budget is checked before any data is made, but after the dataset
+    files are read: ``epochs`` counts their rows."""
+    if config.problem == "quadratic":
+        if config.epoch_sampling:
+            raise ConfigError("epoch_sampling needs a dataset problem")
+        blocks = config.quad_blocks if config.method != "sgd" else ()  # sgd frees them all
+        if config.method != "sgd" and len(config.deltas) != len(blocks):
+            raise ConfigError("quadratic problems need one delta per block")
+        return _budget_iterations(config, None), make_quadratic(
+            config.seed, blocks, sum(config.quad_blocks) - sum(blocks) + config.quad_y,
+            l_nabla=config.l_nabla, noise_sigma=config.quad_sigma)
+    spec = _owned(MLPSpec, config)
+    if config.problem == "synthetic-net":
+        if config.loss != "mse":
+            raise ConfigError("the synthetic teacher produces regression targets; use loss = mse")
+        synth = _synth_spec(config)
+        return _budget_iterations(config, synth.train_size), generate_synthetic(synth)[:3]
+    if not config.dataset:
+        raise ConfigError("problem = dataset requires a dataset path")
+    splits = tuple(_load_dataset_any(path, spec) if path else None for path in
+                   (config.dataset, config.val_dataset, config.test_dataset))
+    return _budget_iterations(config, splits[0].features.shape[0]), splits
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,11 +375,9 @@ class TrainOutcome:
 
 
 def _run_budgeted(config: ExperimentConfig, problem, balls, y0, x0_blocks,
-                  n_samples: int | None) -> tuple[RunResult, list[tuple[str, object]]]:
+                  budget: tuple[int, int]) -> tuple[RunResult, list[tuple[str, object]]]:
     """Run the configured method; returns the result and the metrics every run reports."""
-    # run() draws a second (away-step) batch only when there is a constrained block
-    per_iteration = 2 if config.method == "sfw-if" and balls else 1
-    iterations = _budget_iterations(config, n_samples, per_iteration)
+    iterations, per_iteration = budget
     opt = OptimizerConfig(
         l_nabla=config.l_nabla,
         c_bar_per_block=tuple(config.c_bar_scale * 2.0 * config.l_nabla * b.diameter() ** 2
@@ -369,18 +401,9 @@ def _run_budgeted(config: ExperimentConfig, problem, balls, y0, x0_blocks,
     return result, metrics
 
 
-def _train_net(config: ExperimentConfig) -> TrainOutcome:
+def _train_net(config: ExperimentConfig, budget, splits) -> TrainOutcome:
     spec_full = _owned(MLPSpec, config)
-    if config.problem == "synthetic-net":
-        if config.loss != "mse":
-            raise ConfigError("the synthetic teacher produces regression targets; use loss = mse")
-        train, val, test, _ = generate_synthetic(_synth_spec(config))
-    else:
-        if not config.dataset:
-            raise ConfigError("problem = dataset requires a dataset path")
-        train, val, test = (_load_dataset_any(path, spec_full) if path else None for path in
-                            (config.dataset, config.val_dataset, config.test_dataset))
-
+    train, val, test = splits
     # sgd trains every weight as a free variable; metrics still describe
     # the configured constrained layers
     train_spec = spec_full if config.method != "sgd" else replace(
@@ -393,8 +416,7 @@ def _train_net(config: ExperimentConfig) -> TrainOutcome:
 
     params0 = init_params(train_spec, config.seed)
     x0_blocks, y0 = layout.pack(params0)
-    result, metrics = _run_budgeted(config, problem, balls, y0, x0_blocks,
-                                    train.features.shape[0])
+    result, metrics = _run_budgeted(config, problem, balls, y0, x0_blocks, budget)
 
     out = result.output_iterate
     params = layout.unpack(out.x, out.y)
@@ -433,17 +455,11 @@ def _threshold_scores(spec: MLPSpec, params, data: Dataset,
     return [evaluate(spec, hard_threshold(params, spec, theta), data) for theta in thetas]
 
 
-def _train_quadratic(config: ExperimentConfig) -> TrainOutcome:
-    blocks = config.quad_blocks if config.method != "sgd" else ()
-    y_dim = config.quad_y if config.method != "sgd" else (
-        sum(config.quad_blocks) + config.quad_y)
-    if config.method != "sgd" and len(config.deltas) != len(blocks):
-        raise ConfigError("quadratic problems need one delta per block")
-    problem = make_quadratic(config.seed, blocks, y_dim,
-                             l_nabla=config.l_nabla, noise_sigma=config.quad_sigma)
+def _train_quadratic(config: ExperimentConfig, budget, problem) -> TrainOutcome:
+    blocks, y_dim = problem.block_dims, problem.y_dim
     balls = tuple(L1Ball(dim=d, radius=r) for d, r in zip(blocks, config.deltas))
     x0_blocks = [np.zeros(d) for d in blocks]
-    result, metrics = _run_budgeted(config, problem, balls, np.zeros(y_dim), x0_blocks, None)
+    result, metrics = _run_budgeted(config, problem, balls, np.zeros(y_dim), x0_blocks, budget)
     out = result.output_iterate
     final_objective = problem.exact_objective(out.x, out.y)
     metrics.append(("final_objective_exact", final_objective))
@@ -460,12 +476,10 @@ def _train_quadratic(config: ExperimentConfig) -> TrainOutcome:
     )
 
 
-def train_once(config: ExperimentConfig) -> TrainOutcome:
-    if config.epoch_sampling and config.problem == "quadratic":
-        raise ConfigError("epoch_sampling needs a dataset problem")
-    if config.problem == "quadratic":
-        return _train_quadratic(config)
-    return _train_net(config)
+def train_once(config: ExperimentConfig, inputs) -> TrainOutcome:
+    """Train on `_inputs`' budget and data with ``config``'s method, seed and constants."""
+    train = _train_quadratic if config.problem == "quadratic" else _train_net
+    return train(config, *inputs)
 
 
 # --------------------------------------------------------------------------
@@ -500,7 +514,7 @@ def _emit(path, lines: Sequence[str]) -> None:
 
 def cmd_train(config: ExperimentConfig) -> int:
     started = time.perf_counter()
-    outcome = train_once(config)
+    outcome = train_once(config, _inputs(config))
     wall = time.perf_counter() - started
 
     trace_path = f"{config.out_prefix}.trace.csv"
@@ -529,7 +543,8 @@ def cmd_train(config: ExperimentConfig) -> int:
 
 def cmd_threshold_eval(ckpt_path: str, dataset_path: str,
                        thetas: Sequence[float], out_path: str | None) -> int:
-    spec, params, _ = load_net_checkpoint(ckpt_path)
+    with _reading("checkpoint"):
+        spec, params, _ = load_net_checkpoint(ckpt_path)
     data = _load_dataset_any(dataset_path, spec)
     scores = _threshold_scores(spec, params, data, thetas)
     header = ["theta", *scores[0]]
@@ -561,7 +576,7 @@ def cmd_synth(config: ExperimentConfig) -> int:
 def cmd_gap_trace(trace_path: str, window: int, out_path: str | None) -> int:
     if window < 1:
         raise ConfigError("window must be at least 1")
-    with open(trace_path, "r", encoding="utf-8", newline="") as fh:
+    with _reading("trace"), open(trace_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -577,11 +592,6 @@ def cmd_gap_trace(trace_path: str, window: int, out_path: str | None) -> int:
     return 0
 
 
-def _grid_cell_seed(seed: int, i: int, j: int) -> int:
-    state = np.random.SeedSequence([seed, i, j]).generate_state(1, np.uint64)
-    return int(state[0])
-
-
 def cmd_grid(config: ExperimentConfig) -> int:
     if not config.grid_l_nabla or not config.grid_delta:
         raise ConfigError("grid needs nonempty grid_l_nabla and grid_delta")
@@ -592,12 +602,12 @@ def cmd_grid(config: ExperimentConfig) -> int:
     if config.problem == "dataset" and not config.val_dataset:
         raise ConfigError("grid selection on datasets needs val_dataset")
 
-    results: dict[tuple[float, float], float] = {}
-    for i, ln in enumerate(config.grid_l_nabla):
-        for j, dl in enumerate(config.grid_delta):
-            sub = replace(config, l_nabla=ln, deltas=(dl,) * n_deltas,
-                          seed=_grid_cell_seed(config.seed, i, j))
-            results[(ln, dl)] = train_once(sub).val_loss
+    # a cell is the command's run with l_nabla and deltas replaced, on one budget and data
+    # built with a cell's deltas: the command's own need not fit its fw_layers
+    inputs = _inputs(replace(config, deltas=(config.grid_delta[0],) * n_deltas))
+    results = {(ln, dl): train_once(replace(config, l_nabla=ln, deltas=(dl,) * n_deltas),
+                                    inputs).val_loss
+               for ln in config.grid_l_nabla for dl in config.grid_delta}
 
     ordered = sorted(results.items())
     best_key = min(ordered, key=lambda kv: (kv[1], kv[0]))[0]

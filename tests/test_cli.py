@@ -550,6 +550,15 @@ def test_train_epoch_budget(tmp_path, capsys):
     assert read_report(tmp_path / "n.report.txt")["iterations_run"] == "20"
 
 
+def test_dataset_epoch_budget_counts_the_train_file_rows(tmp_path, capsys):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    assert run_cli(*dataset_train_args(tmp_path, "--iterations", "0", "--epochs", "2",
+                                       "--batch-size", "4")) == 0
+    capsys.readouterr()
+    # the train file has 30 rows (val 8, test 9, the train_size key 2000): 7 batches per epoch
+    assert read_report(tmp_path / "n.report.txt")["iterations_run"] == "14"
+
+
 def test_train_epoch_budget_rejections(tmp_path, capsys):
     assert run_cli(*net_args(tmp_path, "--iterations", "0", "--epochs", "2",
                              "--batch-schedule", "linear-in-iter")) == 1
@@ -557,6 +566,18 @@ def test_train_epoch_budget_rejections(tmp_path, capsys):
                    "--deltas", "1", "--iterations", "0", "--epochs", "2",
                    "--out-prefix", str(tmp_path / "x")) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_budget_is_checked_before_data_is_made(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(fwsd.cli, "generate_synthetic", lambda *args: pytest.fail("data made"))
+    grid = ("--grid-l-nabla", "1", "--grid-delta", "1") if command == "grid" else ()
+    code = run_cli(command, "--problem", "synthetic-net", "--train-size", "200000",
+                   "--val-size", "2", "--test-size", "2", *grid,
+                   "--out-prefix", str(tmp_path / "r"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: a positive iteration or epoch budget is required\n"
+    assert not list(tmp_path.iterdir()), "nothing written"
 
 
 def test_train_epoch_sampling_mode(tmp_path, capsys):
@@ -940,12 +961,79 @@ def test_grid_requires_grids(tmp_path, capsys):
 def test_grid_rejects_bad_grid_values_as_config_errors(tmp_path, capsys):
     base = ["grid", "--problem", "quadratic", "--quad-blocks", "2", "--deltas", "1",
             "--iterations", "4", "--out-prefix", str(tmp_path / "g")]
-    for bad in ("-1", "0", "1,0", "nan", "inf"):
+    for bad in ("-1", "0", "1,0", "nan", "inf", "2,1,2"):
         assert run_cli(*base, "--grid-l-nabla", bad, "--grid-delta", "1") == 1
         assert "grid_l_nabla" in capsys.readouterr().err
         assert run_cli(*base, "--grid-l-nabla", "1", "--grid-delta", bad) == 1
         assert "grid_delta" in capsys.readouterr().err
     assert not list(tmp_path.iterdir()), "no cell ran"
+
+
+GRID_BASES = {
+    "quadratic": ["--problem", "quadratic", "--quad-blocks", "3", "--quad-y", "2",
+                  "--deltas", "1", "--quad-sigma", "0.3", "--iterations", "6"],
+    "synthetic-net": ["--problem", "synthetic-net", "--layer-sizes", "4,3,1", "--fw-layers", "0",
+                      "--deltas", "1", "--synth-m", "2", "--train-size", "30", "--val-size", "8",
+                      "--test-size", "9", "--iterations", "6"],
+}
+
+
+@pytest.mark.parametrize("problem, name, calls", [("quadratic", "make_quadratic", 1),
+                                                  ("synthetic-net", "generate_synthetic", 1),
+                                                  ("dataset", "load_dataset_bin", 3)],
+                         ids=["quadratic", "synthetic-net", "dataset"])
+def test_grid_builds_its_inputs_once(tmp_path, capsys, monkeypatch, problem, name, calls):
+    # every cell trains and validates on the command's own seed, data and instance
+    if problem == "dataset":
+        assert run_cli(*synth_args(tmp_path)) == 0
+    base = GRID_BASES.get(problem) or dataset_train_args(tmp_path)[1:]
+    made, seeds = [], []
+    build = getattr(fwsd.cli, name)
+
+    def counted(*args, **kwargs):
+        made.append((args, kwargs))
+        return build(*args, **kwargs)
+
+    def seeded(*args):  # run(problem, balls, y0, x0_blocks, config)
+        seeds.append(args[-1].seed)
+        return run(*args)
+
+    monkeypatch.setattr(fwsd.cli, name, counted)
+    monkeypatch.setattr(fwsd.cli, "run", seeded)
+    assert run_cli("grid", *base, "--seed", "7", "--l-nabla", "3", "--grid-l-nabla", "1,2",
+                   "--grid-delta", "0.5,2", "--out-prefix", str(tmp_path / "g")) == 0
+    capsys.readouterr()
+    assert len(made) == calls
+    assert seeds == [7] * 4
+    if problem == "quadratic":  # drawn with the command's l_nabla, not a cell's
+        assert made[0][0][0] == 7 and made[0][1]["l_nabla"] == 3.0
+    if problem == "synthetic-net":
+        assert made[0][0][0].seed == 7
+
+
+def test_one_cell_quadratic_grid_reports_the_train_run(tmp_path, capsys):
+    args = ["--problem", "quadratic", "--quad-blocks", "3,2", "--quad-y", "2",
+            "--quad-sigma", "0.3", "--method", "sfw-if", "--iterations", "20", "--seed", "5",
+            "--l-nabla", "2", "--deltas", "0.5,0.5"]
+    assert run_cli("train", *args, "--out-prefix", str(tmp_path / "t")) == 0
+    assert run_cli("grid", *args, "--grid-l-nabla", "2", "--grid-delta", "0.5",
+                   "--out-prefix", str(tmp_path / "g")) == 0
+    capsys.readouterr()
+    report = read_report(tmp_path / "g.grid.txt")
+    assert report["grid.l_nabla_2.delta_0.5.val_loss"] == read_report(
+        tmp_path / "t.report.txt")["final_objective_exact"]
+
+
+@pytest.mark.parametrize("problem", ["synthetic-net", "dataset"])
+def test_grid_cells_need_not_fit_the_command_deltas(tmp_path, capsys, problem):
+    # every cell replaces deltas, so the default deltas = 1,1 may not fit one constrained layer
+    if problem == "dataset":
+        assert run_cli(*synth_args(tmp_path)) == 0
+    base = GRID_BASES.get(problem) or dataset_train_args(tmp_path)[1:]
+    assert run_cli("grid", *base, "--fw-layers", "0", "--deltas", "1,1", "--grid-l-nabla", "1",
+                   "--grid-delta", "1", "--out-prefix", str(tmp_path / "g")) == 0
+    capsys.readouterr()
+    assert "grid.l_nabla_1.delta_1.val_loss" in read_report(tmp_path / "g.grid.txt")
 
 
 def test_non_finite_values_are_config_errors(tmp_path, capsys):
@@ -1073,6 +1161,22 @@ def test_missing_dataset_is_config_error(tmp_path, capsys):
                    "--iterations", "2", "--out-prefix", str(tmp_path / "x"))
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("command, what", [("threshold-eval", "checkpoint"),
+                                           ("gap-trace", "trace")],
+                         ids=["threshold-eval", "gap-trace"])
+def test_missing_input_file_is_config_error(tmp_path, capsys, command, what):
+    assert run_cli(*synth_args(tmp_path)) == 0
+    capsys.readouterr()
+    files = sorted(tmp_path.iterdir())
+    absent = tmp_path / "absent"
+    dataset = ("--dataset", str(tmp_path / "d.test.bin")) if command == "threshold-eval" else ()
+    code = run_cli(command, f"--{what}", str(absent), *dataset, "--out", str(tmp_path / "out.csv"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot read {what}: ") and str(absent) in err
+    assert sorted(tmp_path.iterdir()) == files, "nothing written"
 
 
 def test_unwritable_output_is_runtime_error(tmp_path, capsys):
