@@ -106,17 +106,17 @@ class ExperimentConfig:
     smoothing_window: int = 50
     epoch_sampling: bool = False
     layer_sizes: tuple[int, ...] = (20, 20, 20, 1)
-    activation: str = "sigmoid"
-    loss: str = "mse"
+    activation: str = MLPSpec.activation.value
+    loss: str = MLPSpec.loss.value
     fw_layers: tuple[int, ...] = (0, 1)
     deltas: tuple[float, ...] = (1.0, 1.0)
-    bias: bool = True
+    bias: bool = MLPSpec.bias
     dataset: str = ""
     val_dataset: str = ""
     test_dataset: str = ""
     dataset_format: str = "bin"
-    synth_m: int = 5
-    snr: float = 10.0
+    synth_m: int = SynthSpec.m
+    snr: float = SynthSpec.snr
     train_size: int = 2000
     val_size: int = 500
     test_size: int = 2000
@@ -314,11 +314,16 @@ def _synth_spec(config: ExperimentConfig) -> SynthSpec:
     return _owned(SynthSpec, config, m="synth_m")
 
 
+def _constrained(config: ExperimentConfig) -> tuple[int, ...]:
+    """The entries ``deltas`` gives radii to: quadratic blocks or net layers; sgd frees them all."""
+    blocks = config.quad_blocks if config.problem == "quadratic" else config.fw_layers
+    return blocks if config.method != "sgd" else ()
+
+
 def _budget_iterations(config: ExperimentConfig, n_samples: int | None) -> tuple[int, int]:
     """The batch budget as ``(iterations, per_iteration)``; ``n_samples`` counts the train rows."""
-    blocks = config.quad_blocks if config.problem == "quadratic" else config.fw_layers
     # run() draws a second (away-step) batch only when there is a constrained block
-    per_iteration = 2 if config.method == "sfw-if" and blocks else 1
+    per_iteration = 2 if config.method == "sfw-if" and _constrained(config) else 1
     budget = config.iterations
     if config.epochs > 0:
         if n_samples is None:
@@ -340,8 +345,10 @@ def _inputs(config: ExperimentConfig):
     if config.problem == "quadratic":
         if config.epoch_sampling:
             raise ConfigError("epoch_sampling needs a dataset problem")
-        blocks = config.quad_blocks if config.method != "sgd" else ()  # sgd frees them all
-        if config.method != "sgd" and len(config.deltas) != len(blocks):
+        if not config.quad_blocks and config.quad_y == 0:
+            raise ConfigError("quad_blocks and quad_y leave the quadratic no variable")
+        blocks = _constrained(config)
+        if config.method != "sgd" and len(config.deltas) != len(blocks):  # sgd reads no delta
             raise ConfigError("quadratic problems need one delta per block")
         return _budget_iterations(config, None), make_quadratic(
             config.seed, blocks, sum(config.quad_blocks) - sum(blocks) + config.quad_y,
@@ -404,10 +411,8 @@ def _run_budgeted(config: ExperimentConfig, problem, balls, y0, x0_blocks,
 def _train_net(config: ExperimentConfig, budget, splits) -> TrainOutcome:
     spec_full = _owned(MLPSpec, config)
     train, val, test = splits
-    # sgd trains every weight as a free variable; metrics still describe
-    # the configured constrained layers
-    train_spec = spec_full if config.method != "sgd" else replace(
-        spec_full, fw_layers=(), deltas=())
+    # the run trains the layers it constrains; metrics describe the configured ones
+    train_spec = spec_full if _constrained(config) else replace(spec_full, fw_layers=(), deltas=())
     problem = MLPProblem(spec=train_spec, data=train)
     layout = problem.layout
     balls = layout.balls()
@@ -595,18 +600,17 @@ def cmd_gap_trace(trace_path: str, window: int, out_path: str | None) -> int:
 def cmd_grid(config: ExperimentConfig) -> int:
     if not config.grid_l_nabla or not config.grid_delta:
         raise ConfigError("grid needs nonempty grid_l_nabla and grid_delta")
-    n_deltas = len(config.quad_blocks) if config.problem == "quadratic" \
-        else len(config.fw_layers)
-    if config.problem != "quadratic" and not config.fw_layers:
-        raise ConfigError("grid over delta needs at least one constrained layer")
+    constrained = _constrained(config)
+    if not constrained and len(config.grid_delta) != 1:
+        raise ConfigError("grid_delta must hold one value: the run constrains no block")
     if config.problem == "dataset" and not config.val_dataset:
         raise ConfigError("grid selection on datasets needs val_dataset")
 
-    # a cell is the command's run with l_nabla and deltas replaced, on one budget and data
-    # built with a cell's deltas: the command's own need not fit its fw_layers
-    inputs = _inputs(replace(config, deltas=(config.grid_delta[0],) * n_deltas))
-    results = {(ln, dl): train_once(replace(config, l_nabla=ln, deltas=(dl,) * n_deltas),
-                                    inputs).val_loss
+    # a cell is the command's run with l_nabla and, if it constrains a block, deltas replaced,
+    # on one budget and data built with a cell's deltas (the command's need not fit fw_layers)
+    deltas = {dl: (dl,) * len(constrained) or config.deltas for dl in config.grid_delta}
+    inputs = _inputs(replace(config, deltas=deltas[config.grid_delta[0]]))
+    results = {(ln, dl): train_once(replace(config, l_nabla=ln, deltas=deltas[dl]), inputs).val_loss
                for ln in config.grid_l_nabla for dl in config.grid_delta}
 
     ordered = sorted(results.items())

@@ -209,7 +209,7 @@ def fw_step(x: np.ndarray, g: np.ndarray, ball: L1Ball, c_bar: np.ndarray):
     the iterate stays a convex combination even when the gap estimate is large. Row
     checks raise naming the row; `blame_blocks` names the block.
     """
-    finite_rows(x, "x")
+    finite_rows(x, "x")  # for direct callers: run() checks each iterate it makes, by block
     finite_rows(g, "g")
     fw, gap = frank_wolfe_rows(ball, x, g)
     g_tilde = _clamp_g_tilde(gap, g)
@@ -301,9 +301,9 @@ def run(
     and (when configured) an away step per group on a fresh batch evaluated
     at the freshly stepped point. The problem gets the group matrices; ``x0_blocks``
     and its gradients may come in any cut `regroup` reads. The trace has one record
-    per iteration; the output iterate is drawn uniformly from the ``K + 1``
-    iterates via the dedicated stream. A step's ``ValueError`` or
-    ``RuntimeError`` is re-raised as the same type, naming the iteration.
+    per iteration; the output iterate is drawn uniformly from the ``K + 1`` iterates
+    via the dedicated stream. A step's ``ValueError`` or ``RuntimeError`` is re-raised
+    naming the iteration, as its own type if that is built from a message, else as its base.
     """
     balls = tuple(balls)
     if tuple(problem.block_dims) != tuple(b.dim for b in balls):
@@ -380,8 +380,9 @@ def run(
 
             y = y_next
             _digest(digest, x, y)
-            for m in x:  # a step that leaves a non-finite entry fails in its own iteration
-                finite_rows(m, "x")
+            for (_, idx), m in zip(groups, x):  # a non-finite step fails in its own iteration
+                with blame_blocks("fw_step" if betas is None else "alt_step", idx):
+                    finite_rows(m, "x")
             trace.append(TraceRecord(
                 k=k,
                 objective_estimate=objective,
@@ -395,7 +396,12 @@ def run(
             if k + 1 == output_index:
                 output = snapshot(k + 1)
     except (ValueError, RuntimeError) as exc:
-        raise type(exc)(f"{exc} at iteration {k}") from exc
+        message = f"{exc} at iteration {k}"
+        try:  # the same type, unless its constructor takes more than a message
+            error = type(exc)(message)
+        except TypeError:
+            error = (ValueError if isinstance(exc, ValueError) else RuntimeError)(message)
+        raise error from exc
 
     assert output is not None
     return RunResult(

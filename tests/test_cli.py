@@ -1036,6 +1036,86 @@ def test_grid_cells_need_not_fit_the_command_deltas(tmp_path, capsys, problem):
     assert "grid.l_nabla_1.delta_1.val_loss" in read_report(tmp_path / "g.grid.txt")
 
 
+UNCONSTRAINED_GRIDS = {
+    "sgd-quadratic": ["--problem", "quadratic", "--method", "sgd", "--quad-blocks", "3",
+                      "--grid-l-nabla", "1,2", "--iterations", "30"],
+    "sgd-synthetic-net": ["--problem", "synthetic-net", "--method", "sgd", "--layer-sizes",
+                          "4,3,1", "--synth-m", "2", "--train-size", "30", "--val-size", "8",
+                          "--test-size", "9", "--iterations", "6", "--grid-l-nabla", "1,2"],
+    "block-free-quadratic": ["--problem", "quadratic", "--quad-blocks", "", "--quad-y", "3",
+                             "--deltas", "", "--grid-l-nabla", "1,2", "--iterations", "30"],
+}
+
+
+def _refuse_to_make_data(monkeypatch):
+    def made(*args, **kwargs):
+        raise AssertionError("data made")
+
+    monkeypatch.setattr(fwsd.cli, "make_quadratic", made)
+    monkeypatch.setattr(fwsd.cli, "generate_synthetic", made)
+
+
+@pytest.mark.parametrize("grid, deltas", [("sgd-quadratic", "0.5,1,2"),
+                                          ("sgd-synthetic-net", "0.5,1,2"),
+                                          ("block-free-quadratic", "0.5,1")],
+                         ids=list(UNCONSTRAINED_GRIDS))
+def test_grid_that_constrains_nothing_takes_one_delta(tmp_path, capsys, monkeypatch, grid,
+                                                      deltas):
+    # no cell reads a radius, so every delta of an l_nabla row would be the same run
+    _refuse_to_make_data(monkeypatch)
+    assert run_cli("grid", *UNCONSTRAINED_GRIDS[grid], "--grid-delta", deltas,
+                   "--out-prefix", str(tmp_path / "g")) == 1
+    assert "grid_delta" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir()), "no cell ran"
+
+
+@pytest.mark.parametrize("grid, losses", [
+    ("sgd-quadratic", ("0.011427610160711558", "0.025117421736215013")),
+    ("sgd-synthetic-net", ("4.9588230695105278", "0.1024866754723343")),
+    ("block-free-quadratic", ("0.00102473587170592", "0.015145318379947875"))],
+    ids=list(UNCONSTRAINED_GRIDS))
+def test_one_delta_grid_that_constrains_nothing_keeps_its_losses(tmp_path, capsys, grid,
+                                                                 losses):
+    # the losses each cell of the row reported when every grid_delta value trained a cell
+    assert run_cli("grid", *UNCONSTRAINED_GRIDS[grid], "--grid-delta", "0.5",
+                   "--out-prefix", str(tmp_path / "g")) == 0
+    capsys.readouterr()
+    report = read_report(tmp_path / "g.grid.txt")
+    assert [report[f"grid.l_nabla_{ln}.delta_0.5.val_loss"] for ln in (1, 2)] == list(losses)
+    assert len([key for key in report if key.startswith("grid.")]) == 2
+
+
+def test_dense_net_grid_with_one_delta_runs(tmp_path, capsys):
+    assert run_cli("grid", *GRID_BASES["synthetic-net"], "--fw-layers=", "--deltas=",
+                   "--grid-l-nabla", "1,2", "--grid-delta", "1",
+                   "--out-prefix", str(tmp_path / "g")) == 0
+    capsys.readouterr()
+    report = read_report(tmp_path / "g.grid.txt")
+    assert [key for key in report if key.startswith("grid.")] == [
+        "grid.l_nabla_1.delta_1.val_loss", "grid.l_nabla_2.delta_1.val_loss"]
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_quadratic_without_a_variable_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    _refuse_to_make_data(monkeypatch)
+    grid = ("--grid-l-nabla", "1", "--grid-delta", "1") if command == "grid" else ()
+    assert run_cli(command, "--problem", "quadratic", "--quad-blocks", "", "--quad-y", "0",
+                   "--deltas", "", "--iterations", "4", *grid,
+                   "--out-prefix", str(tmp_path / "q")) == 1
+    err = capsys.readouterr().err
+    assert "quad_blocks" in err and "quad_y" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("blocks", [(), ("--quad-blocks", "3")], ids=["default", "one-block"])
+def test_sgd_quadratic_ignores_deltas(tmp_path, capsys, blocks):
+    # the default deltas = 1,1 need not fit quad_blocks: sgd gives no block a radius
+    assert run_cli("train", "--problem", "quadratic", "--method", "sgd", *blocks,
+                   "--iterations", "4", "--out-prefix", str(tmp_path / "s")) == 0
+    capsys.readouterr()
+    assert read_report(tmp_path / "s.report.txt")["config.deltas"] == "1,1"
+
+
 def test_non_finite_values_are_config_errors(tmp_path, capsys):
     base = ["train", "--problem", "quadratic", "--quad-blocks", "2,2", "--deltas", "1,1",
             "--iterations", "4", "--out-prefix", str(tmp_path / "q")]
@@ -1097,7 +1177,7 @@ def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, capsys):
         (["train-dataset"], ("--dataset=",), "problem = dataset requires a dataset path"),
         (["train-quadratic"], ("--deltas=1",), "quadratic problems need one delta per block"),
         (["train-quadratic"], ("--epoch-sampling=true",), "epoch_sampling needs a dataset"),
-        (["grid"], ("--fw-layers=", "--deltas="), "needs at least one constrained layer"),
+        (["grid"], ("--fw-layers=", "--deltas=", "--grid-delta=1,2"), "grid_delta"),
         (["grid"], ("--problem=dataset", f"--dataset={data / 'd.train.bin'}"),
          "grid selection on datasets needs val_dataset"),
     ]

@@ -1,12 +1,13 @@
 """Engine steps against worked values, plus run-level contracts."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import quadratic_reference as ref
-from fwsd.gap import dual_norm
+from fwsd.gap import InternalConsistencyError, dual_norm
 from fwsd.geometry import L1Ball, Norm, RowError
 from fwsd.optimizer import (
     AltStepInfo,
@@ -337,7 +338,43 @@ class _CountingReads:
         return replace(est, objective=objective)
 
 
+class _Stalled(RuntimeError):
+    def __init__(self, what, k):
+        super().__init__(f"{what} stalled at {k}")
+
+
+class _RaisingGradient:
+    """A one-block problem whose ``gradient_mean`` raises ``error``."""
+
+    block_dims, y_dim = (2,), 1
+
+    def __init__(self, error):
+        self.error = error
+
+    def draw(self, rng, n):
+        return n
+
+    def gradient_mean(self, x_blocks, y, batch):
+        raise self.error
+
+
 class TestRun:
+    @pytest.mark.parametrize("error, kind", [
+        (json.JSONDecodeError("bad", "doc", 0), ValueError),
+        (_Stalled("solver", 3), RuntimeError),
+        (RowError("bad row", 1), RowError),
+        (InternalConsistencyError("negative gap"), InternalConsistencyError),
+        (ValueError("bad"), ValueError)],
+        ids=["JSONDecodeError", "stalled", "RowError", "InternalConsistencyError", "ValueError"])
+    def test_user_problem_error_keeps_its_message_and_cause(self, error, kind):
+        # a type whose constructor takes more than a message is re-raised as its built-in base
+        balls = [L1Ball(2, 1.0)]
+        with pytest.raises(kind) as raised:
+            run(_RaisingGradient(error), balls, np.zeros(1), [np.zeros(2)], config_for(balls))
+        assert type(raised.value) is kind
+        assert str(raised.value) == f"{error} at iteration 0"
+        assert raised.value.__cause__ is error
+
     def test_same_seed_reproduces_bit_for_bit(self):
         _, _, _, a = small_run(seed=5)
         _, _, _, b = small_run(seed=5)

@@ -441,6 +441,40 @@ def test_run_with_non_finite_gradient_fails_loudly():
         run(inst, balls, np.zeros(1), [np.zeros(3), np.zeros(2)], config)
 
 
+@pytest.mark.parametrize("kernel, group, block", [(fw_step, 2, 3), (alt_step, 1, 1)],
+                         ids=["fw_step", "alt_step"])
+def test_run_names_the_block_and_step_that_made_a_non_finite_iterate(monkeypatch, kernel,
+                                                                     group, block):
+    # the groups are [0], [1] and [2, 3]; at iteration 2 the kernel's call on ``group`` returns
+    # its last row as NaN, and no later kernel reads that matrix before run() checks it
+    calls = []
+
+    def leaky(m, *args):
+        x_next, *rest = kernel(m, *args)
+        calls.append(m)
+        if len(calls) == 3 * 2 + group + 1:
+            x_next = x_next.copy()
+            x_next[-1] = np.nan
+        return (x_next, *rest)
+
+    monkeypatch.setattr(f"fwsd.optimizer.{kernel.__name__}", leaky)
+    balls, x, _, config = _two_groups()
+    config = replace(config, iterations=4, alternative_directions=kernel is alt_step)
+    with pytest.raises(RowError, match=rf"^x contains non-finite entries \(block {block}, "
+                                       rf"in {kernel.__name__}\) at iteration 2$"):
+        run(_BadGradientCall(balls, -1, 0, None), balls, np.zeros(1), x, config)
+    assert len(calls) == 3 * 3
+
+
+def test_fw_step_names_the_row_of_a_non_finite_iterate():
+    # a direct caller's iterate is checked by the public kernel itself
+    x = np.zeros((3, 3))
+    x[1, 2] = np.inf
+    with pytest.raises(RowError, match=r"^x contains non-finite entries$") as info:
+        fw_step(x, np.ones((3, 3)), L1Ball(3, 1.0), np.full(3, 8.0))
+    assert info.value.row == 1
+
+
 class _NonFiniteFree:
     """A quadratic whose free gradient ``h`` holds a NaN from data batch ``first_bad`` on."""
 
