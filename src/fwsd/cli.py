@@ -320,6 +320,13 @@ def _constrained(config: ExperimentConfig) -> tuple[int, ...]:
     return blocks if config.method != "sgd" else ()
 
 
+def _net_spec(config: ExperimentConfig) -> MLPSpec:
+    """The configured network; sgd reads no radius, so ``deltas`` that do not fit are unit radii."""
+    if not _constrained(config) and len(config.deltas) != len(config.fw_layers):
+        config = replace(config, deltas=(1.0,) * len(config.fw_layers))
+    return _owned(MLPSpec, config)
+
+
 def _budget_iterations(config: ExperimentConfig, n_samples: int | None) -> tuple[int, int]:
     """The batch budget as ``(iterations, per_iteration)``; ``n_samples`` counts the train rows."""
     # run() draws a second (away-step) batch only when there is a constrained block
@@ -353,7 +360,7 @@ def _inputs(config: ExperimentConfig):
         return _budget_iterations(config, None), make_quadratic(
             config.seed, blocks, sum(config.quad_blocks) - sum(blocks) + config.quad_y,
             l_nabla=config.l_nabla, noise_sigma=config.quad_sigma)
-    spec = _owned(MLPSpec, config)
+    spec = _net_spec(config)
     if config.problem == "synthetic-net":
         if config.loss != "mse":
             raise ConfigError("the synthetic teacher produces regression targets; use loss = mse")
@@ -409,7 +416,7 @@ def _run_budgeted(config: ExperimentConfig, problem, balls, y0, x0_blocks,
 
 
 def _train_net(config: ExperimentConfig, budget, splits) -> TrainOutcome:
-    spec_full = _owned(MLPSpec, config)
+    spec_full = _net_spec(config)
     train, val, test = splits
     # the run trains the layers it constrains; metrics describe the configured ones
     train_spec = spec_full if _constrained(config) else replace(spec_full, fw_layers=(), deltas=())

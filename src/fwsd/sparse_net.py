@@ -6,8 +6,8 @@ layer. A `ParamLayout` maps those arrays onto optimizer coordinates: each
 node of a constrained layer contributes its incoming-weight row as one
 l1-ball block, everything else (dense layers, biases) is flattened into
 the single free block. Backpropagation runs over a batch of samples at
-once, writing each sample's whole gradient as one row of a buffer whose
-columns are the coordinates in `ParamLayout.pack` order; a single sample
+once and sums each layer's gradient over the batch into one vector whose
+entries are the coordinates in `ParamLayout.pack` order; a single sample
 is a batch of one.
 
 Datasets, epoch sampling over them, the synthetic teacher generator and
@@ -33,7 +33,6 @@ _DATASET_MAGIC = b"FWSDDATA"
 _DATASET_VERSION = 1
 _CKPT_MAGIC = b"FWSDCKPT"
 _CKPT_VERSION = 1
-_CHUNK_BYTES = 8 * 2**20  # per-sample gradient buffer of one backprop chunk; bounds its memory
 
 
 class Activation(enum.Enum):
@@ -269,44 +268,46 @@ def _backprop(layout: ParamLayout, params: Sequence[LayerParams], X: np.ndarray,
               T: np.ndarray) -> np.ndarray:
     """Mean over the rows of ``X``/``T`` of each sample's gradient, in `ParamLayout.pack` order.
 
-    Each sample's whole gradient is one row of a ``(rows, layout.size)``
-    buffer: every product is a per-row matrix-vector product, and one
-    `batch_sum` folds the buffer's rows in order, so the result equals, bit
-    for bit, adding the single-sample gradients one at a time and dividing by
-    the count. Rows go through in chunks whose buffer fits ``_CHUNK_BYTES``
-    (at least one row) to bound memory; each chunk's running sum is added into
-    its first row before its fold, so any chunking gives the same bytes.
+    Forward and back products are per-row matrix-vector products (stacked
+    `np.matmul`). Each layer's weight sum over the batch is one `_weight_sum`
+    and its bias sum one `batch_sum`, written into one vector, and one division
+    makes the mean, so the result equals, bit for bit, adding the single-sample
+    gradients one at a time and dividing by the count.
     """
-    spec = layout.spec
-    n = X.shape[0]
+    spec, n = layout.spec, len(X)
     if n == 0:
         raise ValueError("empty batch")
     last = spec.n_layers - 1
-    chunk = max(1, _CHUNK_BYTES // (8 * layout.size))
-    total = None
-    for start in range(0, n, chunk):
-        pre: list[np.ndarray] = []
-        post = [X[start:start + chunk]]
-        rows = len(post[0])
-        for l, (w, b) in enumerate(params):
-            z = np.matmul(w[None], post[-1][:, :, None])[:, :, 0] + b
-            pre.append(z)
-            post.append(z if l == last else _activate(spec.activation, z))
-        delta = _output_grad(spec.loss, post[-1], T[start:start + chunk])
-        buf = np.empty((rows, layout.size))
-        for l in range(last, -1, -1):
-            w_cols, b_cols = layout.columns[l]
-            np.multiply(delta[:, :, None], post[l][:, None, :],
-                        out=buf[:, w_cols].reshape(rows, *layout.shapes[l]))
-            if b_cols is not None:
-                buf[:, b_cols] = delta
-            if l > 0:
-                back = np.matmul(params[l].w.T[None], delta[:, :, None])[:, :, 0]
-                delta = back * _activation_slope(spec.activation, pre[l - 1], post[l])
-        if total is not None:
-            buf[0] += total
-        total = batch_sum(buf)
-    return total / n
+    pre, post = [], [X]
+    for l, (w, b) in enumerate(params):
+        z = np.matmul(w[None], post[-1][:, :, None])[:, :, 0] + b
+        pre.append(z)
+        post.append(z if l == last else _activate(spec.activation, z))
+    delta = _output_grad(spec.loss, post[-1], T)
+    total = np.empty(layout.size)
+    for l in range(last, -1, -1):
+        w_cols, b_cols = layout.columns[l]
+        _weight_sum(delta, post[l], total[w_cols].reshape(layout.shapes[l]))
+        if b_cols is not None:
+            total[b_cols] = batch_sum(delta)
+        if l > 0:
+            back = np.matmul(params[l].w.T[None], delta[:, :, None])[:, :, 0]
+            delta = back * _activation_slope(spec.activation, pre[l - 1], post[l])
+    return np.divide(total, n, out=total)
+
+
+def _weight_sum(delta: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
+    """Write ``sum_n outer(delta[n], a[n])`` into ``out``, rounded like the left fold from -0.0.
+
+    einsum folds each entry in sample order but from +0.0, so it gives +0.0 where
+    every product is -0.0: an exact-zero sum whose factors' signs multiply to -1
+    in every sample, which a product of +-1 sign matrices counts exactly.
+    """
+    if out.size == 1:  # einsum would sum the lone entry pairwise
+        out[...] = batch_sum(delta * a)
+    elif not np.einsum("nj,ni->ji", delta, a, out=out).all():
+        signs = np.copysign(1.0, delta).T @ np.copysign(1.0, a)
+        out[(out == 0.0) & (signs == -len(delta))] = -0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,9 +448,7 @@ def hard_threshold(params, spec: MLPSpec, theta_percent: float) -> list[LayerPar
         flat = np.abs(layer.w).ravel()
         keep = int(np.ceil(theta_percent / 100.0 * flat.size))
         mask = np.zeros(flat.size, dtype=bool)
-        if keep > 0:
-            order = np.argsort(-flat, kind="stable")
-            mask[order[:keep]] = True
+        mask[np.argsort(-flat, kind="stable")[:keep]] = True
         w = np.where(mask.reshape(layer.w.shape), layer.w, 0.0)
         out.append(LayerParams(w=w, b=layer.b.copy()))
     return out
@@ -510,19 +509,16 @@ def generate_synthetic(synth: SynthSpec):
                 w[node, cols] = rng.choice([-1.0, 1.0], size=synth.m)
         teacher.append(LayerParams(w=w, b=np.zeros(fan_out)))
 
-    def make_split(n: int, noise_std: float | None):
+    def make_split(n: int, noise_std: float | None = None):
         x = rng.standard_normal((n, sizes[0]))
         signal = forward(synth.teacher, teacher, x)
-        if noise_std is None:
-            return x, signal  # noise added later, once the scale is known
-        return Dataset(features=x, targets=signal + rng.normal(0.0, noise_std, signal.shape))
+        if noise_std is None:  # the train split: its signal sets the noise scale
+            noise_std = float(np.sqrt(np.var(signal) / synth.snr))
+        return Dataset(x, signal + rng.normal(0.0, noise_std, signal.shape)), noise_std
 
-    x_train, signal_train = make_split(synth.train_size, None)
-    noise_std = float(np.sqrt(np.var(signal_train) / synth.snr))
-    train = Dataset(features=x_train,
-                    targets=signal_train + rng.normal(0.0, noise_std, signal_train.shape))
-    val = make_split(synth.val_size, noise_std)
-    test = make_split(synth.test_size, noise_std)
+    train, noise_std = make_split(synth.train_size)
+    val, _ = make_split(synth.val_size, noise_std)
+    test, _ = make_split(synth.test_size, noise_std)
     return train, val, test, teacher
 
 
@@ -542,6 +538,7 @@ def init_params(spec: MLPSpec, seed) -> list[LayerParams]:
     params: list[LayerParams] = []
     for l in range(spec.n_layers):
         fan_out, fan_in = spec.fan_out(l), spec.fan_in(l)
+        bound = 1.0 / np.sqrt(fan_in)
         if l in spec.fw_layers:
             w = np.zeros((fan_out, fan_in))
             half = spec.delta_for(l) / 2.0
@@ -550,13 +547,8 @@ def init_params(spec: MLPSpec, seed) -> list[LayerParams]:
                 sign = 1.0 if rng.random() < 0.5 else -1.0
                 w[node, j] = sign * half
         else:
-            bound = 1.0 / np.sqrt(fan_in)
             w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        if spec.bias:
-            bound = 1.0 / np.sqrt(fan_in)
-            b = rng.uniform(-bound, bound, size=fan_out)
-        else:
-            b = np.zeros(fan_out)
+        b = rng.uniform(-bound, bound, size=fan_out) if spec.bias else np.zeros(fan_out)
         params.append(LayerParams(w=w, b=b))
 
     # give orphaned hidden units an outgoing edge in the next constrained layer

@@ -1,26 +1,25 @@
 """Batched backprop against the single-sample reference, bit for bit.
 
 `MLPProblem.gradient_mean` runs one forward and backward pass over the rows
-of a batch, in chunks whose gradient buffer fits `_CHUNK_BYTES`. The tests
-here that cross chunk boundaries lower that budget to `CHUNK` rows of the
-drawn network. `backprop_reference` keeps the per-sample pass and in-order
-accumulation it replaced. Hypothesis draws networks of 2-4 layers of width
-1-40, both activations, both losses, bias on and off, and batches of 1, 16,
-one chunk plus one and three chunks, drawn with replacement from at most 40
-rows so indices repeat. Gradients must agree in their bytes, and the batch
-objective must equal the loss of `forward`. The sigmoid must equal the
-reference's boolean-scatter form in its bytes, NaN signs included.
+of a batch and sums each layer's weight gradient with one einsum.
+`backprop_reference` keeps the per-sample pass and in-order accumulation it
+replaced. Hypothesis draws networks of 2-4 layers of width 1-40, both
+activations, both losses, bias on and off, and batches of 1, 16, 65 and 192,
+drawn with replacement from at most 40 rows so indices repeat. Gradients must
+agree in their bytes, and the batch objective must equal the loss of
+`forward`. The sigmoid must equal the reference's boolean-scatter form in its
+bytes, NaN signs included. `_weight_sum` must equal the left fold from -0.0 over
+per-sample outer products in its bytes, signed zeros included.
 """
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import backprop_reference as ref
-from fwsd import sparse_net
 from fwsd.sparse_net import (
     Activation,
     Dataset,
@@ -29,12 +28,12 @@ from fwsd.sparse_net import (
     MLPProblem,
     MLPSpec,
     _activate,
+    _weight_sum,
     forward,
     loss_value,
 )
 
-CHUNK = 64
-BATCH_SIZES = (1, 16, CHUNK + 1, 3 * CHUNK)
+BATCH_SIZES = (1, 16, 65, 192)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -70,11 +69,6 @@ def uniform_params(spec, rng, scale=1.0):
             for l in range(spec.n_layers)]
 
 
-def chunks_of(layout):
-    """Lower `_backprop`'s byte budget to `CHUNK` rows of ``layout``'s gradient."""
-    return mock.patch.object(sparse_net, "_CHUNK_BYTES", 8 * layout.size * CHUNK)
-
-
 def assert_same_bytes(got_blocks, got_h, want_blocks, want_h):
     assert len(got_blocks) == len(want_blocks)
     for got, want in zip(got_blocks, want_blocks):
@@ -94,8 +88,7 @@ def test_gradient_mean_matches_reference(drawn, batch_size):
     problem, params, rng = drawn
     batch = rng.integers(0, problem.n_samples, size=batch_size)
     x_blocks, y = problem.layout.pack(params)
-    with chunks_of(problem.layout):
-        est = problem.gradient_mean(x_blocks, y, batch)
+    est = problem.gradient_mean(x_blocks, y, batch)
     assert_same_bytes(est.g_blocks, est.h, *reference_mean(problem, params, batch))
 
 
@@ -128,13 +121,56 @@ def test_objective_is_forward_loss_bit_for_bit(drawn, batch_size):
 def test_exact_gradient_matches_reference_over_full_dataset():
     rng = np.random.default_rng(6)
     spec = MLPSpec(layer_sizes=(9, 12, 8, 1), fw_layers=(0, 1), deltas=(1.0, 2.0))
-    n = 3 * CHUNK + 5
+    n = 197
     data = Dataset(rng.standard_normal((n, 9)), rng.standard_normal((n, 1)))
     problem = MLPProblem(spec=spec, data=data)
     params = uniform_params(spec, rng)
-    with chunks_of(problem.layout):
-        g_blocks, h = problem.exact_gradient(*problem.layout.pack(params))
+    g_blocks, h = problem.exact_gradient(*problem.layout.pack(params))
     assert_same_bytes(g_blocks, h, *reference_mean(problem, params, np.arange(n)))
+
+
+@pytest.mark.parametrize("sizes", [(3, 1, 1), (1, 1, 2, 1), (5, 2, 1, 1)])
+def test_one_by_one_weight_is_summed_by_the_fold(sizes):
+    # numpy sums a lone output column pairwise, which rounds apart from the fold past 8 rows
+    rng = np.random.default_rng(sum(sizes))
+    spec = MLPSpec(layer_sizes=sizes, activation=Activation.RELU)
+    data = Dataset(rng.standard_normal((40, sizes[0])), rng.standard_normal((40, sizes[-1])))
+    problem = MLPProblem(spec=spec, data=data)
+    params = uniform_params(spec, rng, 2.0)
+    for _ in range(5):
+        batch = rng.integers(0, 40, size=192)
+        est = problem.gradient_mean(*problem.layout.pack(params), batch)
+        assert_same_bytes(est.g_blocks, est.h, *reference_mean(problem, params, batch))
+
+
+def signed_factors(rng, shape):
+    """Factors ``+-0``, ``+-u`` and ``+-10**e u``, ``e`` in -165, -160, 160, ``u`` in [0.5, 2).
+
+    Products of two tiny factors are subnormal or underflow to a signed zero,
+    products of two huge ones overflow, and every third matrix has a column of
+    signed zeros, like a dead node.
+    """
+    scale = rng.choice([0.0, 1.0, 1.0, 1e-165, 1e-160, 1e160], size=shape)
+    out = np.where(rng.random(shape) < 0.5, -1.0, 1.0) * scale * rng.uniform(0.5, 2.0, shape)
+    if rng.random() < 1 / 3:
+        out[:, rng.integers(shape[1])] = np.where(rng.random(shape[0]) < 0.5, -0.0, 0.0)
+    return out
+
+
+def test_weight_sum_is_the_left_fold_from_negative_zero():
+    rng = np.random.default_rng(26)
+    negative_zeros = 0
+    for _ in range(3000):
+        n, fan_out, fan_in = rng.integers(1, 41), rng.integers(1, 9), rng.integers(1, 9)
+        delta, a = signed_factors(rng, (n, fan_out)), signed_factors(rng, (n, fan_in))
+        want, got = np.full((fan_out, fan_in), -0.0), np.empty((fan_out, fan_in))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge products, inf - inf
+            for k in range(n):
+                want = want + np.multiply.outer(delta[k], a[k])
+            _weight_sum(delta, a, got)
+        assert got.tobytes() == want.tobytes(), (n, fan_out, fan_in)
+        negative_zeros += np.count_nonzero((want == 0.0) & np.signbit(want))
+    assert negative_zeros > 300, "the draws must hold sums the fix-up restores"
 
 
 def exact_gradient_peak(sizes, fw_layers, n, seed):
@@ -153,13 +189,13 @@ def exact_gradient_peak(sizes, fw_layers, n, seed):
 
 
 def test_exact_gradient_memory_is_bounded():
-    # an unchunked pass over 20,000 rows holds ~200 MB of per-sample gradients
+    # a per-sample gradient buffer over 20,000 rows would hold ~200 MB
     peak = exact_gradient_peak((20, 20, 20, 1), (0, 1), 20_000, 7)
     assert peak < 32 * 2**20, f"exact_gradient peaked at {peak / 2**20:.1f} MB"
 
 
 def test_exact_gradient_memory_is_bounded_on_a_wide_layer():
-    # one sample's gradient at 784-300-1 is 1.9 MB: 64 rows in one chunk would hold 121 MB
+    # one sample's gradient at 784-300-1 is 1.9 MB: 64 per-sample products would hold 121 MB
     peak = exact_gradient_peak((784, 300, 1), (0,), 64, 8)
     assert peak < 32 * 2**20, f"exact_gradient peaked at {peak / 2**20:.1f} MB"
 

@@ -1116,6 +1116,23 @@ def test_sgd_quadratic_ignores_deltas(tmp_path, capsys, blocks):
     assert read_report(tmp_path / "s.report.txt")["config.deltas"] == "1,1"
 
 
+@pytest.mark.parametrize("method, code", [("sgd", 0), ("sfw", 1)])
+def test_sgd_net_ignores_deltas(tmp_path, capsys, method, code):
+    # fw_layers = 0 takes one radius and the default deltas = 1,1 give two: only sgd reads none
+    assert run_cli("train", "--problem", "synthetic-net", "--method", method, "--fw-layers", "0",
+                   "--layer-sizes", "4,3,1", "--synth-m", "2", "--train-size", "30",
+                   "--val-size", "8", "--test-size", "9", "--iterations", "6",
+                   "--out-prefix", str(tmp_path / "s")) == code
+    if code:
+        assert "deltas" in capsys.readouterr().err
+        return
+    capsys.readouterr()
+    report = read_report(tmp_path / "s.report.txt")
+    assert (report["config.deltas"], report["nnz_layer_0"]) == ("1,1", "100")
+    spec, _, _ = load_net_checkpoint(tmp_path / "s.ckpt")
+    assert (spec.fw_layers, spec.deltas) == ((0,), (1.0,))
+
+
 def test_non_finite_values_are_config_errors(tmp_path, capsys):
     base = ["train", "--problem", "quadratic", "--quad-blocks", "2,2", "--deltas", "1,1",
             "--iterations", "4", "--out-prefix", str(tmp_path / "q")]

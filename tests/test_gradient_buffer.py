@@ -1,9 +1,9 @@
-"""The network gradient is one buffer, answered in the caller's cut.
+"""The network gradient is one vector, answered in the caller's cut.
 
-`sparse_net._backprop` writes each sample's whole gradient as one row of a
-buffer whose columns follow `ParamLayout.pack` order and folds the rows in
-one reduction; `MLPProblem.gradient_mean` returns views of the mean cut like
-the ``x_blocks`` it was given. The gradient must equal the single-sample
+`sparse_net._backprop` sums each layer's gradient over the batch into one
+vector in `ParamLayout.pack` order and divides it once by the count;
+`MLPProblem.gradient_mean` returns views of it cut like the ``x_blocks`` it
+was given. The gradient must equal the single-sample
 reference of `backprop_reference` in its bytes whether the blocks come as
 `pack` cuts them (one matrix per constrained layer) or as `run` holds them
 (one matrix per group), and `run`'s regrouped gradient must be the problem's
