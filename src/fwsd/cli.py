@@ -276,7 +276,7 @@ def smoothed_series(values: Sequence[float], window: int) -> list[float]:
 
 def write_trace_csv(path, trace: Sequence[TraceRecord], window: int,
                     nnz_names: Sequence[str], nnz_rows: Sequence[Sequence[float]]) -> None:
-    n_blocks = len(trace[0].alpha_bar_blocks) if trace else 0
+    n_blocks = len(trace[0].alpha_bar_blocks)
     smoothed = smoothed_series([r.gap_hat for r in trace], window)
     header = ["k", "objective_estimate", "gap_hat", "gap_hat_smoothed",
               *(f"alpha_bar_{i}" for i in range(n_blocks)), "alpha_sd", *nnz_names]
@@ -355,8 +355,8 @@ def _inputs(config: ExperimentConfig):
         if not config.quad_blocks and config.quad_y == 0:
             raise ConfigError("quad_blocks and quad_y leave the quadratic no variable")
         blocks = _constrained(config)
-        if config.method != "sgd" and len(config.deltas) != len(blocks):  # sgd reads no delta
-            raise ConfigError("quadratic problems need one delta per block")
+        if blocks and len(config.deltas) != len(blocks):
+            raise ConfigError("quadratic problems need one delta per block in deltas")
         return _budget_iterations(config, None), make_quadratic(
             config.seed, blocks, sum(config.quad_blocks) - sum(blocks) + config.quad_y,
             l_nabla=config.l_nabla, noise_sigma=config.quad_sigma)
@@ -383,7 +383,7 @@ class TrainOutcome:
     result: RunResult
     metrics: list[tuple[str, object]]
     nnz_names: list[str]
-    nnz_rows: list[list[float]]
+    nnz_rows: list[Sequence[float]]
     checkpoint: tuple[str, dict, list[tuple[str, np.ndarray]]]
     val_loss: float
 
@@ -482,7 +482,7 @@ def _train_quadratic(config: ExperimentConfig, budget, problem) -> TrainOutcome:
         result=result,
         metrics=metrics,
         nnz_names=[f"nnz_block_{i}" for i in range(len(blocks))],
-        nnz_rows=[[float(c) for c in record.nnz_blocks] for record in result.trace],
+        nnz_rows=[record.nnz_blocks for record in result.trace],
         checkpoint=("quadratic", {"block_dims": list(blocks), "y_dim": y_dim}, arrays),
         val_loss=float(final_objective),
     )

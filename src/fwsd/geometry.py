@@ -10,7 +10,7 @@ solver is involved anywhere in this module.
 
 Every oracle is written once, row-wise, for an ``(n_rows, dim)`` matrix whose
 rows are blocks sharing one ball (same ``dim`` and ``radius``);
-`ball_groups` cuts a list of blocks into runs of consecutive such blocks, and
+`group_layout` cuts a tuple of blocks into runs of consecutive such blocks, and
 `regroup` cuts whatever arrays hold the blocks' rows into the runs' matrices, as
 views where it can; a single block is a one-row matrix (`lmo` is that case of
 `lmo_rows`). The engine runs two oracles per group: `frank_wolfe_rows`, built on
@@ -158,20 +158,16 @@ class blame_blocks:
         raise type(exc)(f"{exc} ({where}in {self.step})") from exc
 
 
-def ball_groups(balls: Sequence[L1Ball]) -> list[tuple[L1Ball, np.ndarray]]:
-    """Maximal runs of consecutive blocks with equal balls, as ``(ball, idx)``.
+@functools.lru_cache(maxsize=32)
+def group_layout(balls: tuple[L1Ball, ...]):
+    """Maximal runs of consecutive blocks with equal balls as ``(groups, heights, dims)``, memoized.
 
-    ``idx`` is ascending and contiguous, so the runs' rows in turn are the blocks in order.
+    A group is ``(ball, idx)``; ``idx`` is ascending and contiguous, so the runs' rows in turn
+    are the blocks in order. ``heights`` and ``dims`` are the groups' row counts and widths.
     """
     keys = [(b.dim, b.radius) for b in balls]  # faster to compare than the dataclass
     starts = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
-    return [(balls[s], np.arange(s, e)) for s, e in zip(starts, starts[1:] + [len(balls)])]
-
-
-@functools.lru_cache(maxsize=32)
-def group_layout(balls: tuple[L1Ball, ...]):
-    """`ball_groups` of a tuple of balls with the groups' heights and widths, memoized."""
-    groups = tuple(ball_groups(balls))
+    groups = tuple((balls[s], np.arange(s, e)) for s, e in zip(starts, starts[1:] + [len(balls)]))
     return groups, tuple(len(idx) for _, idx in groups), tuple(b.dim for b, _ in groups)
 
 

@@ -235,10 +235,10 @@ def _activate(activation: Activation, z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def _activation_slope(activation: Activation, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _activation_slope(activation: Activation, a: np.ndarray) -> np.ndarray:
     if activation is Activation.SIGMOID:
         return a * (1.0 - a)
-    return (z > 0.0).astype(np.float64)  # subgradient 0 at the kink
+    return (a > 0.0).astype(np.float64)  # a > 0 exactly where z > 0; subgradient 0 at the kink
 
 
 def _output_grad(loss: Loss, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -278,10 +278,9 @@ def _backprop(layout: ParamLayout, params: Sequence[LayerParams], X: np.ndarray,
     if n == 0:
         raise ValueError("empty batch")
     last = spec.n_layers - 1
-    pre, post = [], [X]
+    post = [X]
     for l, (w, b) in enumerate(params):
         z = np.matmul(w[None], post[-1][:, :, None])[:, :, 0] + b
-        pre.append(z)
         post.append(z if l == last else _activate(spec.activation, z))
     delta = _output_grad(spec.loss, post[-1], T)
     total = np.empty(layout.size)
@@ -292,7 +291,7 @@ def _backprop(layout: ParamLayout, params: Sequence[LayerParams], X: np.ndarray,
             total[b_cols] = batch_sum(delta)
         if l > 0:
             back = np.matmul(params[l].w.T[None], delta[:, :, None])[:, :, 0]
-            delta = back * _activation_slope(spec.activation, pre[l - 1], post[l])
+            delta = back * _activation_slope(spec.activation, post[l])
     return np.divide(total, n, out=total)
 
 

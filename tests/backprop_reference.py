@@ -3,13 +3,14 @@
 `backprop` is one sample's forward and backward pass with matrix-vector
 products, and `mean_gradient` adds the per-sample gradients one at a time in
 batch order and divides by the count. `fwsd.sparse_net._backprop` has to
-match it bit for bit, which `test_backprop.py` checks. `sigmoid` is the
-boolean-scatter form that `_activate`'s `np.where` form replaced.
+match it bit for bit, which `test_backprop.py` checks. `slope` reads relu's
+slope off the pre-activation, where `_backprop` reads it off the activation.
+`sigmoid` is the boolean-scatter form that `_activate`'s `np.where` form replaced.
 """
 
 import numpy as np
 
-from fwsd.sparse_net import LayerParams, Loss, _activate, _activation_slope
+from fwsd.sparse_net import Activation, LayerParams, Loss, _activate
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -20,6 +21,13 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def slope(activation: Activation, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The activation's slope at ``z``, where ``a`` is its value; relu's is 0 at the kink."""
+    if activation is Activation.SIGMOID:
+        return a * (1.0 - a)
+    return (z > 0.0).astype(np.float64)
 
 
 def loss_and_output_grad(loss: Loss, pred: np.ndarray, target: np.ndarray):
@@ -51,7 +59,7 @@ def backprop(spec, params, x, target):
         grads[l] = LayerParams(w=np.outer(delta, post[l]), b=delta.copy())
         if l > 0:
             back = params[l].w.T @ delta
-            delta = back * _activation_slope(spec.activation, pre[l - 1], post[l])
+            delta = back * slope(spec.activation, pre[l - 1], post[l])
     return grads
 
 

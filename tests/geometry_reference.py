@@ -59,7 +59,7 @@ class Face:
 def groups_by_ball(balls):
     """``(ball, idx)`` per distinct ball, ``idx`` all its blocks, in order of first appearance.
 
-    `fwsd.geometry.ball_groups` cuts runs of consecutive blocks instead; a
+    `fwsd.geometry.group_layout` cuts runs of consecutive blocks instead; a
     ball that recurs after a different one is one group here, so a kernel
     called per group sees the rows of blocks that are not adjacent.
     """

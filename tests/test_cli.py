@@ -1116,21 +1116,31 @@ def test_sgd_quadratic_ignores_deltas(tmp_path, capsys, blocks):
     assert read_report(tmp_path / "s.report.txt")["config.deltas"] == "1,1"
 
 
-@pytest.mark.parametrize("method, code", [("sgd", 0), ("sfw", 1)])
-def test_sgd_net_ignores_deltas(tmp_path, capsys, method, code):
-    # fw_layers = 0 takes one radius and the default deltas = 1,1 give two: only sgd reads none
-    assert run_cli("train", "--problem", "synthetic-net", "--method", method, "--fw-layers", "0",
-                   "--layer-sizes", "4,3,1", "--synth-m", "2", "--train-size", "30",
-                   "--val-size", "8", "--test-size", "9", "--iterations", "6",
-                   "--out-prefix", str(tmp_path / "s")) == code
+_ONE_LAYER_NET = ("--problem", "synthetic-net", "--fw-layers", "0", "--layer-sizes", "4,3,1",
+                  "--synth-m", "2", "--train-size", "30", "--val-size", "8", "--test-size", "9")
+
+
+@pytest.mark.parametrize("args, code", [
+    ((*_ONE_LAYER_NET, "--method", "sgd"), 0),
+    ((*_ONE_LAYER_NET, "--method", "sfw"), 1),
+    (("--problem", "quadratic", "--method", "sfw", "--quad-blocks", "", "--quad-y", "3"), 0),
+    (("--problem", "quadratic", "--method", "sfw", "--quad-blocks", "3"), 1),
+], ids=["sgd-net", "sfw-net", "block-free-quadratic", "one-block-quadratic"])
+def test_run_that_constrains_nothing_ignores_deltas(tmp_path, capsys, args, code):
+    # the default deltas = 1,1 give two radii where one or none is taken: a run that
+    # constrains a block checks them, and one that constrains nothing reads none
+    assert run_cli("train", *args, "--iterations", "6", "--out-prefix", str(tmp_path / "s")) == code
     if code:
         assert "deltas" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
         return
     capsys.readouterr()
     report = read_report(tmp_path / "s.report.txt")
-    assert (report["config.deltas"], report["nnz_layer_0"]) == ("1,1", "100")
-    spec, _, _ = load_net_checkpoint(tmp_path / "s.ckpt")
-    assert (spec.fw_layers, spec.deltas) == ((0,), (1.0,))
+    assert report["config.deltas"] == "1,1"
+    if "synthetic-net" in args:
+        assert report["nnz_layer_0"] == "100"
+        spec, _, _ = load_net_checkpoint(tmp_path / "s.ckpt")
+        assert (spec.fw_layers, spec.deltas) == ((0,), (1.0,))
 
 
 def test_non_finite_values_are_config_errors(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fwsd.gap import GapConstants, gap_estimate
-from fwsd.geometry import L1Ball, ball_groups, regroup
+from fwsd.geometry import L1Ball, group_layout, regroup
 from fwsd.problems import make_quadratic
 from fwsd.sparse_net import Dataset, LayerParams, MLPProblem, MLPSpec, ParamLayout
 
@@ -24,7 +24,7 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 def _runs(blocks, balls):
     """The blocks as `run` holds them: one stacked matrix per run of equal balls."""
-    return [np.array([blocks[i] for i in idx.tolist()]) for _, idx in ball_groups(balls)]
+    return [np.array([blocks[i] for i in idx.tolist()]) for _, idx in group_layout(balls)[0]]
 
 
 def _outcome(problem, x, y, batch, balls):
@@ -47,7 +47,7 @@ def test_quadratic_results_do_not_depend_on_the_cut(seed):
     rng = np.random.default_rng(seed)
     palette = [L1Ball(int(rng.integers(1, 6)), float(rng.choice([1.0, 0.3])))
                for _ in range(rng.integers(1, 4))]
-    balls = [palette[i] for i in rng.integers(0, len(palette), size=rng.integers(1, 7))]
+    balls = tuple(palette[i] for i in rng.integers(0, len(palette), size=rng.integers(1, 7)))
     blocks = [rng.uniform(-1.0, 1.0, b.dim) * b.radius / b.dim for b in balls]
     q = int(rng.integers(1, 4))
     inst = make_quadratic(seed=seed % 10_000, p=tuple(b.dim for b in balls), q=q,

@@ -30,9 +30,9 @@ from fwsd.geometry import (
     Norm,
     RowError,
     away_rows,
-    ball_groups,
     blame_blocks,
     face_rows,
+    group_layout,
     lmo,
     regroup,
 )
@@ -425,11 +425,13 @@ def test_non_numeric_gradient_names_block():
 
 def test_ball_groups_are_runs_of_equal_balls():
     a, b = L1Ball(3, 1.0), L1Ball(3, 2.0)
-    groups = ball_groups([a, a, b, a])
+    groups, heights, dims = group_layout((a, a, b, a))
     assert [(ball, idx.tolist()) for ball, idx in groups] == [(a, [0, 1]), (b, [2]), (a, [3])]
+    assert (heights, dims) == ((2, 1, 1), (3, 3, 3))
     # equal balls built separately are one run when adjacent
-    assert [idx.tolist() for _, idx in ball_groups([L1Ball(2, 0.5), L1Ball(2, 0.5)])] == [[0, 1]]
-    assert ball_groups([]) == []
+    groups, _, _ = group_layout((L1Ball(2, 0.5), L1Ball(2, 0.5)))
+    assert [idx.tolist() for _, idx in groups] == [[0, 1]]
+    assert group_layout(()) == ((), (), ())
 
 
 def test_run_with_non_finite_gradient_fails_loudly():
