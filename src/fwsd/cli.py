@@ -28,8 +28,8 @@ import csv
 import functools
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .sparse_net import (
     MLPSpec,
     SynthSpec,
     _check_widths,
-    _net_arrays,
     _nnz_percentages,
     evaluate,
     generate_synthetic,
@@ -87,22 +86,18 @@ def _reading(what: str):
 class ExperimentConfig:
     """Flat, schema-checked experiment description.
 
-    ``iterations`` is a gradient-batch budget: methods that spend two
-    batches per iteration run half as many iterations. ``epochs`` is an
-    alternative way to state the budget for dataset problems.
+    ``iterations`` is the gradient-batch budget: methods that spend two
+    batches per iteration run half as many iterations.
     """
 
     problem: str = "synthetic-net"
     method: str = "sfw"
     seed: int = 0
     iterations: int = 0
-    epochs: int = 0
     batch_schedule: str = OptimizerConfig.batch_schedule.kind
     batch_size: int = OptimizerConfig.batch_schedule.size
     l_nabla: float = 1.0
-    c_bar_scale: float = 1.0
     norm_y: str = OptimizerConfig.norm_y.value
-    away_tol: float = OptimizerConfig.away_tol
     smoothing_window: int = 50
     epoch_sampling: bool = False
     layer_sizes: tuple[int, ...] = (20, 20, 20, 1)
@@ -214,21 +209,15 @@ def _validate_config(c: ExperimentConfig) -> None:
         if kind in ("float", "tuple[float, ...]") and np.isnan(getattr(c, key)).any():
             raise ConfigError(f"{key} must not be NaN")
     # snr = inf is legal: noiseless targets
-    for key in ("l_nabla", "c_bar_scale", "away_tol", "deltas", "quad_sigma"):
+    for key in ("l_nabla", "deltas", "quad_sigma"):
         if np.isinf(getattr(c, key)).any():
             raise ConfigError(f"{key} must be finite")
-    if c.away_tol < 0.0:
-        raise ConfigError("away_tol must be nonnegative")
-    if c.iterations < 0 or c.epochs < 0:
-        raise ConfigError("iterations and epochs must be nonnegative")
-    if c.iterations > 0 and c.epochs > 0:
-        raise ConfigError("set either iterations or epochs, not both")
+    if c.iterations < 0:
+        raise ConfigError("iterations must be nonnegative")
     if c.batch_size < 1:
         raise ConfigError("batch_size must be at least 1")
     if c.l_nabla <= 0.0:
         raise ConfigError("l_nabla must be positive")
-    if c.c_bar_scale < 1.0:
-        raise ConfigError("c_bar_scale below 1 would violate the curvature floor")
     if c.smoothing_window < 1:
         raise ConfigError("smoothing_window must be at least 1")
     if any(s < 1 for s in c.layer_sizes) or len(c.layer_sizes) < 2:
@@ -327,28 +316,21 @@ def _net_spec(config: ExperimentConfig) -> MLPSpec:
     return _owned(MLPSpec, config)
 
 
-def _budget_iterations(config: ExperimentConfig, n_samples: int | None) -> tuple[int, int]:
-    """The batch budget as ``(iterations, per_iteration)``; ``n_samples`` counts the train rows."""
+def _budget_iterations(config: ExperimentConfig) -> tuple[int, int]:
+    """The batch budget ``iterations`` as ``(iterations run, batches per iteration)``."""
     # run() draws a second (away-step) batch only when there is a constrained block
     per_iteration = 2 if config.method == "sfw-if" and _constrained(config) else 1
-    budget = config.iterations
-    if config.epochs > 0:
-        if n_samples is None:
-            raise ConfigError("epochs require a dataset problem")
-        if config.batch_schedule != "constant":
-            raise ConfigError("epochs only make sense with the constant batch schedule")
-        budget = config.epochs * max(1, n_samples // config.batch_size)
-    if budget < 1:
-        raise ConfigError("a positive iteration or epoch budget is required")
-    if budget < per_iteration:
+    if config.iterations < 1:
+        raise ConfigError("a positive iteration budget is required")
+    if config.iterations < per_iteration:
         raise ConfigError("sfw-if spends two gradient batches per iteration")
-    return budget // per_iteration, per_iteration
+    return config.iterations // per_iteration, per_iteration
 
 
 def _inputs(config: ExperimentConfig):
     """``(budget, data)``: the `_budget_iterations` pair and the quadratic instance or the (train,
-    val, test) splits. The budget is checked before any data is made, but after the dataset
-    files are read: ``epochs`` counts their rows."""
+    val, test) splits. The budget is checked before any data is made or read."""
+    budget = _budget_iterations(config)
     if config.problem == "quadratic":
         if config.epoch_sampling:
             raise ConfigError("epoch_sampling needs a dataset problem")
@@ -357,34 +339,32 @@ def _inputs(config: ExperimentConfig):
         blocks = _constrained(config)
         if blocks and len(config.deltas) != len(blocks):
             raise ConfigError("quadratic problems need one delta per block in deltas")
-        return _budget_iterations(config, None), make_quadratic(
+        return budget, make_quadratic(
             config.seed, blocks, sum(config.quad_blocks) - sum(blocks) + config.quad_y,
             l_nabla=config.l_nabla, noise_sigma=config.quad_sigma)
     spec = _net_spec(config)
     if config.problem == "synthetic-net":
         if config.loss != "mse":
             raise ConfigError("the synthetic teacher produces regression targets; use loss = mse")
-        synth = _synth_spec(config)
-        return _budget_iterations(config, synth.train_size), generate_synthetic(synth)[:3]
+        return budget, generate_synthetic(_synth_spec(config))[:3]
     if not config.dataset:
         raise ConfigError("problem = dataset requires a dataset path")
-    splits = tuple(_load_dataset_any(path, spec) if path else None for path in
-                   (config.dataset, config.val_dataset, config.test_dataset))
-    return _budget_iterations(config, splits[0].features.shape[0]), splits
+    return budget, tuple(_load_dataset_any(path, spec) if path else None for path in
+                         (config.dataset, config.val_dataset, config.test_dataset))
 
 
 @dataclass(frozen=True, eq=False)
 class TrainOutcome:
     """Everything a caller needs after one training run.
 
-    ``checkpoint`` is the ``(kind, spec_meta, arrays)`` to save.
+    ``save(path, meta)`` writes the run's checkpoint with ``meta`` in its header.
     """
 
     result: RunResult
     metrics: list[tuple[str, object]]
     nnz_names: list[str]
     nnz_rows: list[Sequence[float]]
-    checkpoint: tuple[str, dict, list[tuple[str, np.ndarray]]]
+    save: Callable[[str, dict], None]
     val_loss: float
 
 
@@ -394,14 +374,12 @@ def _run_budgeted(config: ExperimentConfig, problem, balls, y0, x0_blocks,
     iterations, per_iteration = budget
     opt = OptimizerConfig(
         l_nabla=config.l_nabla,
-        c_bar_per_block=tuple(config.c_bar_scale * 2.0 * config.l_nabla * b.diameter() ** 2
-                              for b in balls),
+        c_bar_per_block=tuple(2.0 * config.l_nabla * b.diameter() ** 2 for b in balls),
         iterations=iterations,
         seed=config.seed,
         batch_schedule=BatchSchedule(config.batch_schedule, config.batch_size),
         alternative_directions=config.method == "sfw-if",
         norm_y=Norm(config.norm_y),
-        away_tol=config.away_tol,
     )
     result = run(problem, balls, y0, x0_blocks, opt)
     metrics: list[tuple[str, object]] = [
@@ -452,7 +430,7 @@ def _train_net(config: ExperimentConfig, budget, splits) -> TrainOutcome:
         metrics=metrics,
         nnz_names=[f"nnz_layer_{l}" for l in layout.spec.fw_layers],
         nnz_rows=_nnz_percentages(layout, [record.nnz_blocks for record in result.trace]),
-        checkpoint=("net", asdict(spec_full), _net_arrays(params)),
+        save=lambda path, meta: save_net_checkpoint(path, spec_full, params, meta),
         val_loss=float(val_scores["loss"]),
     )
 
@@ -483,7 +461,8 @@ def _train_quadratic(config: ExperimentConfig, budget, problem) -> TrainOutcome:
         metrics=metrics,
         nnz_names=[f"nnz_block_{i}" for i in range(len(blocks))],
         nnz_rows=[record.nnz_blocks for record in result.trace],
-        checkpoint=("quadratic", {"block_dims": list(blocks), "y_dim": y_dim}, arrays),
+        save=lambda path, meta: save_checkpoint(
+            path, "quadratic", {"block_dims": list(blocks), "y_dim": y_dim}, meta, arrays),
         val_loss=float(final_objective),
     )
 
@@ -541,8 +520,7 @@ def cmd_train(config: ExperimentConfig) -> int:
         "output_index": outcome.result.output_index,
         "iterations": len(outcome.result.trace),
     }
-    kind, spec_meta, arrays = outcome.checkpoint
-    save_checkpoint(ckpt_path, kind, spec_meta, meta, arrays)
+    outcome.save(ckpt_path, meta)
 
     paths = [("trace_csv", trace_path), ("checkpoint", ckpt_path)]
     lines = report_lines("train", config, outcome.metrics, paths)

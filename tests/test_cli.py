@@ -9,7 +9,6 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,6 @@ from fwsd.cli import (
     REPORT_THETAS,
     ConfigError,
     ExperimentConfig,
-    _coerce,
     build_parser,
     config_echo_lines,
     load_config,
@@ -120,8 +118,9 @@ def test_load_config_rejections(tmp_path):
         "method = adam\n",
         "bias = yes\n",
         "alpha_clamp = true\n",
-        "iterations = 5\nepochs = 5\n",
-        "c_bar_scale = 0.5\n",
+        "epochs = 2\n",
+        "c_bar_scale = 1.0\n",
+        "away_tol = 1e-12\n",
         "batch_size = 0\n",
         "smoothing_window = 0\n",
         "layer_sizes = 4\n",
@@ -138,16 +137,6 @@ def test_config_echo_round_trips():
     lines = [l.removeprefix("config.") for l in config_echo_lines(config)]
     again = load_config(None, dict(parse_config_text("\n".join(lines))))
     assert again == config
-
-
-def test_readme_lists_every_config_key_with_its_default():
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    table = readme.split("### Configuration keys", 1)[1].split("\n\n", 2)[1]
-    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
-    keys = [key.strip().strip("`") for key, _ in rows]
-    assert keys == [f.name for f in fields(ExperimentConfig)]
-    for (key, default), field in zip(rows, fields(ExperimentConfig)):
-        assert _coerce(field.name, default.strip().strip("`")) == field.default, key
 
 
 # ---------------------------------------------------------------- formats
@@ -397,13 +386,17 @@ def test_cli_keeps_the_names_the_benchmark_reaches(tmp_path, capsys):
               and node.value.attr == "cli"}
     assert "load_net_checkpoint" in called
     assert all(callable(vars(fwsd.cli).get(name)) for name in called)
-    # one span per name: synth and train on its files reach each format name through the CLI
+    # one span per name: synth (the teacher), a network trained on its three files and a
+    # quadratic run make every format call through the CLI
     spans = tracer.Tracer()
     with spans.installed([("fwsd.cli", None, attr, attr) for attr in sorted(formats)]):
         assert run_cli(*synth_args(tmp_path)) == 0
         assert run_cli(*dataset_train_args(tmp_path)) == 0
+        assert run_cli(*quad_args(tmp_path)) == 0
     capsys.readouterr()
-    assert spans.missing == [] and sorted(spans.stats) == sorted(formats)
+    assert spans.missing == []
+    assert {name: stats.calls for name, stats in spans.stats.items()} == {
+        "save_net_checkpoint": 2, "load_dataset_bin": 3, "save_checkpoint": 1}
 
 
 def test_smoothed_series():
@@ -543,40 +536,19 @@ def test_train_sgd_has_no_block_columns(tmp_path, capsys):
     assert spec.fw_layers == (0,), "checkpoint keeps the metric layout"
 
 
-def test_train_epoch_budget(tmp_path, capsys):
-    assert run_cli(*net_args(tmp_path, "--iterations", "0", "--epochs", "2")) == 0
-    capsys.readouterr()
-    # 40 samples at batch 4 gives 10 batches per epoch
-    assert read_report(tmp_path / "n.report.txt")["iterations_run"] == "20"
-
-
-def test_dataset_epoch_budget_counts_the_train_file_rows(tmp_path, capsys):
-    assert run_cli(*synth_args(tmp_path)) == 0
-    assert run_cli(*dataset_train_args(tmp_path, "--iterations", "0", "--epochs", "2",
-                                       "--batch-size", "4")) == 0
-    capsys.readouterr()
-    # the train file has 30 rows (val 8, test 9, the train_size key 2000): 7 batches per epoch
-    assert read_report(tmp_path / "n.report.txt")["iterations_run"] == "14"
-
-
-def test_train_epoch_budget_rejections(tmp_path, capsys):
-    assert run_cli(*net_args(tmp_path, "--iterations", "0", "--epochs", "2",
-                             "--batch-schedule", "linear-in-iter")) == 1
-    assert run_cli("train", "--problem", "quadratic", "--quad-blocks", "2",
-                   "--deltas", "1", "--iterations", "0", "--epochs", "2",
-                   "--out-prefix", str(tmp_path / "x")) == 1
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("command", ["train", "grid"])
-def test_budget_is_checked_before_data_is_made(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(fwsd.cli, "generate_synthetic", lambda *args: pytest.fail("data made"))
-    grid = ("--grid-l-nabla", "1", "--grid-delta", "1") if command == "grid" else ()
-    code = run_cli(command, "--problem", "synthetic-net", "--train-size", "200000",
-                   "--val-size", "2", "--test-size", "2", *grid,
+@pytest.mark.parametrize("case", ["train", "grid", "dataset"])
+def test_budget_is_checked_before_data_is_made(tmp_path, capsys, monkeypatch, case):
+    for name in ("generate_synthetic", "load_dataset_bin", "load_dataset_csv"):
+        monkeypatch.setattr(fwsd.cli, name, lambda *args: pytest.fail("data made or read"))
+    # opening the absent dataset file would be a different error
+    problem = (("--problem", "dataset", "--dataset", str(tmp_path / "absent.bin"))
+               if case == "dataset" else ("--problem", "synthetic-net"))
+    grid = ("--grid-l-nabla", "1", "--grid-delta", "1") if case == "grid" else ()
+    code = run_cli("grid" if case == "grid" else "train", *problem, "--iterations", "0",
+                   "--train-size", "200000", "--val-size", "2", "--test-size", "2", *grid,
                    "--out-prefix", str(tmp_path / "r"))
     assert code == 1
-    assert capsys.readouterr().err == "error: a positive iteration or epoch budget is required\n"
+    assert capsys.readouterr().err == "error: a positive iteration budget is required\n"
     assert not list(tmp_path.iterdir()), "nothing written"
 
 
@@ -1146,10 +1118,9 @@ def test_run_that_constrains_nothing_ignores_deltas(tmp_path, capsys, args, code
 def test_non_finite_values_are_config_errors(tmp_path, capsys):
     base = ["train", "--problem", "quadratic", "--quad-blocks", "2,2", "--deltas", "1,1",
             "--iterations", "4", "--out-prefix", str(tmp_path / "q")]
-    cases = [("--away-tol", "nan"), ("--away-tol", "inf"), ("--away-tol", "-1e-12"),
-             ("--c-bar-scale", "nan"), ("--c-bar-scale", "inf"), ("--l-nabla", "nan"),
-             ("--l-nabla", "inf"), ("--deltas", "nan,1"), ("--deltas", "1,inf"),
-             ("--snr", "nan"), ("--quad-sigma", "nan"), ("--quad-sigma", "inf")]
+    cases = [("--l-nabla", "nan"), ("--l-nabla", "inf"), ("--deltas", "nan,1"),
+             ("--deltas", "1,inf"), ("--snr", "nan"), ("--quad-sigma", "nan"),
+             ("--quad-sigma", "inf")]
     for flag, bad in cases:
         assert run_cli(*base, f"{flag}={bad}") == 1, (flag, bad)
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
@@ -1184,14 +1155,12 @@ def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, capsys):
     teachers = ["train-synthetic-net", "synth", "grid"]
     trainers = [command for command in every if command != "synth"]
     cases = [(every, (f"--{key.replace('_', '-')}={bad}",), key) for key, bad in (
-        ("iterations", "-1"), ("epochs", "-1"), ("batch_size", "0"), ("l_nabla", "0"),
-        ("c_bar_scale", "0.5"), ("away_tol", "-1"), ("smoothing_window", "0"),
+        ("iterations", "-1"), ("batch_size", "0"), ("l_nabla", "0"), ("smoothing_window", "0"),
         ("layer_sizes", "4"), ("layer_sizes", "4,0,1"), ("deltas", "1,-1"), ("deltas", "1,0"),
         ("snr", "0"), ("snr", "-1"), ("synth_m", "0"), ("train_size", "1"), ("val_size", "1"),
         ("test_size", "1"), ("quad_blocks", "2,0"), ("quad_y", "-1"), ("quad_sigma", "-1"),
         ("grid_l_nabla", "0"), ("grid_delta", "-1"), ("method", "adam"), ("seed", "x"))]
     cases += [
-        (every, ("--epochs=2",), "either iterations or epochs"),
         (networks, ("--fw-layers=1,0",), "fw_layers"),
         (networks, ("--fw-layers=0,2",), "fw_layers"),
         # the teacher's in-degree must fit layer 0's fan-in of 4, and then layer 1's of 3
@@ -1199,7 +1168,7 @@ def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, capsys):
         (teachers, ("--layer-sizes=4,3,3,1", "--fw-layers=0", "--deltas=1", "--synth-m=4"),
          "in-degree m"),
         (every, (f"--config={tmp_path / 'absent.cfg'}",), "cannot read config file: "),
-        (trainers, ("--iterations=0",), "a positive iteration or epoch budget is required"),
+        (trainers, ("--iterations=0",), "a positive iteration budget is required"),
         (["train-synthetic-net", "grid"], ("--loss=softmax-ce",), "use loss = mse"),
         (["train-dataset"], ("--dataset=",), "problem = dataset requires a dataset path"),
         (["train-quadratic"], ("--deltas=1",), "quadratic problems need one delta per block"),
