@@ -44,8 +44,8 @@ print()
 # --- away directions back off the worst vertex of the face -----------------
 
 g_check = np.tile(rng.standard_normal(6), (2, 1))
-# both points at once; 1e-12 is the strict-descent threshold OptimizerConfig.away_tol defaults to
-d, accepted, _, index, cap, binds = away_rows(ball, points, g_check, 1e-12)
+# both points at once; a direction is accepted if g_check @ d < -fwsd.geometry.AWAY_TOL
+d, accepted, _, index, cap, binds = away_rows(ball, points, g_check)
 for name, x, row, j, ok in zip(("interior", "boundary"), points, d, index, accepted):
     # d = x - v moves only coordinate j, so x_j - d_j carries the vertex's sign
     print(f"away direction from the {name} point:")

@@ -34,9 +34,11 @@ from .geometry import (
     regroup,
 )
 
-#: negative Frank-Wolfe gap values smaller than this are treated as
-#: floating-point cancellation and clamped to zero
+#: magnitude up to which a negative Frank-Wolfe gap is cancellation, clamped to zero
 G_TILDE_SLACK = 1e-12
+
+#: relative slack of c_bar's floor 2 * l_nabla * diam**2, which callers round in their own order
+C_BAR_FLOOR_SLACK = 1e-12
 
 
 class InternalConsistencyError(RuntimeError):
@@ -106,7 +108,7 @@ class GapConstants:
             raise ValueError("need one c_bar per ball")
         for i, (c_i, ball) in enumerate(zip(c_bar_per_block, balls)):
             floor = 2.0 * l_nabla * ball.diameter() ** 2
-            if c_i < floor * (1.0 - 1e-12):
+            if c_i < floor * (1.0 - C_BAR_FLOOR_SLACK):
                 raise ValueError(
                     f"c_bar for block {i} is {c_i}, below the required 2*L*diam^2 = {floor}"
                 )
@@ -123,7 +125,7 @@ class GapEstimate:
     value: float
 
 
-def _clamp_g_tilde(values, g=None):
+def _clamp_g_tilde(values, g):
     # per-block Frank-Wolfe gaps are nonnegative inside the ball, and a point
     # up to FEASIBILITY_TOL outside it (which callers accept) lowers them by
     # at most FEASIBILITY_TOL * max|g|, a bound only computed when needed;
@@ -132,8 +134,7 @@ def _clamp_g_tilde(values, g=None):
     values = np.asarray(values, dtype=np.float64)
     bad = values < -G_TILDE_SLACK
     if bad.any():
-        if g is not None:
-            bad &= values < -(G_TILDE_SLACK + FEASIBILITY_TOL * np.abs(g).max(axis=-1))
+        bad &= values < -(G_TILDE_SLACK + FEASIBILITY_TOL * np.abs(g).max(axis=-1))
         if bad.any():
             row = int(np.argmax(bad))
             raise InternalConsistencyError(

@@ -6,7 +6,8 @@ the linear minimization oracle picks a signed vertex, the minimal face of a
 boundary point is read off the signed support, and an away direction
 ``d = x - v`` from a signed vertex ``v`` moves one coordinate off the ray
 ``(1 + a) x``, so its step cap has at most one breakpoint. No numerical
-solver is involved anywhere in this module.
+solver is involved anywhere in this module, and its slacks are the ``*_TOL``
+and ``NNZ_THRESHOLD`` constants below, which no function takes as an argument.
 
 Every oracle is written once, row-wise, for an ``(n_rows, dim)`` matrix whose
 rows are blocks sharing one ball (same ``dim`` and ``radius``);
@@ -67,6 +68,9 @@ FACE_TOL = 1e-12
 #: slack of the in-face checks: a face's point's norm and a direction on the zero set
 IN_FACE_TOL = 1e-9
 
+#: margin by which an away direction must descend: a row steps only if ``g @ d < -AWAY_TOL``
+AWAY_TOL = 1e-12
+
 
 class Norm(enum.Enum):
     """Norm of the free block ``y`` (`OptimizerConfig.norm_y`)."""
@@ -96,11 +100,11 @@ class L1Ball:
         """
         return 2.0 * self.radius
 
-    def contains(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
-        """Feasibility check with an absolute slack of ``tol`` on the norm."""
+    def contains(self, x: np.ndarray) -> bool:
+        """Feasibility check with an absolute slack of ``FEASIBILITY_TOL`` on the norm."""
         (m,) = regroup([x], [1], [self.dim], "x")
         finite_rows(m, "x")
-        return not outside_rows(self, m, tol)[0]
+        return not outside_rows(self, m)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,14 +235,14 @@ def batch_sum(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(flat, axis=0, initial=-0.0).reshape(a.shape[1:])
 
 
-def nnz_rows(m: np.ndarray, threshold: float = NNZ_THRESHOLD) -> np.ndarray:
-    """Count of entries with magnitude at least ``threshold`` in every row."""
-    return np.count_nonzero(np.abs(m) >= threshold, axis=1)
+def nnz_rows(m: np.ndarray) -> np.ndarray:
+    """Count of entries with magnitude at least ``NNZ_THRESHOLD`` in every row."""
+    return np.count_nonzero(np.abs(m) >= NNZ_THRESHOLD, axis=1)
 
 
-def outside_rows(ball: L1Ball, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:
-    """Rows outside the ball by more than ``tol`` in the l1 norm; a row with a NaN is outside."""
-    return ~(l1_rows(x) <= ball.radius + tol)
+def outside_rows(ball: L1Ball, x: np.ndarray) -> np.ndarray:
+    """Rows more than ``FEASIBILITY_TOL`` outside the ball in the l1 norm; a NaN row is outside."""
+    return ~(l1_rows(x) <= ball.radius + FEASIBILITY_TOL)
 
 
 def _minus_vertex(ball: L1Ball, x: np.ndarray, index: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -277,17 +281,17 @@ def face_rows(ball: L1Ball, x: np.ndarray) -> Face:
     return Face(sign, np.abs(norm1 - ball.radius) <= FACE_TOL, norm1)
 
 
-def away_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray, tol: float):
+def away_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray):
     """Away step geometry of every row: ``(d, ok, gd, index, cap, binds)``.
 
     ``d = x - v`` backs off the vertex ``v`` of the minimal face (`face_rows`)
     that maximizes ``g @ v``, the vertex at ``index``; on an interior row, or a
     boundary row with an empty support (radius at most ``(dim + 1) * FACE_TOL``),
     the face is the whole ball. A row is accepted (``ok``) when ``gd = g @ d <
-    -tol`` and ``||d||_1`` is at most the diameter; an accepted row with an empty
-    support raises if its vertex moves a zero coordinate too far. ``cap`` is the
-    step cap along ``d`` (see the module docstring) and ``binds`` flags the rows
-    whose cap lands ``x_j`` on zero. A rejected row's cap is silent and meaningless.
+    -AWAY_TOL`` and ``||d||_1`` is at most the diameter; an accepted row with an
+    empty support raises if its vertex moves a zero coordinate too far. ``cap`` is
+    the step cap along ``d`` (see the module docstring) and ``binds`` flags the
+    rows whose cap lands ``x_j`` on zero. A rejected row's cap is silent and meaningless.
     """
     face = face_rows(ball, x)
     on_boundary, rows = face.on_boundary, np.arange(len(x))
@@ -297,7 +301,7 @@ def away_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray, tol: float):
     d = _minus_vertex(ball, x, index, sign[rows, index])
     d_norm1, d_j = l1_rows(d), d[rows, index]
     gd = row_dot(g, d)
-    ok = (gd < -tol) & (d_norm1 <= ball.diameter())
+    ok = (gd < -AWAY_TOL) & (d_norm1 <= ball.diameter())
     bare = on_boundary & ~in_face
     if np.count_nonzero(bare):  # off j, |d_k| = |x_k| <= FACE_TOL on the zero set
         _fail_rows(ok & bare & (np.abs(d_j) > IN_FACE_TOL),

@@ -84,8 +84,8 @@ class BatchSchedule:
 class OptimizerConfig:
     """Everything a run needs besides the problem and the feasible sets.
 
-    ``c_bar_per_block`` must dominate ``2 * l_nabla * diameter^2`` of the
-    matching ball; this is validated when a run starts.
+    ``c_bar_per_block`` must dominate ``2 * l_nabla * diameter^2`` of the matching
+    ball, validated when a run starts; the slacks are `fwsd.geometry` constants.
     """
 
     l_nabla: float
@@ -95,7 +95,6 @@ class OptimizerConfig:
     batch_schedule: BatchSchedule = BatchSchedule.constant(1)
     alternative_directions: bool = False
     norm_y: Norm = Norm.L2
-    away_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.l_nabla) or self.l_nabla <= 0.0:
@@ -104,8 +103,6 @@ class OptimizerConfig:
             raise ValueError("iterations must be nonnegative")
         if not all(0.0 < c < np.inf for c in self.c_bar_per_block):
             raise ValueError("all c_bar entries must be positive and finite")
-        if not 0.0 <= self.away_tol < np.inf:
-            raise ValueError("away_tol must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,13 +237,12 @@ def sd_step(y: np.ndarray, h_hat: np.ndarray, h_norm: float, config: OptimizerCo
     return y_next, alpha
 
 
-def alt_step(x_bar: np.ndarray, g_check: np.ndarray, ball: L1Ball, c_bar: np.ndarray,
-             config: OptimizerConfig):
+def alt_step(x_bar: np.ndarray, g_check: np.ndarray, ball: L1Ball, c_bar: np.ndarray):
     """Away step inside the minimal face of each row of one group sharing ``ball``.
 
     One `away_rows` call classifies every row's minimal face at ``FACE_TOL``,
     builds the away direction ``d`` from a fresh gradient and caps it. A row
-    whose ``d`` is a strict descent direction (``g_check @ d < -away_tol``)
+    whose ``d`` is a strict descent direction (``g_check @ d < -AWAY_TOL``)
     steps ``beta = min(a / c_bar, alpha_stop)`` along it, where ``a = -g_check @
     d`` and ``alpha_stop`` is the in-face cap. When the cap binds, the
     coordinate it binds on is set to exactly zero, so supports shrink exactly
@@ -256,7 +252,7 @@ def alt_step(x_bar: np.ndarray, g_check: np.ndarray, ball: L1Ball, c_bar: np.nda
     """
     finite_rows(x_bar, "x_bar")
     finite_rows(g_check, "g_check")
-    d, ok, gd, index, cap, binds = away_rows(ball, x_bar, g_check, config.away_tol)
+    d, ok, gd, index, cap, binds = away_rows(ball, x_bar, g_check)
     a = -gd
     quotient = a / c_bar
     step = np.where(cap < quotient, cap, quotient)  # a rejected row's NaN cap loses: finite
@@ -325,14 +321,13 @@ def run(
             finite_rows(m, "x0")
             _fail_rows(outside_rows(ball, m), "x0 block is infeasible")
 
-    def each_group(step, kernel, mats, blocks, name, *args):
-        # ``args`` follow the group's (matrix, gradient, ball, c_bar) in each kernel call
+    def each_group(step, kernel, mats, blocks, name):
         with blame_blocks(step, range(len(balls))):
             grads = regroup(blocks, heights, dims, name)
         out = []
         for (ball, idx), m, g, cg in zip(groups, mats, grads, c_bars):
             with blame_blocks(step, idx):
-                out.append(kernel(m, g, ball, cg, *args))
+                out.append(kernel(m, g, ball, cg))
         return out
 
     def snapshot(k):
@@ -370,8 +365,7 @@ def run(
             if config.alternative_directions and balls:
                 fresh = problem.draw(streams.alt_batches, b_k)
                 check = _mean_gradient(problem, x_bar, y_next, fresh)
-                aways = each_group("alt_step", alt_step, x_bar, check.g_blocks, "g_check",
-                                   config)
+                aways = each_group("alt_step", alt_step, x_bar, check.g_blocks, "g_check")
                 x = [s[0] for s in aways]
                 betas = _in_block_order([s[1].beta_bar for s in aways])
                 taken = _in_block_order([s[1].taken for s in aways])

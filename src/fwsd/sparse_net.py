@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import NNZ_THRESHOLD, L1Ball, RowError, batch_sum, nnz_rows, regroup
+from .geometry import L1Ball, RowError, batch_sum, nnz_rows, regroup
 from .problems import GradientEstimate, _shaped_like
 
 _DATASET_MAGIC = b"FWSDDATA"
@@ -419,13 +419,13 @@ def _nnz_percentages(layout: ParamLayout, counts) -> list[list[float]]:
     return out
 
 
-def nnz_metrics(params, spec: MLPSpec, threshold: float = NNZ_THRESHOLD) -> dict[int, float]:
-    """Percent of per-node incoming weights at or above ``threshold``, per constrained layer.
+def nnz_metrics(params, spec: MLPSpec) -> dict[int, float]:
+    """Percent of per-node incoming weights of magnitude ``NNZ_THRESHOLD`` or more, by layer.
 
-    The average over the layer's nodes of ``100 * count(|w| >= threshold) / fan_in``,
-    the rule the trace's NNZ columns use.
+    The average over the layer's nodes of ``100 * nnz_rows(w) / fan_in``, the
+    rule the trace's NNZ columns use.
     """
-    counts = [c for l in spec.fw_layers for c in nnz_rows(params[l].w, threshold).tolist()]
+    counts = [c for l in spec.fw_layers for c in nnz_rows(params[l].w).tolist()]
     (row,) = _nnz_percentages(ParamLayout(spec), [counts])
     return dict(zip(spec.fw_layers, row))
 

@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 
 from fwsd.gap import GapConstants, _clamp_g_tilde, dual_norm
-from fwsd.geometry import blame_blocks, nnz_rows, row_dot
+from fwsd.geometry import AWAY_TOL, blame_blocks, nnz_rows, row_dot
 from fwsd.optimizer import (
     AltStepInfo,
     Iterate,
@@ -71,7 +71,7 @@ def alt_step(x_bar_blocks, g_check_blocks, balls, config):
         with blame_blocks("alt_step", idx):
             x = _rows(x_bar_blocks, idx)
             g = _rows(g_check_blocks, idx)
-            aways = [away_direction(ball, xr, gr, config.away_tol) for xr, gr in zip(x, g)]
+            aways = [away_direction(ball, xr, gr, AWAY_TOL) for xr, gr in zip(x, g)]
         d = np.array([dr for dr, _ in aways])
         ok = np.array([accepted for _, accepted in aways], dtype=bool)
         stepped = x.copy()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fwsd.geometry import L1Ball, Vertex
+from fwsd.geometry import AWAY_TOL, L1Ball, Vertex
 from fwsd.optimizer import AltStepInfo
 
 G_TILDE_SLACK = 1e-12
@@ -256,7 +256,7 @@ def fw_step(x_blocks, g_hat_blocks, balls, config):
 def alt_step(x_bar_blocks, g_check_blocks, balls, config):
     x_next, infos = [], []
     for x_bar, g, ball, c_bar in zip(x_bar_blocks, g_check_blocks, balls, config.c_bar_per_block):
-        d, ok = away_direction(ball, x_bar, g, tol=config.away_tol)
+        d, ok = away_direction(ball, x_bar, g, tol=AWAY_TOL)
         if not ok:
             x_next.append(np.array(x_bar, dtype=np.float64))
             infos.append(AltStepInfo(taken=False, a_value=0.0, alpha_stop=0.0, beta_bar=0.0))

@@ -105,7 +105,7 @@ def test_criterion_01_oracles_match_brute_force_enumeration():
             (face,), (on_boundary,) = faces.sign, faces.on_boundary
             assert on_boundary
             g = rng.standard_normal(dim)
-            (d,), _, _, (index,), _, _ = away_rows(ball, x[None, :], g[None, :], 1e-12)
+            (d,), _, _, (index,), _, _ = away_rows(ball, x[None, :], g[None, :])
             best = None
             for j in np.flatnonzero(face).tolist():
                 value = np.zeros(dim)
@@ -297,7 +297,7 @@ def test_criterion_06_away_steps_preserve_signed_support():
         config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(c_bar,),
                                  iterations=0, seed=0)
         (x_new,), (info,) = alt_step(x[None, :], g[None, :], ball,
-                                     np.array(config.c_bar_per_block), config)
+                                     np.array(config.c_bar_per_block))
         if not info.taken:
             assert np.array_equal(x_new, x)
             continue
@@ -336,7 +336,7 @@ def test_criterion_07_away_steps_never_increase_objective():
             y = rng.standard_normal(2)
             g_blocks, _ = inst.exact_gradient([x], y)
             (x_new,), (info,) = alt_step(x[None, :], np.array(g_blocks), ball,
-                                         np.array(config.c_bar_per_block), config)
+                                         np.array(config.c_bar_per_block))
             f_before = inst.exact_objective([x], y)
             f_after = inst.exact_objective([x_new], y)
             assert f_after <= f_before + 1e-10, (

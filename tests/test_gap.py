@@ -119,11 +119,12 @@ class TestGapEstimate:
                          np.zeros(0), balls, GapConstants(1.0, 16.0))
 
     def test_cancellation_clamp(self):
-        assert _clamp_g_tilde(-1e-13) == 0.0
-        assert _clamp_g_tilde(0.0) == 0.0
-        assert _clamp_g_tilde(2.0) == 2.0
+        g = np.zeros(2)  # max|g| = 0 leaves the fixed slack alone
+        assert _clamp_g_tilde(-1e-13, g) == 0.0
+        assert _clamp_g_tilde(0.0, g) == 0.0
+        assert _clamp_g_tilde(2.0, g) == 2.0
         with pytest.raises(InternalConsistencyError):
-            _clamp_g_tilde(-1e-11)
+            _clamp_g_tilde(-1e-11, g)
 
     def test_point_just_outside_the_ball_clamps_to_zero(self):
         # ||x||_1 = 37 + 9.3e-13 is inside the 1e-10 feasibility slack, and

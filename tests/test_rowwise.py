@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import geometry_reference as ref
 from fwsd.gap import GapConstants, InternalConsistencyError, gap_estimate
 from fwsd.geometry import (
+    AWAY_TOL,
     FACE_TOL,
     IN_FACE_TOL,
     L1Ball,
@@ -104,7 +105,6 @@ def _inputs(balls, seed):
         c_bar_per_block=tuple(2.0 * b.diameter() ** 2 * rng.uniform(1.0, 50.0) for b in balls),
         iterations=1,
         seed=0,
-        away_tol=float(rng.choice([1e-12, 1e-13, 1e-10])),
     )
     return x, g, config
 
@@ -135,16 +135,11 @@ def _by_group(kernel, x, g, balls, config):
     for ball, idx in ref.groups_by_ball(balls):
         with blame_blocks(kernel.__name__, idx):
             x_m, g_m = (np.array([v[i] for i in idx.tolist()], dtype=np.float64) for v in (x, g))
-            result = kernel(x_m, g_m, ball, c_bar[idx], *_extra(kernel, config))
+            result = kernel(x_m, g_m, ball, c_bar[idx])
         for r, i in enumerate(idx.tolist()):
             out[i] = [part[r].item() if isinstance(part, np.ndarray) and part.ndim == 1
                       else part[r] for part in result]
     return tuple(zip(*out))
-
-
-def _extra(kernel, config):
-    """The arguments after ``(x, g, ball, c_bar)``: `alt_step` reads the config, `fw_step` not."""
-    return (config,) if kernel is alt_step else ()
 
 
 def _outcome(fn, *args):
@@ -210,16 +205,15 @@ def test_gap_estimate_matches_reference(case):
 def test_one_row_api_matches_reference(case):
     # each kernel on a one-row matrix is the per-block loop on that block
     balls, seed = case
-    x, g, config = _inputs(balls, seed)
+    x, g, _ = _inputs(balls, seed)
     for ball, xb, gb in list(zip(balls, x, g))[:8]:
         got, want = lmo(ball, gb), ref.lmo(ball, gb)
         assert (got.index, got.sign, _bits(got.value)) == (want.index, want.sign,
                                                            _bits(want.value))
         face = face_rows(ball, xb[None, :])
         assert ref.Face.from_rows(face.sign[0], face.on_boundary[0]) == ref.minimal_face(ball, xb)
-        d, ok, _, index, (alpha,), (binds,) = away_rows(ball, xb[None, :], gb[None, :],
-                                                      config.away_tol)
-        want_d, want_ok = ref.away_direction(ball, xb, gb, config.away_tol)
+        d, ok, _, index, (alpha,), (binds,) = away_rows(ball, xb[None, :], gb[None, :])
+        want_d, want_ok = ref.away_direction(ball, xb, gb, AWAY_TOL)
         assert (_bits(d[0]), bool(ok[0])) == (_bits(want_d), want_ok)
         if ok[0]:
             want_alpha, want_binding = ref.in_face_step_cap(ball, xb, d[0])
@@ -235,7 +229,7 @@ def test_away_rows_cap_matches_reference_on_stacked_rows(case):
     # FACE_TOL and IN_FACE_TOL outside the sphere, where an interior row's ray
     # starts past the radius
     balls, seed = case
-    x, g, config = _inputs(balls, seed)
+    x, g, _ = _inputs(balls, seed)
     rng = np.random.default_rng(seed + 2)
     for i, ball in enumerate(balls):
         norm1 = np.sum(np.abs(x[i]))
@@ -243,7 +237,7 @@ def test_away_rows_cap_matches_reference_on_stacked_rows(case):
             x[i] = x[i] * ((ball.radius + rng.uniform(2.0 * FACE_TOL, 0.9 * IN_FACE_TOL)) / norm1)
     for ball, idx in ref.groups_by_ball(balls):
         x_m, g_m = (np.array([v[i] for i in idx.tolist()]) for v in (x, g))
-        d, ok, _, index, caps, binds = away_rows(ball, x_m, g_m, config.away_tol)
+        d, ok, _, index, caps, binds = away_rows(ball, x_m, g_m)
         got = [(_bits(float(caps[r])), (int(index[r]),) if binds[r] else ())
                for r in np.flatnonzero(ok).tolist()]
         want = [ref.in_face_step_cap(ball, x_m[r], d[r]) for r in np.flatnonzero(ok).tolist()]
@@ -258,8 +252,7 @@ def test_sampler_reaches_every_branch():
     for seed in rng.integers(0, 2**32 - 1, size=30):
         balls = [L1Ball(int(rng.integers(1, 40)), 1.0)] * 20
         x, g, config = _inputs(balls, int(seed))
-        _, infos = alt_step(np.array(x), np.array(g), balls[0],
-                            np.array(config.c_bar_per_block), replace(config, away_tol=1e-12))
+        _, infos = alt_step(np.array(x), np.array(g), balls[0], np.array(config.c_bar_per_block))
         for xb, info in zip(x, infos):
             seen["rejected"] += not info.taken
             seen["binding"] += info.taken and info.beta_bar == info.alpha_stop
@@ -275,9 +268,8 @@ def test_alt_step_mixes_rejected_vertex_rows_silently():
     ball = L1Ball(3, 1.0)
     x = np.array([[-0.0, 1.0, -0.0], [0.1, -0.2, 0.0], [0.5, -0.5, 0.0]])
     g = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
-    config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(1.0,) * 3, iterations=1, seed=0)
     with np.errstate(all="raise"):
-        x_next, infos = alt_step(x, g, ball, np.full(3, 0.1), config)
+        x_next, infos = alt_step(x, g, ball, np.full(3, 0.1))
     assert infos.taken.tolist() == [False, True, True]
     assert x_next[0].tobytes() == x[0].tobytes()
     assert infos.beta_bar[2] == infos.alpha_stop[2] == 1.0 and x_next[2, 1] == 0.0
@@ -333,12 +325,12 @@ def test_fw_step_names_block_with_non_finite_gradient(bad):
 
 
 def test_alt_step_names_block_with_non_finite_input():
-    balls, x, g, config = _two_groups()
+    balls, x, _, _ = _two_groups()
     x_m = np.array([x[0], [0.1, np.nan, 0.0], x[3]])  # the group of blocks 0, 2 and 3
     with pytest.raises(ValueError,
                        match=r"^x_bar contains non-finite entries \(block 2, in alt_step\)$"):
         with blame_blocks("alt_step", [0, 2, 3]):
-            alt_step(x_m, np.ones((3, 3)), balls[0], np.full(3, 8.0), config)
+            alt_step(x_m, np.ones((3, 3)), balls[0], np.full(3, 8.0))
     with pytest.raises(ValueError, match=r"^g_check contains non-finite entries "
                                          r"\(block 1, in alt_step\) at iteration 1$"):
         _run_with_bad_gradient(3, 1, np.array([np.inf, 0.0]))
@@ -347,17 +339,15 @@ def test_alt_step_names_block_with_non_finite_input():
 @pytest.mark.parametrize("kernel", [fw_step, alt_step])
 def test_kernels_name_the_row_with_non_finite_gradient(kernel):
     # called directly, each kernel checks its gradient matrix itself
-    _, _, _, config = _two_groups()
     g = np.ones((3, 3))
     g[2, 1] = np.nan
     name = "g" if kernel is fw_step else "g_check"
     with pytest.raises(RowError, match=rf"^{name} contains non-finite entries$") as info:
-        kernel(np.zeros((3, 3)), g, L1Ball(3, 1.0), np.full(3, 8.0), *_extra(kernel, config))
+        kernel(np.zeros((3, 3)), g, L1Ball(3, 1.0), np.full(3, 8.0))
     assert info.value.row == 2
     with pytest.raises(RowError, match=rf"\(block 3, in {kernel.__name__}\)$"):
         with blame_blocks(kernel.__name__, [0, 2, 3]):
-            kernel(np.zeros((3, 3)), g, L1Ball(3, 1.0), np.full(3, 8.0),
-                   *_extra(kernel, config))
+            kernel(np.zeros((3, 3)), g, L1Ball(3, 1.0), np.full(3, 8.0))
 
 
 def test_in_face_cap_failure_names_the_group_row():
@@ -367,11 +357,10 @@ def test_in_face_cap_failure_names_the_group_row():
     ball = L1Ball(2000, 2e-9)
     x = np.zeros((2, 2000))
     x[1] = 0.9999e-12
-    config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(8.0, 8.0), iterations=1, seed=0)
     with pytest.raises(RowError, match=r"^in-face direction must vanish on the zero set of "
                                        r"x_bar \(block 7, in alt_step\)$"):
         with blame_blocks("alt_step", [5, 7]):
-            alt_step(x, -np.ones((2, 2000)), ball, np.array(config.c_bar_per_block), config)
+            alt_step(x, -np.ones((2, 2000)), ball, np.full(2, 8.0))
 
 
 def test_negative_gap_names_block():

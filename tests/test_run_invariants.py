@@ -1,10 +1,10 @@
 """Invariants of whole `run` calls with away steps, checked on every step.
 
 Hypothesis draws layouts of 1-3 blocks of widths 1-50 and radii from 1e-3 to
-37 (log-uniform), step constants up to 30 times the smallest valid one, away
-thresholds and seeds, with start points in the interior, within 1e-12 of
-the sphere, within 1e-12 of a face (coordinates that small next to a support
-on the sphere) and at vertices. `fwsd.optimizer.alt_step` is wrapped by name,
+37 (log-uniform), step constants up to 30 times the smallest valid one and
+seeds, with start points in the interior, within 1e-12 of the sphere, within
+1e-12 of a face (coordinates that small next to a support on the sphere) and
+at vertices. `fwsd.optimizer.alt_step` is wrapped by name,
 so every call `run` makes is checked against the per-block reference in
 `geometry_reference`:
 
@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 import fwsd.optimizer
 import geometry_reference as ref
 from fwsd.gap import GapConstants, exact_gap
-from fwsd.geometry import FEASIBILITY_TOL, L1Ball, Norm
+from fwsd.geometry import AWAY_TOL, FEASIBILITY_TOL, L1Ball, Norm
 from fwsd.optimizer import BatchSchedule, OptimizerConfig, run
 from fwsd.problems import make_quadratic
 
@@ -79,7 +79,6 @@ def runs(draw):
         batch_schedule=BatchSchedule.constant(int(rng.integers(1, 3))),
         alternative_directions=True,
         norm_y=Norm.L2 if rng.random() < 0.5 else Norm.L1,
-        away_tol=float(rng.choice([0.0, 1e-12, 1e-6])),
     )
     return problem, balls, rng.uniform(-1.0, 1.0, q), [_start(rng, b) for b in balls], config
 
@@ -99,13 +98,13 @@ class _Recording:
         return self.problem.gradient_mean(x_blocks, y, batch)
 
 
-def _check_away_step(x_bar, g_check, ball, config, x_next, infos, seen):
+def _check_away_step(x_bar, g_check, ball, x_next, infos, seen):
     assert np.all(np.sum(np.abs(x_next), axis=1) <= ball.radius + FEASIBILITY_TOL)
     for r, info in enumerate(infos):
         if not info.taken:
             continue
         seen["taken"] += 1
-        d, ok = ref.away_direction(ball, x_bar[r], g_check[r], config.away_tol)
+        d, ok = ref.away_direction(ball, x_bar[r], g_check[r], AWAY_TOL)
         assert ok
         _, binding = ref.in_face_step_cap(ball, x_bar[r], d)
         if binding and info.beta_bar == info.alpha_stop:
@@ -120,9 +119,9 @@ def _check_away_step(x_bar, g_check, ball, config, x_next, infos, seen):
 def test_away_steps_keep_run_invariants():
     inner, seen = fwsd.optimizer.alt_step, {"taken": 0, "bound": 0, "boundary": 0}
 
-    def checked(x_bar, g_check, ball, c_bar, cfg):
-        x_next, infos = inner(x_bar, g_check, ball, c_bar, cfg)
-        _check_away_step(x_bar, g_check, ball, cfg, x_next, infos, seen)
+    def checked(x_bar, g_check, ball, c_bar):
+        x_next, infos = inner(x_bar, g_check, ball, c_bar)
+        _check_away_step(x_bar, g_check, ball, x_next, infos, seen)
         return x_next, infos
 
     @SETTINGS

@@ -431,7 +431,6 @@ def test_nnz_threshold_is_inclusive():
         LayerParams(w=np.ones((1, 1)), b=np.zeros(1)),
     ]
     assert nnz_metrics(params, spec) == {0: 50.0}
-    assert nnz_metrics(params, spec, threshold=0.0011) == {0: 0.0}
 
 
 def test_hard_threshold_keeps_top_half():
