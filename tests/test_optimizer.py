@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fwsd.geometry
 import quadratic_reference as ref
 from fwsd.gap import InternalConsistencyError, dual_norm
 from fwsd.geometry import L1Ball, Norm, RowError
@@ -193,10 +194,13 @@ class TestAltStep:
         assert x_next[0][0] == 0.0  # exactly, not rounding dust
         np.testing.assert_array_equal(x_next[0], [0.0, -1.0])
 
-    def test_face_is_classified_at_face_tol(self):
+    @pytest.mark.parametrize("away_tol", [1e-12, 1e-13, 0.0])
+    def test_face_is_classified_at_face_tol_whatever_away_tol(self, away_tol, monkeypatch):
         # 5e-13 lies inside FACE_TOL, so the face is {0, 1}: the away vertex
         # is e_0 and the step is rejected; 5e-12 lies outside it, so the
-        # away vertex is e_2 and the cap drops that coordinate to exactly 0
+        # away vertex is e_2 and the cap drops that coordinate to exactly 0.
+        # The descent margin AWAY_TOL plays no part in the face.
+        monkeypatch.setattr(fwsd.geometry, "AWAY_TOL", away_tol)
         ball = L1Ball(3, 1.0)
         cfg = config_for([ball])
         g = np.array([0.0, 0.0, 1.0])
