@@ -35,13 +35,13 @@ grouping blocks never moves an iterate digest. That rests on five rules:
   ``(r - start) * t / (phi - start)`` if ``phi > r``, else ``t + (r - phi) /
   ||d||_1``, and at ``(r - start) / ||d||_1`` without a kink.
 
-A boundary row caps at ``t`` where ``sign_j * d_j < 0`` (the cap binds: ``x_j``
-lands on zero) and at ``inf`` otherwise; ``d`` never points out of the face. On
-an in-face row ``j`` is in the support, so ``sign_k * d_k = |x_k|`` off ``j`` and
-``sign_j * d_j = |x_j| - r``: the fold ``sum_k sign_k * d_k`` is ``||x||_1 - r``
-less the mass within ``FACE_TOL`` of zero, at most ``FACE_TOL`` plus rounding
-(0 on an empty support), and its rounding reaches ``IN_FACE_TOL * max(1,
-||d||_1)`` only at radii of order 1e5 or widths of order 1e6.
+A boundary row (within ``FACE_TOL`` of the sphere, with a nonempty support; else the
+face is the whole ball) caps at ``t`` where ``sign_j * d_j < 0`` (the cap binds:
+``x_j`` lands on zero) and at ``inf`` otherwise; ``d`` never points out of the face.
+``j`` is in the support, so ``sign_k * d_k = |x_k|`` off ``j`` and ``sign_j * d_j =
+|x_j| - r``: the fold ``sum_k sign_k * d_k`` is ``||x||_1 - r`` less the mass within
+``FACE_TOL`` of zero, at most ``FACE_TOL`` plus rounding, and its rounding reaches
+``IN_FACE_TOL * max(1, ||d||_1)`` only at radii of order 1e5 or widths of order 1e6.
 
 A failed row check raises `RowError`, which carries the offending row so a
 caller that stacked the rows can name the block (see `blame_blocks`).
@@ -65,7 +65,7 @@ FEASIBILITY_TOL = 1e-10
 #: zero and boundary tolerance of minimal faces (coordinates and ||x||_1 - radius)
 FACE_TOL = 1e-12
 
-#: slack of the in-face checks: a face's point's norm and a direction on the zero set
+#: slack on ||x||_1 - radius within which a point gets a face and `run` accepts a step's iterate
 IN_FACE_TOL = 1e-9
 
 #: margin by which an away direction must descend: a row steps only if ``g @ d < -AWAY_TOL``
@@ -245,6 +245,14 @@ def outside_rows(ball: L1Ball, x: np.ndarray) -> np.ndarray:
     return ~(l1_rows(x) <= ball.radius + FEASIBILITY_TOL)
 
 
+def _in_ball_rows(ball: L1Ball, x: np.ndarray) -> np.ndarray:
+    # l1_rows(x); RowError at the first row more than IN_FACE_TOL outside the ball, or NaN
+    norm1 = l1_rows(x)
+    _fail_rows(~(norm1 <= ball.radius + IN_FACE_TOL),
+               lambda r: f"point is infeasible: ||x||_1 = {float(norm1[r])} > {ball.radius}")
+    return norm1
+
+
 def _minus_vertex(ball: L1Ball, x: np.ndarray, index: np.ndarray, sign: np.ndarray) -> np.ndarray:
     # x - v for the vertices v = sign * radius * e_index, bit for bit: one coordinate per row moves
     d = x.copy()
@@ -271,41 +279,31 @@ def frank_wolfe_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray) -> tuple[np.nda
 def face_rows(ball: L1Ball, x: np.ndarray) -> Face:
     """Minimal face of every row: sign masks in {-1, 0, 1}, boundary flags and l1 norms.
 
-    Both are classified at ``FACE_TOL``; an interior row's face is the whole
-    ball. Rows more than ``IN_FACE_TOL`` outside the ball, or with a NaN, raise.
+    At ``FACE_TOL``, a row with a nonempty support and its norm that near the radius is on the
+    boundary, else its face is the whole ball. Rows over ``IN_FACE_TOL`` outside, or NaN, raise.
     """
-    norm1 = l1_rows(x)
-    _fail_rows(~(norm1 <= ball.radius + IN_FACE_TOL),
-               lambda r: f"point is infeasible: ||x||_1 = {float(norm1[r])} > {ball.radius}")
+    norm1 = _in_ball_rows(ball, x)
     sign = (x > FACE_TOL).astype(np.float64) - (x < -FACE_TOL)
-    return Face(sign, np.abs(norm1 - ball.radius) <= FACE_TOL, norm1)
+    return Face(sign, (np.abs(norm1 - ball.radius) <= FACE_TOL) & sign.any(axis=1), norm1)
 
 
 def away_rows(ball: L1Ball, x: np.ndarray, g: np.ndarray):
     """Away step geometry of every row: ``(d, ok, gd, index, cap, binds)``.
 
-    ``d = x - v`` backs off the vertex ``v`` of the minimal face (`face_rows`)
-    that maximizes ``g @ v``, the vertex at ``index``; on an interior row, or a
-    boundary row with an empty support (radius at most ``(dim + 1) * FACE_TOL``),
-    the face is the whole ball. A row is accepted (``ok``) when ``gd = g @ d <
-    -AWAY_TOL`` and ``||d||_1`` is at most the diameter; an accepted row with an
-    empty support raises if its vertex moves a zero coordinate too far. ``cap`` is
-    the step cap along ``d`` (see the module docstring) and ``binds`` flags the
-    rows whose cap lands ``x_j`` on zero. A rejected row's cap is silent and meaningless.
+    ``d = x - v`` backs off the vertex ``v`` of the minimal face (`face_rows`) that maximizes
+    ``g @ v``, the vertex at ``index``. A row is accepted (``ok``) when ``gd = g @ d < -AWAY_TOL``
+    and ``||d||_1`` is at most the diameter. ``cap`` is the step cap along ``d`` (see the module
+    docstring); ``binds`` flags the rows whose cap lands ``x_j`` on zero. A rejected row's cap is
+    silent and meaningless.
     """
     face = face_rows(ball, x)
     on_boundary, rows = face.on_boundary, np.arange(len(x))
-    in_face = on_boundary & face.sign.any(axis=1)
-    sign = np.where(in_face[:, None], face.sign, np.where(g >= 0.0, 1.0, -1.0))
+    sign = np.where(on_boundary[:, None], face.sign, np.where(g >= 0.0, 1.0, -1.0))
     index = np.where(sign != 0.0, sign * g, -np.inf).argmax(axis=1)
     d = _minus_vertex(ball, x, index, sign[rows, index])
     d_norm1, d_j = l1_rows(d), d[rows, index]
     gd = row_dot(g, d)
     ok = (gd < -AWAY_TOL) & (d_norm1 <= ball.diameter())
-    bare = on_boundary & ~in_face
-    if np.count_nonzero(bare):  # off j, |d_k| = |x_k| <= FACE_TOL on the zero set
-        _fail_rows(ok & bare & (np.abs(d_j) > IN_FACE_TOL),
-                   "in-face direction must vanish on the zero set of x_bar")
     delta, n_boundary = ball.radius, np.count_nonzero(on_boundary)
     cap, binds = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):

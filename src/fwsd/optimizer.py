@@ -35,6 +35,7 @@ from .geometry import (
     L1Ball,
     Norm,
     _fail_rows,
+    _in_ball_rows,
     away_rows,
     blame_blocks,
     finite_rows,
@@ -374,9 +375,10 @@ def run(
 
             y = y_next
             _digest(digest, x, y)
-            for (_, idx), m in zip(groups, x):  # a non-finite step fails in its own iteration
+            for (ball, idx), m in zip(groups, x):  # a bad step fails in its own iteration
                 with blame_blocks("fw_step" if betas is None else "alt_step", idx):
                     finite_rows(m, "x")
+                    _in_ball_rows(ball, m)
             trace.append(TraceRecord(
                 k=k,
                 objective_estimate=objective,

@@ -234,7 +234,7 @@ def in_face_step_cap(
     if not _contains(ball, x_bar, tol=max(tol, 1e-10)):
         raise ValueError("x_bar is infeasible")
     face = minimal_face(ball, x_bar, tol=min(tol, FACE_TOL))
-    if not face.on_boundary:
+    if not face.on_boundary or not face.support:
         return _ball_cap(ball, x_bar, d), ()
     if any(abs(d[j]) > tol for j in face.j_zero):
         raise ValueError("in-face direction must vanish on the zero set of x_bar")

@@ -13,12 +13,14 @@ import pytest
 
 from fwsd.geometry import (
     FACE_TOL,
+    FEASIBILITY_TOL,
     L1Ball,
     away_rows,
     face_rows,
     lmo,
     lmo_rows,
 )
+from fwsd.optimizer import alt_step
 
 
 def enumerate_vertices(ball):
@@ -339,14 +341,17 @@ class TestMaxFeasibleStep:
         np.testing.assert_array_equal(d[0], [0.0, 0.0])
         assert ok.tolist() == [False, True]
 
-    def test_direction_touching_zero_set_rejected_in_face(self):
-        # a boundary point with every coordinate within FACE_TOL of zero has an
-        # empty support; the whole-ball vertex it backs off moves a zero coordinate
-        ball = L1Ball(2000, 2e-9)
-        x = np.full((1, 2000), 0.9999e-12)
-        assert face_rows(ball, x).on_boundary.tolist() == [True]
-        with pytest.raises(ValueError, match="must vanish on the zero set"):
-            away_cap(ball, x, -np.ones((1, 2000)))
+    def test_row_with_an_empty_support_steps_inside_its_ball(self):
+        # a point within FACE_TOL of the sphere with every coordinate within FACE_TOL
+        # of zero has an empty support: its face is the whole ball, so its away
+        # step takes the interior cap and stays inside the ball
+        cases = [(L1Ball(2, 1e-13), np.zeros((1, 2)), np.array([[-100.0, 0.0]])),
+                 (L1Ball(2000, 2e-9), np.full((1, 2000), 0.9999e-12), -np.ones((1, 2000)))]
+        for ball, x, g in cases:
+            x_next, infos = alt_step(x, g, ball, np.array([2.0 * ball.diameter() ** 2]))
+            assert infos.taken.tolist() == [True]
+            assert np.abs(x_next).sum() <= ball.radius + FEASIBILITY_TOL, x_next
+            assert face_rows(ball, x).on_boundary.tolist() == [False]
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(44)

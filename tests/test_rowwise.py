@@ -351,16 +351,17 @@ def test_kernels_name_the_row_with_non_finite_gradient(kernel):
 
 
 def test_in_face_cap_failure_names_the_group_row():
-    # row 1 is a boundary point with every coordinate within FACE_TOL of zero:
-    # its accepted away direction moves a zero coordinate, and the error names
-    # the group row, which blame_blocks turns into the block
-    ball = L1Ball(2000, 2e-9)
-    x = np.zeros((2, 2000))
-    x[1] = 0.9999e-12
-    with pytest.raises(RowError, match=r"^in-face direction must vanish on the zero set of "
-                                       r"x_bar \(block 7, in alt_step\)$"):
+    # row 1 lies just more than IN_FACE_TOL outside the ball, so it gets no minimal
+    # face; the error names the group row, which blame_blocks turns into the block
+    ball = L1Ball(3, 1.0)
+    x = np.zeros((2, 3))
+    x[1, 0] = np.nextafter(1.0 + IN_FACE_TOL, 2.0)
+    with pytest.raises(RowError, match=r"^point is infeasible: \|\|x\|\|_1 = 1\.000000001\d* > "
+                                       r"1\.0 \(block 7, in alt_step\)$"):
         with blame_blocks("alt_step", [5, 7]):
-            alt_step(x, -np.ones((2, 2000)), ball, np.full(2, 8.0))
+            alt_step(x, -np.ones((2, 3)), ball, np.full(2, 8.0))
+    x[1, 0] = 1.0 + IN_FACE_TOL
+    alt_step(x, -np.ones((2, 3)), ball, np.full(2, 8.0))
 
 
 def test_negative_gap_names_block():
@@ -437,24 +438,27 @@ def test_run_with_non_finite_gradient_fails_loudly():
 def test_run_names_the_block_and_step_that_made_a_non_finite_iterate(monkeypatch, kernel,
                                                                      group, block):
     # the groups are [0], [1] and [2, 3]; at iteration 2 the kernel's call on ``group`` returns
-    # its last row as NaN, and no later kernel reads that matrix before run() checks it
-    calls = []
-
-    def leaky(m, *args):
-        x_next, *rest = kernel(m, *args)
-        calls.append(m)
-        if len(calls) == 3 * 2 + group + 1:
-            x_next = x_next.copy()
-            x_next[-1] = np.nan
-        return (x_next, *rest)
-
-    monkeypatch.setattr(f"fwsd.optimizer.{kernel.__name__}", leaky)
+    # its last row as NaN, or scaled outside the ball, and no later kernel reads that matrix
+    # before run() checks it
     balls, x, _, config = _two_groups()
     config = replace(config, iterations=4, alternative_directions=kernel is alt_step)
-    with pytest.raises(RowError, match=rf"^x contains non-finite entries \(block {block}, "
-                                       rf"in {kernel.__name__}\) at iteration 2$"):
-        run(_BadGradientCall(balls, -1, 0, None), balls, np.zeros(1), x, config)
-    assert len(calls) == 3 * 3
+    for scale, error in [(np.nan, r"x contains non-finite entries"),
+                         (1e3, r"point is infeasible: \|\|x\|\|_1 = \S+ > 1\.0")]:
+        calls = []
+
+        def leaky(m, *args):
+            x_next, *rest = kernel(m, *args)
+            calls.append(m)
+            if len(calls) == 3 * 2 + group + 1:
+                x_next = x_next.copy()
+                x_next[-1] *= scale
+            return (x_next, *rest)
+
+        monkeypatch.setattr(f"fwsd.optimizer.{kernel.__name__}", leaky)
+        with pytest.raises(RowError, match=rf"^{error} \(block {block}, "
+                                           rf"in {kernel.__name__}\) at iteration 2$"):
+            run(_BadGradientCall(balls, -1, 0, None), balls, np.zeros(1), x, config)
+        assert len(calls) == 3 * 3
 
 
 def test_fw_step_names_the_row_of_a_non_finite_iterate():

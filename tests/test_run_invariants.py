@@ -1,18 +1,25 @@
 """Invariants of whole `run` calls with away steps, checked on every step.
 
-Hypothesis draws layouts of 1-3 blocks of widths 1-50 and radii from 1e-3 to
-37 (log-uniform), step constants up to 30 times the smallest valid one and
-seeds, with start points in the interior, within 1e-12 of the sphere, within
-1e-12 of a face (coordinates that small next to a support on the sphere) and
-at vertices. `fwsd.optimizer.alt_step` is wrapped by name,
-so every call `run` makes is checked against the per-block reference in
+Hypothesis draws layouts of 1-3 blocks of widths 1-50, ``l_nabla`` from 1 to
+1e3, step constants up to 30 times the smallest valid one and seeds. Half the
+radii are log-uniform from 1e-3 to 37, with start points in the interior,
+within 1e-12 of the sphere, within 1e-12 of a face (coordinates that small
+next to a support on the sphere) and at vertices. The other half sit at the
+extremes: log-uniform from 37 to 1e5, where rounding in the norm nears
+``FEASIBILITY_TOL``, or from 1e-13 to ``(dim + 1) * FACE_TOL``, with a zero or
+all-dust start. On a ball of radius at most ``FACE_TOL`` every point is
+"bare": on the sphere at ``FACE_TOL`` with no coordinate off zero, so its
+face is the whole ball. A Frank-Wolfe step lands on a vertex, so only such
+balls hand the away step bare rows, and the larger ``l_nabla`` lets them
+descend by more than ``AWAY_TOL``. `fwsd.optimizer.alt_step` is wrapped by
+name, so every call `run` makes is checked against the per-block reference in
 `geometry_reference`:
 
 - every output row is feasible at ``FEASIBILITY_TOL``;
 - a taken row stepped to a binding cap reads an exact ``0.0`` at each
   coordinate the reference cap binds on;
-- a taken boundary row's support never grows: a coordinate that is exactly
-  zero stays zero, and no coordinate changes sign.
+- a taken boundary row with a nonempty support never grows it: a coordinate
+  that is exactly zero stays zero, and no coordinate changes sign.
 
 On a noise-free quadratic the problem is wrapped as well, to capture the point
 ``(x_bar, y_next)`` of each away step's gradient call; the iterate the step
@@ -33,17 +40,29 @@ from hypothesis import strategies as st
 import fwsd.optimizer
 import geometry_reference as ref
 from fwsd.gap import GapConstants, exact_gap
-from fwsd.geometry import AWAY_TOL, FEASIBILITY_TOL, L1Ball, Norm
+from fwsd.geometry import AWAY_TOL, FACE_TOL, FEASIBILITY_TOL, L1Ball, Norm
 from fwsd.optimizer import BatchSchedule, OptimizerConfig, run
 from fwsd.problems import make_quadratic
 
-SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None,
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
+def _radius(rng, dim):
+    """A radius from 1e-3 to 37, or at an extreme: up to 1e5, or down to ``FACE_TOL / 10``."""
+    kind = int(rng.integers(4))
+    if kind == 2:
+        return float(10.0 ** rng.uniform(np.log10(37.0), 5.0))
+    if kind == 3:
+        return float(10.0 ** rng.uniform(-13.0, np.log10((dim + 1) * FACE_TOL)))
+    return float(10.0 ** rng.uniform(-3.0, np.log10(37.0)))
+
+
 def _start(rng, ball):
-    """A feasible start point of one of four kinds."""
+    """A feasible start point of one of four kinds, or zero or all dust on a tiny ball."""
     dim, r = ball.dim, ball.radius
+    if r <= (dim + 1) * FACE_TOL:  # zero, or every coordinate within FACE_TOL of zero
+        return rng.uniform(-1.0, 1.0, dim) * min(FACE_TOL, r / dim) * rng.integers(2)
     kind = int(rng.integers(4))
     if kind == 3:  # a vertex
         x = np.zeros(dim)
@@ -65,14 +84,14 @@ def _start(rng, ball):
 @st.composite
 def runs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    balls = [L1Ball(int(rng.integers(1, 51)), float(10.0 ** rng.uniform(-3.0, np.log10(37.0))))
-             for _ in range(rng.integers(1, 4))]
+    dims = rng.integers(1, 51, rng.integers(1, 4)).tolist()
+    balls = [L1Ball(dim, _radius(rng, dim)) for dim in dims]
     q = int(rng.integers(0, 3))
-    problem = make_quadratic(seed=int(rng.integers(10_000)), p=tuple(b.dim for b in balls), q=q,
-                             l_nabla=1.0)
+    l_nabla = float(10.0 ** rng.uniform(0.0, 3.0))
+    problem = make_quadratic(seed=int(rng.integers(10_000)), p=tuple(dims), q=q, l_nabla=l_nabla)
     config = OptimizerConfig(
-        l_nabla=1.0,
-        c_bar_per_block=tuple(2.0 * b.diameter() ** 2 * 10.0 ** rng.uniform(0.0, 1.5)
+        l_nabla=l_nabla,
+        c_bar_per_block=tuple(2.0 * l_nabla * b.diameter() ** 2 * 10.0 ** rng.uniform(0.0, 1.5)
                               for b in balls),
         iterations=int(rng.integers(1, 9)),
         seed=int(rng.integers(1000)),
@@ -110,14 +129,17 @@ def _check_away_step(x_bar, g_check, ball, x_next, infos, seen):
         if binding and info.beta_bar == info.alpha_stop:
             seen["bound"] += 1
             assert all(x_next[r, j] == 0.0 for j in binding), (x_next[r], binding)
-        if ref.minimal_face(ball, x_bar[r]).on_boundary:
+        face = ref.minimal_face(ball, x_bar[r])
+        if face.on_boundary and not face.support:
+            seen["bare"] += 1
+        elif face.on_boundary:
             seen["boundary"] += 1
             assert np.all(x_next[r][x_bar[r] == 0.0] == 0.0)
             assert np.all(x_next[r] * x_bar[r] >= 0.0)
 
 
 def test_away_steps_keep_run_invariants():
-    inner, seen = fwsd.optimizer.alt_step, {"taken": 0, "bound": 0, "boundary": 0}
+    inner, seen = fwsd.optimizer.alt_step, {"taken": 0, "bound": 0, "boundary": 0, "bare": 0}
 
     def checked(x_bar, g_check, ball, c_bar):
         x_next, infos = inner(x_bar, g_check, ball, c_bar)
@@ -141,7 +163,7 @@ def test_away_steps_keep_run_invariants():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fwsd.optimizer, "alt_step", checked)
         sweep()
-    # taken, binding and boundary steps all occur in the drawn runs
+    # taken, binding, boundary and bare steps all occur in the drawn runs
     assert min(seen.values()) >= 50, seen
 
 

@@ -4,14 +4,24 @@ Each constant is tried at its value and at the next float past it: the
 strict-descent test of an away step (``AWAY_TOL``), feasibility
 (``FEASIBILITY_TOL``, in `L1Ball.contains` and in `run`'s start-point check),
 the NNZ count (``NNZ_THRESHOLD``) and the floor on a block's step constant
-(``C_BAR_FLOOR_SLACK``).
+(``C_BAR_FLOOR_SLACK``). Runs started exactly at ``FEASIBILITY_TOL`` outside
+their ball show why `run`'s in-ball check after every step allows
+``IN_FACE_TOL``.
 """
 
 import numpy as np
 import pytest
 
 from fwsd.gap import C_BAR_FLOOR_SLACK, GapConstants
-from fwsd.geometry import AWAY_TOL, FEASIBILITY_TOL, NNZ_THRESHOLD, L1Ball, away_rows, nnz_rows
+from fwsd.geometry import (
+    AWAY_TOL,
+    FEASIBILITY_TOL,
+    IN_FACE_TOL,
+    NNZ_THRESHOLD,
+    L1Ball,
+    away_rows,
+    nnz_rows,
+)
 from fwsd.optimizer import OptimizerConfig, alt_step, run
 from fwsd.problems import make_quadratic
 from fwsd.sparse_net import LayerParams, MLPSpec, nnz_metrics
@@ -46,6 +56,33 @@ def test_rejected_rows_keep_their_bytes_in_a_mixed_group():
         assert field[1:].tobytes() == np.zeros(2).tobytes()
     x_next, infos = alt_step(x[1:], g[1:], ball, np.full(2, 8.0))  # no row steps
     assert not infos.taken.any() and x_next.tobytes() == x[1:].tobytes()
+
+
+def _edge_start(seed, radius):
+    # a start point at radius + FEASIBILITY_TOL, as close as scaling rounds it, never past
+    edge = radius + FEASIBILITY_TOL
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, 50)
+    x *= edge / np.sum(np.abs(x))
+    while np.sum(np.abs(x)) > edge:
+        x = np.nextafter(x, 0.0)
+    return x
+
+
+@pytest.mark.parametrize("away", [False, True], ids=["fw", "away"])
+@pytest.mark.parametrize("radius", [0.5] + RADII)
+def test_runs_started_at_the_feasibility_edge_stay_in_their_ball(radius, away):
+    # run() accepts a start up to FEASIBILITY_TOL outside its ball, and its steps round
+    # from there; the in-ball check after every step allows IN_FACE_TOL, so none of
+    # these runs raise (a check at FEASIBILITY_TOL stops radius 0.5, seeds 12, 15, 17)
+    ball = L1Ball(50, radius)
+    config = OptimizerConfig(l_nabla=1.0, c_bar_per_block=(1e6 * 2.0 * ball.diameter() ** 2,),
+                             iterations=20, seed=0, alternative_directions=away)
+    for seed in range(20):
+        problem = make_quadratic(seed=seed, p=50, q=1, l_nabla=1.0, noise_sigma=0.1)
+        start = _edge_start(seed, radius)
+        assert ball.contains(start)
+        result = run(problem, [ball], np.zeros(1), [start], config)
+        assert np.sum(np.abs(result.final_iterate.x[0])) <= radius + IN_FACE_TOL
 
 
 @pytest.mark.parametrize("radius", RADII)
